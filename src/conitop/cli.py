@@ -94,8 +94,11 @@ def parse_input(text: str) -> JobSpec:
 def _run_invariants(job: JobSpec) -> tuple[dict, int]:
     base = job.inputs["base"]
     bundle = job.inputs["bundle"]
+    blowups = int(job.options.get("blowups", 0))
+    if blowups < 0:
+        raise ValidationError(f"blowups must be nonnegative, got {blowups}")
     system = projectivize(base, bundle)
-    for _ in range(int(job.options.get("blowups", 0))):
+    for _ in range(blowups):
         system = blowup_point(system)
     report = {
         "schema": serialize.REPORT_SCHEMA,
@@ -103,7 +106,7 @@ def _run_invariants(job: JobSpec) -> tuple[dict, int]:
         "inputs": {
             "base": serialize.manifold_to_obj(base),
             "bundle": serialize.bundle_to_obj(bundle),
-            "blowups": int(job.options.get("blowups", 0)),
+            "blowups": blowups,
         },
         "result": {
             "system": serialize.system_to_obj(system),

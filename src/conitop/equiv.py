@@ -129,22 +129,12 @@ class _WitnessSearch:
         self.r = s1.rank
         self.check_c1 = check_c1
         self.entries = spiral_entries(bound)
-        self.dense2 = s2._mu_dense
-
-    def _contract(self, v: Vec):
-        """Matrix M with M[p][q] = sum_k mu2(p, q, k) v[k]."""
-        dense = self.dense2
-        r = self.r
-        return [
-            [sum(row[k] * v[k] for k in range(r) if v[k]) for row in plane]
-            for plane in dense
-        ]
 
     def column_ok(self, c: int, v: Vec, cols: list[Vec]) -> bool:
         """Prune: cubic/p1 of the new column and every mu triple it completes."""
         if dot(self.s2.p1, v) != self.s1.p1[c]:
             return False
-        m = self._contract(v)
+        m = self.s2.mu_contract(v)
         stack = cols + [v]
         for i in range(c + 1):
             ci = stack[i]
@@ -271,13 +261,12 @@ def has_even_w2_cubic(s: InvariantSystem) -> bool:
     """Whether mu(w2 lift, x, x) is even for every integral x.
 
     True for every system arising from a closed oriented 6-manifold (a Wu
-    formula consequence) and for everything this package constructs; only
-    depends on x mod 2, so 2^rank checks suffice.
+    formula consequence) and for everything this package constructs.  Mod 2,
+    mu(W, x, x) = sum_i x_i mu(W, e_i, e_i): the off-diagonal terms come in
+    equal pairs and x_i^2 = x_i.  So the rank-many diagonal values decide it.
     """
-    lift = s.w2
-    return all(
-        s.mu_eval(lift, x, x) % 2 == 0 for x in product(range(2), repeat=s.rank)
-    )
+    m = s.mu_contract(s.w2)
+    return all(m[i][i] % 2 == 0 for i in range(s.rank))
 
 
 def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
@@ -342,6 +331,10 @@ def certificate_is_valid(
     if cert.kind == "b3":
         return (s1.b3, s2.b3) == cert.detail and s1.b3 != s2.b3
     if cert.kind == "fingerprint":
+        # an odd-p mismatch is only an invariant under the even w2 property,
+        # the same precondition certify_distinct checks
+        if cert.prime != 2 and not (has_even_w2_cubic(s1) and has_even_w2_cubic(s2)):
+            return False
         f1 = fingerprint(s1, cert.prime)
         f2 = fingerprint(s2, cert.prime)
         return (f1, f2) == cert.detail and f1 != f2

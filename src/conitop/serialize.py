@@ -15,7 +15,7 @@ from .equiv import DistinctnessCertificate, IsomorphismWitness
 from .errors import DescriptorError, ValidationError
 from .fourfold import STANDARD_NAMES, FourManifold, connected_sum, standard
 from .lattice import IntersectionForm
-from .sixfold import InvariantSystem, blowup_point, projectivize, triple_indices
+from .sixfold import InvariantSystem, blowup_point, make_system, projectivize
 from .transitions import conifold_transition, local_model_system
 
 SCHEMA = "conitop/1"
@@ -130,7 +130,7 @@ def system_to_obj(s: InvariantSystem) -> dict:
     return {
         "rank": s.rank,
         "basis_labels": list(s.basis_labels),
-        "mu": [[i, j, k, v] for (i, j, k), v in s.mu_items() if v != 0],
+        "mu": [[i, j, k, v] for (i, j, k), v in s.mu],
         "p1": list(s.p1),
         "w2": list(s.w2),
         "b3": s.b3,
@@ -143,30 +143,24 @@ def system_from_obj(obj: dict) -> InvariantSystem:
     for field in ("rank", "mu", "p1", "w2", "b3"):
         if field not in obj:
             raise DescriptorError(f"invariant system needs field {field!r}")
-    rank = int(obj["rank"])
-    table = {}
+    entries = []
     for item in obj["mu"]:
         if len(item) != 4:
             raise DescriptorError("mu entries must be [i, j, k, value]")
-        i, j, k, v = item
-        key = tuple(sorted((int(i), int(j), int(k))))
-        if any(x < 0 or x >= rank for x in key):
-            raise DescriptorError(f"mu index {key} out of range for rank {rank}")
-        if table.get(key, v) != v:
-            raise DescriptorError(f"conflicting mu values for triple {key}")
-        table[key] = int(v)
-    mu = tuple(table.get(ijk, 0) for ijk in triple_indices(rank))
-    labels = tuple(obj.get("basis_labels") or ())
-    return InvariantSystem(
-        rank,
-        mu,
-        tuple(obj["p1"]),
-        tuple(obj["w2"]),
-        int(obj["b3"]),
-        None if obj.get("c1_class") is None else tuple(obj["c1_class"]),
-        labels,
-        bool(obj.get("classifiable", True)),
-    )
+        entries.append((item[:3], item[3]))
+    try:
+        return make_system(
+            int(obj["rank"]),
+            entries,
+            obj["p1"],
+            obj["w2"],
+            int(obj["b3"]),
+            None if obj.get("c1_class") is None else tuple(obj["c1_class"]),
+            obj.get("basis_labels") or (),
+            bool(obj.get("classifiable", True)),
+        )
+    except ValidationError as exc:
+        raise DescriptorError(str(exc)) from exc
 
 
 def system_from_descriptor(doc: dict) -> InvariantSystem:
@@ -186,7 +180,10 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
         base = manifold_from_descriptor(inner.get("base"))
         e = bundle_from_obj(base, inner)
         s = projectivize(base, e)
-        for _ in range(int(doc.get("blowups", 0))):
+        blowups = int(doc.get("blowups", 0))
+        if blowups < 0:
+            raise DescriptorError(f"blowups must be nonnegative, got {blowups}")
+        for _ in range(blowups):
             s = blowup_point(s)
         return s
     if "local_model" in doc:

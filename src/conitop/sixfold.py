@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 from .bundle import RankTwoBundle, c1_squared
 from .errors import ValidationError
@@ -47,6 +47,9 @@ def _coords(x) -> Vec:
     return as_vector(x)
 
 
+MuEntries = tuple[tuple[tuple[int, int, int], int], ...]
+
+
 @dataclass(frozen=True)
 class InvariantSystem:
     # classifiable records whether the classification hypotheses (simple
@@ -54,7 +57,11 @@ class InvariantSystem:
     # system was built from; when False, equivalence verdicts are statements
     # about invariant systems only, not about diffeomorphism classes.
     rank: int
-    mu: tuple[int, ...]  # entries over triple_indices(rank), in that order
+    # the nonzero entries ((i, j, k), value) of the cup-product form, with
+    # i <= j <= k, sorted by triple; absent triples are zero.  Kept in this
+    # one canonical form so that equality and hashing are structural; use
+    # make_system to build it from arbitrary entries.
+    mu: MuEntries
     p1: Vec
     w2: Vec
     b3: int
@@ -63,7 +70,7 @@ class InvariantSystem:
     classifiable: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(int(v) for v in self.mu))
+        object.__setattr__(self, "mu", tuple((tuple(ijk), v) for ijk, v in self.mu))
         object.__setattr__(self, "p1", as_vector(self.p1))
         object.__setattr__(self, "w2", as_vector(self.w2))
         if self.c1_class is not None:
@@ -73,8 +80,15 @@ class InvariantSystem:
                 self, "basis_labels", tuple(f"e{i + 1}" for i in range(self.rank))
             )
         r = self.rank
-        if len(self.mu) != len(triple_indices(r)):
-            raise ValidationError("mu entry count does not match rank")
+        previous = None
+        for ijk, v in self.mu:
+            if len(ijk) != 3 or not 0 <= ijk[0] <= ijk[1] <= ijk[2] < r:
+                raise ValidationError(f"mu triple {ijk} is not sorted and in range for rank {r}")
+            if previous is not None and ijk <= previous:
+                raise ValidationError(f"mu triple {ijk} is duplicated or out of order")
+            if type(v) is not int or v == 0:
+                raise ValidationError(f"mu value {v!r} at {ijk} is not a nonzero integer")
+            previous = ijk
         if len(self.p1) != r or len(self.w2) != r or len(self.basis_labels) != r:
             raise ValidationError("p1/w2/basis label length does not match rank")
         if any(v not in (0, 1) for v in self.w2):
@@ -87,46 +101,46 @@ class InvariantSystem:
             if vec_mod2(self.c1_class) != self.w2:
                 raise ValidationError("c1_class is not an integral lift of w2")
 
-    # -- trilinear tensor access ------------------------------------------
+    # -- trilinear form access ----------------------------------------------
 
     @cached_property
-    def _mu_index(self) -> dict[tuple[int, int, int], int]:
-        return {ijk: pos for pos, ijk in enumerate(triple_indices(self.rank))}
+    def _mu_terms(self) -> dict[tuple[int, int, int], int]:
+        """Every distinct ordering of every nonzero triple, with its value."""
+        return {
+            ordering: v for ijk, v in self.mu for ordering in permutations(ijk)
+        }
 
     def mu_value(self, i: int, j: int, k: int) -> int:
         """Fully symmetric accessor: indices may come in any order."""
-        key = tuple(sorted((i, j, k)))
-        return self.mu[self._mu_index[key]]
+        return self._mu_terms.get((i, j, k), 0)
 
-    def mu_items(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
-        return tuple(zip(triple_indices(self.rank), self.mu))
+    def mu_items(self) -> MuEntries:
+        """Every triple in :func:`triple_indices` order, zeros included."""
+        terms = self._mu_terms
+        return tuple((ijk, terms.get(ijk, 0)) for ijk in triple_indices(self.rank))
 
-    @cached_property
-    def _mu_dense(self) -> tuple:
-        r = self.rank
-        return tuple(
-            tuple(tuple(self.mu_value(i, j, k) for k in range(r)) for j in range(r))
-            for i in range(r)
-        )
+    def _check_length(self, *vectors: Vec) -> None:
+        if any(len(v) != self.rank for v in vectors):
+            raise ValidationError("vector length does not match system rank")
 
     def mu_eval(self, x, y, z) -> int:
         """Trilinear evaluation on coordinate vectors or :class:`CohClass2`."""
         x, y, z = _coords(x), _coords(y), _coords(z)
-        r = self.rank
-        if len(x) != r or len(y) != r or len(z) != r:
-            raise ValidationError("vector length does not match system rank")
-        dense = self._mu_dense
+        self._check_length(x, y, z)
         total = 0
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            plane = dense[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                row = plane[j]
-                total += xi * yj * sum(zk * row[k] for k, zk in enumerate(z) if zk)
+        for (i, j, k), v in self._mu_terms.items():
+            total += v * x[i] * y[j] * z[k]
         return total
+
+    def mu_contract(self, v) -> list[list[int]]:
+        """The matrix M with M[p][q] = sum_k mu(p, q, k) v[k]."""
+        v = _coords(v)
+        self._check_length(v)
+        m = [[0] * self.rank for _ in range(self.rank)]
+        for (p, q, k), value in self._mu_terms.items():
+            if v[k]:
+                m[p][q] += value * v[k]
+        return m
 
     def cubic(self, x) -> int:
         return self.mu_eval(x, x, x)
@@ -151,7 +165,7 @@ class InvariantSystem:
 
 def make_system(
     rank: int,
-    entries: dict[tuple[int, int, int], int],
+    entries,
     p1,
     w2,
     b3: int = 0,
@@ -159,14 +173,23 @@ def make_system(
     basis_labels=(),
     classifiable: bool = True,
 ) -> InvariantSystem:
-    """Build a system from a sparse {sorted triple: value} dictionary."""
-    table = {}
-    for ijk, v in entries.items():
-        key = tuple(sorted(ijk))
+    """Build a system from mu entries given as {triple: value} or (triple, value) pairs.
+
+    Triples may come in any index order; zero values are dropped.  Raises
+    :class:`ValidationError` for a triple out of range and for two values
+    given for the same triple.
+    """
+    pairs = entries.items() if isinstance(entries, dict) else entries
+    table: dict[tuple[int, int, int], int] = {}
+    for ijk, v in pairs:
+        key = tuple(sorted(int(i) for i in ijk))
+        if len(key) != 3 or key[0] < 0 or key[2] >= rank:
+            raise ValidationError(f"mu triple {tuple(ijk)} out of range for rank {rank}")
+        v = int(v)
         if table.get(key, v) != v:
             raise ValidationError(f"conflicting mu values for triple {key}")
-        table[key] = int(v)
-    mu = tuple(table.get(ijk, 0) for ijk in triple_indices(rank))
+        table[key] = v
+    mu = tuple(sorted((ijk, v) for ijk, v in table.items() if v))
     return InvariantSystem(
         rank, mu, tuple(p1), tuple(w2), b3, c1_class, tuple(basis_labels), classifiable
     )
@@ -265,15 +288,15 @@ def blowup_point(s: InvariantSystem) -> InvariantSystem:
     """
     extra = cp3bar_system()
     r = s.rank
-    entries = {ijk: v for ijk, v in s.mu_items()}
-    entries[(r, r, r)] = extra.mu_value(0, 0, 0)
+    # the new triple (r, r, r) sorts after every existing one
+    mu = s.mu + (((r, r, r), extra.mu_value(0, 0, 0)),)
     c1_class = None
     if s.c1_class is not None:
         c1_class = s.c1_class + extra.c1_class
     labels = s.basis_labels + (_fresh_label(s.basis_labels, "z'"),)
-    return make_system(
+    return InvariantSystem(
         r + 1,
-        entries,
+        mu,
         s.p1 + extra.p1,
         s.w2 + extra.w2,
         s.b3,

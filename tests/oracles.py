@@ -16,9 +16,11 @@ from conitop import (
     FourManifold,
     RankTwoBundle,
     connected_sum,
+    make_system,
     signature,
     standard,
 )
+from conitop.sixfold import triple_indices
 
 CATALOG = ("S4", "CP2", "CP2bar", "S2xS2")
 
@@ -197,3 +199,45 @@ def random_unimodular(rng: random.Random, rank: int, max_entry: int = 2, steps: 
 
 def mod2_vectors(rank: int):
     return product(range(2), repeat=rank)
+
+
+def random_system(rng: random.Random, rank: int, span: int = 3, fill: float = 0.4):
+    """A system with random mu entries, any triple allowed, about ``fill`` nonzero."""
+    entries = {
+        ijk: rng.randint(-span, span)
+        for ijk in triple_indices(rank)
+        if rng.random() < fill
+    }
+    p1 = tuple(rng.randint(-span, span) for _ in range(rank))
+    w2 = tuple(rng.randint(0, 1) for _ in range(rank))
+    return make_system(rank, entries, p1, w2)
+
+
+# -- dense references for the sparse mu evaluation ----------------------------
+
+
+def mu_eval_dense(s, x, y, z) -> int:
+    """mu(x, y, z) as the full r^3 sum over ``mu_value``."""
+    r = s.rank
+    return sum(
+        s.mu_value(i, j, k) * x[i] * y[j] * z[k]
+        for i in range(r)
+        for j in range(r)
+        for k in range(r)
+    )
+
+
+def mu_contract_dense(s, v):
+    """M[p][q] = sum_k mu(p, q, k) v[k], one r-term sum per entry."""
+    r = s.rank
+    return [
+        [sum(s.mu_value(p, q, k) * v[k] for k in range(r)) for q in range(r)]
+        for p in range(r)
+    ]
+
+
+def has_even_w2_cubic_exhaustive(s) -> bool:
+    """mu(w2 lift, x, x) even for all x, checked on all 2^rank residues mod 2."""
+    return all(
+        mu_eval_dense(s, s.w2, x, x) % 2 == 0 for x in mod2_vectors(s.rank)
+    )

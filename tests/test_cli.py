@@ -212,6 +212,19 @@ def test_main_invalid_descriptor_exits_1(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_main_rejects_negative_blowups(tmp_path, capsys):
+    code = main(["invariants", "--base", "CP2", "--blowups", "-1"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "blowups" in captured.err and captured.out == ""
+    left = write_system_file(
+        tmp_path, "l.json", {"projectivize": {"base": "CP2"}, "blowups": -2}
+    )
+    code = main(["compare", "--left", left, "--right", left])
+    assert code == EXIT_INPUT
+    assert "blowups" in capsys.readouterr().err
+
+
 def test_main_budget_exceeded(tmp_path, capsys, monkeypatch):
     zero = {"rank": 4, "mu": [], "p1": [0, 0, 0, 0], "w2": [0, 0, 0, 0], "b3": 0}
     left = write_system_file(tmp_path, "l.json", {"system": zero})

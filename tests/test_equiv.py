@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conitop import (
+    DistinctnessCertificate,
     IsomorphismWitness,
     RankTwoBundle,
     SearchBudgetError,
@@ -24,7 +25,13 @@ from conitop import (
 )
 from conitop.equiv import spiral_entries
 
-from oracles import random_bundle, random_catalog_sum, random_unimodular
+from oracles import (
+    has_even_w2_cubic_exhaustive,
+    random_bundle,
+    random_catalog_sum,
+    random_system,
+    random_unimodular,
+)
 
 
 def exp_system():
@@ -225,6 +232,32 @@ def test_even_w2_cubic_on_constructed_systems():
         assert has_even_w2_cubic(s)
     assert has_even_w2_cubic(local_model_system(1))
     assert has_even_w2_cubic(blowup_point(exp_system()))
+
+
+def test_even_w2_cubic_matches_exhaustive_oracle():
+    rng = random.Random(12)
+    outcomes = set()
+    for rank in range(7):
+        for _ in range(15):
+            s = random_system(rng, rank)
+            for t in (s, transport_system(s, random_unimodular(rng, rank))):
+                expected = has_even_w2_cubic_exhaustive(t)
+                assert has_even_w2_cubic(t) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_certificate_rejects_odd_prime_without_even_w2_cubic():
+    # mu(w, a, a) = 1 is odd, so an odd-p fingerprint is no invariant here
+    s = make_system(2, {(0, 0, 0): 1, (0, 0, 1): 1, (1, 1, 1): 2}, (0, 1), (1, 0))
+    a = ((1, 1), (0, 1))
+    t = transport_system(s, a)
+    assert verify_witness(s, t, a)
+    assert not has_even_w2_cubic(s)
+    f_s, f_t = fingerprint(s, 3), fingerprint(t, 3)
+    assert f_s != f_t
+    cert = DistinctnessCertificate("fingerprint", 3, (f_s, f_t))
+    assert not certificate_is_valid(cert, s, t)
 
 
 def test_certify_distinct_self_is_none():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conitop import (
+    InvariantSystem,
     RankTwoBundle,
     ValidationError,
     blowup_point,
@@ -12,6 +13,7 @@ from conitop import (
     projectivize,
     standard,
     sum_with_s6,
+    transport_system,
     trivial_bundle,
     twist,
     twist_witness,
@@ -19,7 +21,15 @@ from conitop import (
 )
 from conitop.sixfold import triple_indices
 
-from oracles import random_bundle, random_catalog_sum, ring_oracle_system
+from oracles import (
+    mu_contract_dense,
+    mu_eval_dense,
+    random_bundle,
+    random_catalog_sum,
+    random_system,
+    random_unimodular,
+    ring_oracle_system,
+)
 
 
 def mu_list(s):
@@ -223,6 +233,50 @@ def test_make_system_validation():
         make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(0,), c1_class=(1,))
     with pytest.raises(ValidationError):
         make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(0,), b3=-1)
+    with pytest.raises(ValidationError, match=r"\(0, 0, 5\)"):
+        make_system(2, {(0, 0, 5): 3, (0, 0, 0): 1}, p1=(0, 0), w2=(0, 0))
+
+
+def test_make_system_stores_canonical_nonzero_entries():
+    s = make_system(3, {(2, 0, 1): 4, (1, 1, 1): 0, (0, 0, 0): -1}, p1=(0,) * 3, w2=(0,) * 3)
+    assert s.mu == (((0, 0, 0), -1), ((0, 1, 2), 4))
+    same = make_system(3, [((0, 0, 0), -1), ((1, 2, 0), 4)], p1=(0,) * 3, w2=(0,) * 3)
+    assert same == s and hash(same) == hash(s)
+    assert s.mu_items()[0] == ((0, 0, 0), -1) and len(s.mu_items()) == 10
+    b = blowup_point(s)
+    assert b.mu == s.mu + (((3, 3, 3), -1),)
+
+
+def test_invariant_system_rejects_non_canonical_mu():
+    def build(mu):
+        return InvariantSystem(2, mu, (0, 0), (0, 0), 0)
+
+    assert build((((0, 0, 1), 2), ((1, 1, 1), 3))).mu_value(1, 0, 0) == 2
+    bad = [
+        (((1, 1, 1), 3), ((0, 0, 1), 2)),  # out of order
+        (((0, 0, 1), 2), ((0, 0, 1), 2)),  # duplicated
+        (((0, 1, 0), 2),),  # triple not sorted
+        (((0, 0, 2), 2),),  # index out of range
+        (((0, 0, 1), 0),),  # zero stored
+    ]
+    for mu in bad:
+        with pytest.raises(ValidationError):
+            build(mu)
+
+
+def test_mu_eval_and_contraction_match_dense_reference():
+    rng = random.Random(41)
+    for rank in range(7):
+        for _ in range(6):
+            s = random_system(rng, rank)
+            moved = transport_system(s, random_unimodular(rng, rank))
+            for t in (s, moved):
+                for _ in range(4):
+                    x, y, z = (
+                        tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)
+                    )
+                    assert t.mu_eval(x, y, z) == mu_eval_dense(t, x, y, z)
+                    assert t.mu_contract(x) == mu_contract_dense(t, x)
 
 
 def test_twist_sign_determined_once():
