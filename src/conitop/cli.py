@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import serialize
 from .bundle import RankTwoBundle, trivial_bundle, twist
@@ -29,8 +28,14 @@ from .equiv import (
     verify_witness,
 )
 from .errors import DescriptorError, SearchBudgetError, ValidationError
-from .fourfold import standard
-from .sixfold import blowup_point, euler_characteristic, projectivize, twist_witness
+from .fourfold import FourManifold, standard
+from .sixfold import (
+    InvariantSystem,
+    blowup_point,
+    euler_characteristic,
+    projectivize,
+    twist_witness,
+)
 from .transitions import conifold_transition, local_model_system
 
 EXIT_OK = 0
@@ -41,60 +46,13 @@ EXIT_VERIFY = 4
 
 STEP_BUDGET_ENV = "CONITOP_STEP_BUDGET"
 
-COMMANDS = ("invariants", "transition", "compare", "verify-paper")
-
-
-@dataclass
-class JobSpec:
-    command: str
-    inputs: dict
-    options: dict = field(default_factory=dict)
-
-
-def _default_options(options: dict | None) -> dict:
-    out = {
-        "bound": DEFAULT_BOUND,
-        "primes": list(DEFAULT_PRIMES),
-        "check_c1": False,
-        "workers": 1,
-        "swap": False,
-        "blowups": 0,
-        "step_budget": None,
-        "format": "table",
-    }
-    out.update(options or {})
-    return out
-
-
-def parse_input(text: str) -> JobSpec:
-    """Parse and validate a job document; all defaults filled.
-
-    Descriptors are validated here, before any computation runs, so an
-    invalid form / w2 / dimension is reported as an input error.
-    """
-    doc = serialize.loads(text)
-    command = doc.get("command")
-    if command not in COMMANDS:
-        raise DescriptorError(f"command must be one of {COMMANDS}, got {command!r}")
-    options = _default_options(doc.get("options"))
-    if command in ("invariants", "transition"):
-        base = serialize.manifold_from_descriptor(doc.get("base"))
-        bundle = serialize.bundle_from_obj(base, doc.get("bundle", {}))
-        return JobSpec(command, {"base": base, "bundle": bundle}, options)
-    if command == "compare":
-        left = serialize.system_from_descriptor(doc.get("left"))
-        right = serialize.system_from_descriptor(doc.get("right"))
-        return JobSpec(command, {"left": left, "right": right}, options)
-    return JobSpec(command, {}, options)
-
 
 # -- command implementations --------------------------------------------------
 
 
-def _run_invariants(job: JobSpec) -> tuple[dict, int]:
-    base = job.inputs["base"]
-    bundle = job.inputs["bundle"]
-    blowups = int(job.options.get("blowups", 0))
+def _run_invariants(
+    base: FourManifold, bundle: RankTwoBundle, blowups: int
+) -> tuple[dict, int]:
     if blowups < 0:
         raise ValidationError(f"blowups must be nonnegative, got {blowups}")
     system = projectivize(base, bundle)
@@ -116,10 +74,10 @@ def _run_invariants(job: JobSpec) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _run_transition(job: JobSpec) -> tuple[dict, int]:
-    base = job.inputs["base"]
-    bundle = job.inputs["bundle"]
-    result = conifold_transition(base, bundle, swap=bool(job.options.get("swap")))
+def _run_transition(
+    base: FourManifold, bundle: RankTwoBundle, swap: bool
+) -> tuple[dict, int]:
+    result = conifold_transition(base, bundle, swap=swap)
     report = {
         "schema": serialize.REPORT_SCHEMA,
         "command": "transition",
@@ -138,25 +96,21 @@ def _run_transition(job: JobSpec) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _run_compare(job: JobSpec) -> tuple[dict, int]:
-    left = job.inputs["left"]
-    right = job.inputs["right"]
-    options = job.options
-    primes = tuple(options["primes"])
+def _run_compare(
+    left: InvariantSystem,
+    right: InvariantSystem,
+    bound: int,
+    primes: tuple[int, ...],
+    check_c1: bool,
+    step_budget: int | None,
+) -> tuple[dict, int]:
     certificate = certify_distinct(left, right, primes)
     witness = None
     verdict = "inconclusive"
     if certificate is not None:
         verdict = "distinct"
     else:
-        witness = find_isomorphism(
-            left,
-            right,
-            bound=int(options["bound"]),
-            check_c1=bool(options["check_c1"]),
-            workers=int(options["workers"]),
-            step_budget=options.get("step_budget"),
-        )
+        witness = find_isomorphism(left, right, bound, check_c1, step_budget=step_budget)
         if witness is not None:
             verdict = "isomorphic"
     # verdicts identify diffeomorphism classes only under the declared
@@ -174,9 +128,9 @@ def _run_compare(job: JobSpec) -> tuple[dict, int]:
             "right": serialize.system_to_obj(right),
         },
         "options": {
-            "bound": int(options["bound"]),
+            "bound": bound,
             "primes": list(primes),
-            "check_c1": bool(options["check_c1"]),
+            "check_c1": check_c1,
         },
         "result": {
             "verdict": verdict,
@@ -198,7 +152,7 @@ def _check(name: str, passed: bool, detail: dict) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def verification_suite(workers: int = 1, step_budget: int | None = None) -> list[dict]:
+def verification_suite(step_budget: int | None = None) -> list[dict]:
     """The fixed suite of reference computations behind ``verify-paper``."""
     checks = []
 
@@ -241,7 +195,7 @@ def verification_suite(workers: int = 1, step_budget: int | None = None) -> list
     bar = standard("CP2bar")
     side1 = projectivize(bar, RankTwoBundle(bar, (-1,), -1))
     named1 = ((1, 0), (0, -1))  # x -> a, z -> -y
-    found1 = find_isomorphism(m1, side1, bound=3, workers=workers, step_budget=step_budget)
+    found1 = find_isomorphism(m1, side1, bound=3, step_budget=step_budget)
     passed = found1 is not None and verify_witness(m1, side1, named1, check_c1=True)
     checks.append(
         _check(
@@ -258,7 +212,7 @@ def verification_suite(workers: int = 1, step_budget: int | None = None) -> list
     s4 = standard("S4")
     side2 = blowup_point(projectivize(s4, RankTwoBundle(s4, (), -1)))
     named2 = ((1, 0), (1, -1))  # x -> a + z', z -> -z'
-    found2 = find_isomorphism(m2, side2, bound=3, workers=workers, step_budget=step_budget)
+    found2 = find_isomorphism(m2, side2, bound=3, step_budget=step_budget)
     passed = found2 is not None and verify_witness(m2, side2, named2, check_c1=True)
     checks.append(
         _check(
@@ -294,7 +248,7 @@ def verification_suite(workers: int = 1, step_budget: int | None = None) -> list
     s_plain = projectivize(cp2, e)
     s_twist = projectivize(cp2, twist(e, l))
     w = twist_witness(cp2, e, l)
-    found = find_isomorphism(s_plain, s_twist, bound=2, workers=workers, step_budget=step_budget)
+    found = find_isomorphism(s_plain, s_twist, bound=2, step_budget=step_budget)
     passed = verify_witness(s_plain, s_twist, w, check_c1=True) and found is not None
     checks.append(
         _check(
@@ -306,11 +260,8 @@ def verification_suite(workers: int = 1, step_budget: int | None = None) -> list
     return checks
 
 
-def _run_verify(job: JobSpec) -> tuple[dict, int]:
-    checks = verification_suite(
-        workers=int(job.options.get("workers", 1)),
-        step_budget=job.options.get("step_budget"),
-    )
+def _run_verify(step_budget: int | None) -> tuple[dict, int]:
+    checks = verification_suite(step_budget=step_budget)
     all_passed = all(c["passed"] for c in checks)
     report = {
         "schema": serialize.REPORT_SCHEMA,
@@ -318,19 +269,6 @@ def _run_verify(job: JobSpec) -> tuple[dict, int]:
         "result": {"checks": checks, "all_passed": all_passed},
     }
     return report, (EXIT_OK if all_passed else EXIT_VERIFY)
-
-
-def run(job: JobSpec) -> tuple[dict, int]:
-    """Execute a parsed job; returns (report document, exit code)."""
-    if job.command == "invariants":
-        return _run_invariants(job)
-    if job.command == "transition":
-        return _run_transition(job)
-    if job.command == "compare":
-        return _run_compare(job)
-    if job.command == "verify-paper":
-        return _run_verify(job)
-    raise ValidationError(f"unknown command {job.command!r}")
 
 
 # -- human-readable rendering --------------------------------------------------
@@ -417,11 +355,16 @@ def render_report(report: dict, fmt: str) -> str:
 # -- argument handling ---------------------------------------------------------
 
 
-def _parse_int_list(text: str | None) -> tuple[int, ...]:
-    if text is None:
-        return ()
-    parts = [t.strip() for t in text.split(",")]
-    return tuple(int(t) for t in parts if t)
+def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError as exc:
+        raise DescriptorError(f"{flag} must be comma-separated integers, got {text!r}") from exc
+
+
+def _read_json(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as handle:
+        return serialize.loads(handle.read())
 
 
 def _load_descriptor_arg(arg: str):
@@ -437,28 +380,14 @@ def _load_descriptor_arg(arg: str):
         except DescriptorError:
             if not os.path.exists(arg):
                 raise
-    with open(arg, "r", encoding="utf-8") as handle:
-        doc = serialize.loads(handle.read())
+    doc = _read_json(arg)
     return doc.get("manifold", doc)
 
 
-def _manifold_bundle_job(args, command: str) -> JobSpec:
+def _base_and_bundle(args) -> tuple[FourManifold, RankTwoBundle]:
     base = serialize.manifold_from_descriptor(_load_descriptor_arg(args.base))
-    if args.c1 is None:
-        c1 = (0,) * base.rank
-    else:
-        c1 = _parse_int_list(args.c1)
-    bundle = RankTwoBundle(base, c1, args.c2)
-    options = _default_options(
-        {
-            "swap": getattr(args, "swap", False),
-            "blowups": getattr(args, "blowups", 0),
-            "workers": args.workers,
-            "step_budget": _env_step_budget(),
-            "format": args.format,
-        }
-    )
-    return JobSpec(command, {"base": base, "bundle": bundle}, options)
+    c1 = (0,) * base.rank if args.c1 is None else _parse_int_list(args.c1, "--c1")
+    return base, RankTwoBundle(base, c1, args.c2)
 
 
 def _env_step_budget() -> int | None:
@@ -478,23 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_format(p):
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--workers", type=int, default=1)
 
     p_inv = sub.add_parser("invariants", help="invariant system of a sphere bundle")
     p_inv.add_argument("--base", required=True, help="catalog name, sum expression, or JSON file")
     p_inv.add_argument("--c1", help="comma-separated c1 coordinates (default: zero)")
     p_inv.add_argument("--c2", type=int, default=0)
     p_inv.add_argument("--blowups", type=int, default=0)
-    add_common(p_inv)
+    add_format(p_inv)
 
     p_tr = sub.add_parser("transition", help="both conifold transitions")
     p_tr.add_argument("--base", required=True)
     p_tr.add_argument("--c1")
     p_tr.add_argument("--c2", type=int, default=0)
     p_tr.add_argument("--swap", action="store_true")
-    add_common(p_tr)
+    add_format(p_tr)
 
     p_cmp = sub.add_parser("compare", help="decide equivalence of two systems")
     p_cmp.add_argument("--left", required=True, help="system descriptor JSON file")
@@ -502,62 +430,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     p_cmp.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES))
     p_cmp.add_argument("--check-c1", action="store_true")
-    add_common(p_cmp)
+    add_format(p_cmp)
 
     p_ver = sub.add_parser("verify-paper", help="run the built-in verification suite")
-    add_common(p_ver)
+    add_format(p_ver)
     return parser
 
 
-def _job_from_args(args) -> JobSpec:
-    if args.command in ("invariants", "transition"):
-        return _manifold_bundle_job(args, args.command)
+def _run_command(args) -> tuple[dict, int]:
+    step_budget = _env_step_budget()
+    if args.command == "invariants":
+        return _run_invariants(*_base_and_bundle(args), args.blowups)
+    if args.command == "transition":
+        return _run_transition(*_base_and_bundle(args), args.swap)
     if args.command == "compare":
-        with open(args.left, "r", encoding="utf-8") as handle:
-            left = serialize.system_from_descriptor(serialize.loads(handle.read()))
-        with open(args.right, "r", encoding="utf-8") as handle:
-            right = serialize.system_from_descriptor(serialize.loads(handle.read()))
-        options = _default_options(
-            {
-                "bound": args.bound,
-                "primes": list(_parse_int_list(args.primes)),
-                "check_c1": args.check_c1,
-                "workers": args.workers,
-                "step_budget": _env_step_budget(),
-                "format": args.format,
-            }
-        )
-        return JobSpec("compare", {"left": left, "right": right}, options)
-    options = _default_options(
-        {
-            "workers": args.workers,
-            "step_budget": _env_step_budget(),
-            "format": args.format,
-        }
-    )
-    return JobSpec("verify-paper", {}, options)
+        left = serialize.system_from_descriptor(_read_json(args.left))
+        right = serialize.system_from_descriptor(_read_json(args.right))
+        primes = _parse_int_list(args.primes, "--primes")
+        return _run_compare(left, right, args.bound, primes, args.check_c1, step_budget)
+    return _run_verify(step_budget)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        job = _job_from_args(args)
-    except (DescriptorError, ValidationError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report, code = run(job)
+        report, code = _run_command(args)
     except SearchBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DescriptorError, ValidationError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    sys.stdout.write(render_report(report, job.options.get("format", "table")))
+    sys.stdout.write(render_report(report, args.format))
     return code
 
 

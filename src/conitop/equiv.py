@@ -21,8 +21,6 @@ basis to coordinates in the second's, column ``i`` being the image of the
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -119,8 +117,7 @@ class _WitnessSearch:
 
     Columns are chosen left to right; within a column, entries range over
     :func:`spiral_entries` with row 0 most significant.  The first fully
-    verified matrix in this order wins, which makes the result reproducible
-    and independent of how the first column is partitioned across workers.
+    verified matrix in this order wins, which makes the result reproducible.
     """
 
     def __init__(self, s1: InvariantSystem, s2: InvariantSystem, bound: int, check_c1: bool):
@@ -174,20 +171,12 @@ class _WitnessSearch:
                     return found
         return None
 
-    def first_columns(self) -> list[Vec]:
-        return [
-            v
-            for v in product(self.entries, repeat=self.r)
-            if self.column_ok(0, v, [])
-        ]
-
 
 def find_isomorphism(
     s1: InvariantSystem,
     s2: InvariantSystem,
     bound: int = DEFAULT_BOUND,
     check_c1: bool = False,
-    workers: int = 1,
     step_budget: int | None = None,
 ) -> IsomorphismWitness | None:
     """Exhaustive bounded search for a witness; None is NOT a distinctness proof.
@@ -196,11 +185,6 @@ def find_isomorphism(
     None when the bounded space holds no witness (or the ranks / third Betti
     numbers already disagree).  Refuses to start when the raw candidate count
     (2 bound + 1)^(rank^2) exceeds the step budget.
-
-    With ``workers > 1`` the first-column candidates are partitioned across
-    threads; each reports the first witness in its share and the earliest
-    one in global enumeration order is returned, so the result is identical
-    to the sequential one.
     """
     if bound < 1:
         raise ValidationError("search bound must be at least 1")
@@ -219,54 +203,28 @@ def find_isomorphism(
         raise SearchBudgetError(
             f"search space {space} exceeds step budget {budget}"
         )
-    search = _WitnessSearch(s1, s2, bound, check_c1)
-    cands0 = search.first_columns()
-    if workers <= 1 or len(cands0) <= 1:
-        for v0 in cands0:
-            found = search.complete_from([v0])
-            if found is not None:
-                return found
-        return None
-    return _parallel_search(search, cands0, workers)
+    return _WitnessSearch(s1, s2, bound, check_c1).complete_from([])
 
 
-def _parallel_search(
-    search: _WitnessSearch, cands0: list[Vec], workers: int
-) -> IsomorphismWitness | None:
-    best: dict = {"pos": None, "witness": None}
-    lock = threading.Lock()
+def _w2_square_parities(s: InvariantSystem) -> tuple[int, ...]:
+    """The diagonal values mu(W, e_i, e_i) mod 2, W the 0/1 lift of w2.
 
-    def run(share: list[tuple[int, Vec]]):
-        for pos, v0 in share:
-            with lock:
-                if best["pos"] is not None and best["pos"] < pos:
-                    return
-            found = search.complete_from([v0])
-            if found is not None:
-                with lock:
-                    if best["pos"] is None or pos < best["pos"]:
-                        best["pos"] = pos
-                        best["witness"] = found
-                return
-
-    indexed = list(enumerate(cands0))
-    shares = [indexed[w::workers] for w in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(run, share) for share in shares if share]:
-            future.result()
-    return best["witness"]
+    Mod 2, mu(W, x, x) = sum_i x_i mu(W, e_i, e_i): the off-diagonal terms
+    come in equal pairs and x_i^2 = x_i.  So these rank-many parities give
+    mu(W, x, x) mod 2 as a linear form in x.
+    """
+    m = s.mu_contract(s.w2)
+    return tuple(m[i][i] % 2 for i in range(s.rank))
 
 
 def has_even_w2_cubic(s: InvariantSystem) -> bool:
     """Whether mu(w2 lift, x, x) is even for every integral x.
 
     True for every system arising from a closed oriented 6-manifold (a Wu
-    formula consequence) and for everything this package constructs.  Mod 2,
-    mu(W, x, x) = sum_i x_i mu(W, e_i, e_i): the off-diagonal terms come in
-    equal pairs and x_i^2 = x_i.  So the rank-many diagonal values decide it.
+    formula consequence) and for everything this package constructs.  By
+    :func:`_w2_square_parities` the rank-many diagonal values decide it.
     """
-    m = s.mu_contract(s.w2)
-    return all(m[i][i] % 2 == 0 for i in range(s.rank))
+    return not any(_w2_square_parities(s))
 
 
 def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
@@ -274,7 +232,8 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
 
     Enumerates the canonical representatives x in {0..p-1}^rank and collects
     (mu(x,x,x) mod p, p1.x mod p, mu(w,x,x) mod 2) with w the 0/1 lift of w2;
-    the last component only depends on x mod 2, so it is lift-independent.
+    the last component only depends on x mod 2, so it is lift-independent,
+    and it is computed as a linear form (see :func:`_w2_square_parities`).
 
     Any witness maps this multiset onto the other system's.  For odd p that
     argument additionally needs the mod-2 component to vanish identically
@@ -288,9 +247,9 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
         raise ValidationError(
             f"fingerprint enumeration limited to rank {MAX_FINGERPRINT_RANK}"
         )
-    lift = s.w2
+    d = _w2_square_parities(s)
     triples = [
-        (s.cubic(x) % p, s.p1_pairing(x) % p, s.mu_eval(lift, x, x) % 2)
+        (s.cubic(x) % p, s.p1_pairing(x) % p, dot(x, d) % 2)
         for x in product(range(p), repeat=s.rank)
     ]
     return tuple(sorted(triples))
@@ -331,6 +290,9 @@ def certificate_is_valid(
     if cert.kind == "b3":
         return (s1.b3, s2.b3) == cert.detail and s1.b3 != s2.b3
     if cert.kind == "fingerprint":
+        # a prime or rank fingerprint cannot handle is no verdict either way
+        if cert.prime not in SUPPORTED_PRIMES or max(s1.rank, s2.rank) > MAX_FINGERPRINT_RANK:
+            return False
         # an odd-p mismatch is only an invariant under the even w2 property,
         # the same precondition certify_distinct checks
         if cert.prime != 2 and not (has_even_w2_cubic(s1) and has_even_w2_cubic(s2)):

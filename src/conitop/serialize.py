@@ -143,10 +143,17 @@ def system_from_obj(obj: dict) -> InvariantSystem:
     for field in ("rank", "mu", "p1", "w2", "b3"):
         if field not in obj:
             raise DescriptorError(f"invariant system needs field {field!r}")
+    if not isinstance(obj["mu"], (list, tuple)):
+        raise DescriptorError("mu must be a list of [i, j, k, value] entries")
     entries = []
     for item in obj["mu"]:
-        if len(item) != 4:
-            raise DescriptorError("mu entries must be [i, j, k, value]")
+        # JSON integers only: a bool, float or string is an error, never coerced
+        if not (
+            isinstance(item, (list, tuple))
+            and len(item) == 4
+            and all(type(v) is int for v in item)
+        ):
+            raise DescriptorError(f"mu entries must be [i, j, k, value] integers, got {item!r}")
         entries.append((item[:3], item[3]))
     try:
         return make_system(

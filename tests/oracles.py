@@ -241,3 +241,13 @@ def has_even_w2_cubic_exhaustive(s) -> bool:
     return all(
         mu_eval_dense(s, s.w2, x, x) % 2 == 0 for x in mod2_vectors(s.rank)
     )
+
+
+def fingerprint_reference(s, p: int):
+    """The fingerprint multiset with mu(w2, x, x) mod 2 as a full mu_eval."""
+    return tuple(
+        sorted(
+            (s.cubic(x) % p, s.p1_pairing(x) % p, s.mu_eval(s.w2, x, x) % 2)
+            for x in product(range(p), repeat=s.rank)
+        )
+    )

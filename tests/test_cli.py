@@ -3,9 +3,7 @@ import json
 import pytest
 
 from conitop import (
-    DescriptorError,
     RankTwoBundle,
-    ValidationError,
     conifold_transition,
     projectivize,
     standard,
@@ -18,89 +16,144 @@ from conitop.cli import (
     EXIT_INPUT,
     EXIT_OK,
     main,
-    parse_input,
-    run,
 )
 
 
-def job_doc(**kwargs):
-    doc = {"schema": serialize.SCHEMA}
-    doc.update(kwargs)
-    return json.dumps(doc)
-
-
-def write_system_file(tmp_path, name, doc):
+def write_json(tmp_path, name, payload):
     path = tmp_path / name
-    payload = {"schema": serialize.SCHEMA}
-    payload.update(doc)
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
-# -- parse_input ---------------------------------------------------------------
+def write_system_file(tmp_path, name, doc):
+    payload = {"schema": serialize.SCHEMA}
+    payload.update(doc)
+    return write_json(tmp_path, name, payload)
 
 
-def test_parse_input_trivial_over_s4():
-    job = parse_input(job_doc(command="invariants", base="S4", bundle={"c1": [], "c2": 0}))
-    assert job.command == "invariants"
-    assert job.inputs["base"].rank == 0
-    assert job.inputs["bundle"].c2 == 0
-    assert job.options["bound"] == 3
+def write_manifold_file(tmp_path, name, manifold):
+    return write_json(tmp_path, name, {"schema": serialize.SCHEMA, "manifold": manifold})
 
 
-def test_parse_input_reference_bundle_over_cp2bar():
-    job = parse_input(
-        job_doc(command="invariants", base="CP2bar", bundle={"c1": [-1], "c2": -1})
+def json_report(capsys, argv):
+    """Run ``main`` with ``--format json``; returns (exit code, report or None, stderr)."""
+    code = main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out) if captured.out else None, captured.err
+
+
+# -- descriptor parsing and validation -----------------------------------------
+
+
+def test_parse_input_trivial_over_s4(tmp_path, capsys):
+    code, report, _ = json_report(capsys, ["invariants", "--base", "S4", "--c2", "0"])
+    assert code == EXIT_OK
+    assert report["inputs"]["base"]["matrix"] == []
+    assert report["inputs"]["bundle"] == {"c1": [], "c2": 0}
+    # compare options not given on the command line take their defaults
+    side = write_system_file(tmp_path, "s4.json", {"projectivize": {"base": "S4"}})
+    code, report, _ = json_report(capsys, ["compare", "--left", side, "--right", side])
+    assert code == EXIT_OK
+    assert report["options"] == {"bound": 3, "check_c1": False, "primes": [2, 3, 5]}
+
+
+def test_parse_input_reference_bundle_over_cp2bar(capsys):
+    code, report, _ = json_report(
+        capsys, ["invariants", "--base", "CP2bar", "--c1", "-1", "--c2", "-1"]
     )
-    assert job.inputs["bundle"].c1 == (-1,)
-    assert job.inputs["bundle"].c2 == -1
+    assert code == EXIT_OK
+    assert report["inputs"]["bundle"] == {"c1": [-1], "c2": -1}
 
 
-def test_parse_input_sum_expression():
-    job = parse_input(job_doc(command="invariants", base="CP2 # 3 CP2bar", bundle={}))
-    base = job.inputs["base"]
+def test_parse_input_sum_expression(capsys):
+    code, report, _ = json_report(capsys, ["invariants", "--base", "CP2 # 3 CP2bar"])
+    assert code == EXIT_OK
+    base = serialize.manifold_from_obj(report["inputs"]["base"])
     assert base.rank == 4
     assert base.form.diagonal() == (1, -1, -1, -1)
 
 
-def test_parse_input_explicit_manifold_with_bad_w2():
-    doc = job_doc(
-        command="invariants",
-        base={"matrix": [[1]], "w2": [0]},
-        bundle={"c1": [0], "c2": 0},
+def test_parse_input_explicit_manifold_with_bad_w2(tmp_path, capsys):
+    base = write_manifold_file(tmp_path, "bad_w2.json", {"matrix": [[1]], "w2": [0]})
+    assert main(["invariants", "--base", base, "--c1", "0", "--c2", "0"]) == EXIT_INPUT
+    assert "characteristic" in capsys.readouterr().err
+
+
+def test_parse_input_rejects_nonsymmetric_and_nonunimodular(tmp_path, capsys):
+    for name, matrix, w2, message in (
+        ("nonsymmetric.json", [[0, 1], [2, 0]], [0, 0], "symmetric"),
+        ("nonunimodular.json", [[2]], [0], "unimodular"),
+    ):
+        base = write_manifold_file(tmp_path, name, {"matrix": matrix, "w2": w2})
+        assert main(["invariants", "--base", base]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+
+def test_parse_input_bad_json_reports_position(tmp_path, capsys):
+    bad = write_json(tmp_path, "bad.json", "{not json")
+    assert main(["compare", "--left", bad, "--right", bad]) == EXIT_INPUT
+    assert "line 1" in capsys.readouterr().err
+    assert main(["invariants", "--base", bad]) == EXIT_INPUT
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_parse_input_unknown_command_and_schema(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["explode"])
+    assert exc.value.code != EXIT_OK
+    assert "invalid choice" in capsys.readouterr().err
+    future = write_json(tmp_path, "future.json", {"schema": "conitop/99", "local_model": 1})
+    assert main(["compare", "--left", future, "--right", future]) == EXIT_INPUT
+    assert "unsupported schema" in capsys.readouterr().err
+
+
+def test_main_rejects_non_integer_list_flags(tmp_path, capsys):
+    for command in ("invariants", "transition"):
+        assert main([command, "--base", "CP2", "--c1", "a"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "--c1" in captured.err and captured.out == ""
+    side = write_system_file(tmp_path, "side.json", {"local_model": 1})
+    assert main(["compare", "--left", side, "--right", side, "--primes", "2,a"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "--primes" in captured.err and captured.out == ""
+
+
+def test_main_rejects_non_integer_mu(tmp_path, capsys):
+    right = write_system_file(tmp_path, "right.json", {"local_model": 1})
+    good = {"rank": 2, "p1": [0, 0], "w2": [0, 0], "b3": 0}
+    for n, mu in enumerate(
+        (
+            [[0, 0, 0, "x"]],
+            [[0, 0, 0, 1.5]],
+            [[0, 0, 0, True]],
+            [[0, 0, 1.0, 1]],
+            5,
+            [7],
+        )
+    ):
+        left = write_system_file(tmp_path, f"left{n}.json", {"system": dict(good, mu=mu)})
+        assert main(["compare", "--left", left, "--right", right]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "mu" in captured.err and captured.out == ""
+
+
+def test_main_rejects_removed_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--workers", "2"])
+    assert exc.value.code != EXIT_OK
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--help"])
+    assert exc.value.code == EXIT_OK
+
+
+# -- reports -------------------------------------------------------------------
+
+
+def test_run_invariants_report(capsys):
+    code, report, _ = json_report(
+        capsys, ["invariants", "--base", "CP2", "--c1", "1", "--c2", "0"]
     )
-    with pytest.raises(ValidationError, match="characteristic"):
-        parse_input(doc)
-
-
-def test_parse_input_rejects_nonsymmetric_and_nonunimodular():
-    with pytest.raises(ValidationError, match="symmetric"):
-        parse_input(job_doc(command="invariants", base={"matrix": [[0, 1], [2, 0]], "w2": [0, 0]}, bundle={}))
-    with pytest.raises(ValidationError, match="unimodular"):
-        parse_input(job_doc(command="invariants", base={"matrix": [[2]], "w2": [0]}, bundle={}))
-
-
-def test_parse_input_bad_json_reports_position():
-    with pytest.raises(DescriptorError) as err:
-        parse_input("{not json")
-    assert err.value.line == 1
-
-
-def test_parse_input_unknown_command_and_schema():
-    with pytest.raises(DescriptorError):
-        parse_input(job_doc(command="explode"))
-    with pytest.raises(DescriptorError):
-        parse_input(json.dumps({"schema": "conitop/99", "command": "invariants"}))
-
-
-# -- run -----------------------------------------------------------------------
-
-
-def test_run_invariants_report():
-    job = parse_input(
-        job_doc(command="invariants", base="CP2", bundle={"c1": [1], "c2": 0})
-    )
-    report, code = run(job)
     assert code == EXIT_OK
     system = report["result"]["system"]
     assert system["mu"] == [[0, 0, 0, 1], [0, 0, 1, -1], [0, 1, 1, 1]]
@@ -109,9 +162,8 @@ def test_run_invariants_report():
     assert report["result"]["euler_characteristic"] == 6
 
 
-def test_run_transition_report_shows_chern_transfer():
-    job = parse_input(job_doc(command="transition", base="S4", bundle={}))
-    report, code = run(job)
+def test_run_transition_report_shows_chern_transfer(capsys):
+    code, report, _ = json_report(capsys, ["transition", "--base", "S4"])
     assert code == EXIT_OK
     e1 = report["result"]["e1"]
     assert e1["base"]["label"].endswith("CP2bar")
@@ -120,39 +172,32 @@ def test_run_transition_report_shows_chern_transfer():
     assert e2["c1"] == [] and e2["c2"] == -1
 
 
-def test_run_compare_distinct_sides():
-    job = parse_input(
-        job_doc(
-            command="compare",
-            left={"transition": {"base": "S4"}, "side": "z1"},
-            right={"transition": {"base": "S4"}, "side": "z2"},
-        )
-    )
-    report, code = run(job)
+def test_run_compare_distinct_sides(tmp_path, capsys):
+    left = write_system_file(tmp_path, "l.json", {"transition": {"base": "S4"}, "side": "z1"})
+    right = write_system_file(tmp_path, "r.json", {"transition": {"base": "S4"}, "side": "z2"})
+    code, report, _ = json_report(capsys, ["compare", "--left", left, "--right", right])
     assert code == EXIT_OK
     assert report["result"]["verdict"] == "distinct"
     assert report["result"]["certificate"]["kind"] == "fingerprint"
 
 
-def test_run_compare_isomorphic():
-    job = parse_input(
-        job_doc(
-            command="compare",
-            left={"local_model": 1},
-            right={"projectivize": {"base": "CP2bar", "c1": [-1], "c2": -1}},
-        )
+def test_run_compare_isomorphic(tmp_path, capsys):
+    left = write_system_file(tmp_path, "l.json", {"local_model": 1})
+    right = write_system_file(
+        tmp_path, "r.json", {"projectivize": {"base": "CP2bar", "c1": [-1], "c2": -1}}
     )
-    report, code = run(job)
+    code, report, _ = json_report(capsys, ["compare", "--left", left, "--right", right])
     assert code == EXIT_OK
     assert report["result"]["verdict"] == "isomorphic"
     assert report["result"]["witness"] is not None
 
 
-def test_run_compare_inconclusive():
+def test_run_compare_inconclusive(tmp_path, capsys):
     plain = {"rank": 1, "mu": [[0, 0, 0, 1]], "p1": [0], "w2": [0], "b3": 0}
     shifted = dict(plain, p1=[30])
-    job = parse_input(job_doc(command="compare", left={"system": plain}, right={"system": shifted}))
-    report, code = run(job)
+    left = write_system_file(tmp_path, "l.json", {"system": plain})
+    right = write_system_file(tmp_path, "r.json", {"system": shifted})
+    code, report, _ = json_report(capsys, ["compare", "--left", left, "--right", right])
     assert code == EXIT_INCONCLUSIVE
     assert report["result"]["verdict"] == "inconclusive"
 
@@ -260,7 +305,7 @@ def test_verify_paper_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         cli,
         "verification_suite",
-        lambda workers=1, step_budget=None: [
+        lambda step_budget=None: [
             {"name": "doomed", "passed": False, "detail": {}}
         ],
     )
@@ -270,14 +315,12 @@ def test_verify_paper_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out
 
 
-def test_verify_paper_byte_identical_runs_and_parallelism(capsys):
+def test_verify_paper_byte_identical_runs(capsys):
     assert main(["verify-paper", "--format", "json"]) == EXIT_OK
     first = capsys.readouterr().out
     assert main(["verify-paper", "--format", "json"]) == EXIT_OK
     second = capsys.readouterr().out
-    assert main(["verify-paper", "--format", "json", "--workers", "8"]) == EXIT_OK
-    third = capsys.readouterr().out
-    assert first.encode() == second.encode() == third.encode()
+    assert first.encode() == second.encode()
 
 
 def test_compare_byte_identical_runs(tmp_path, capsys):
@@ -286,11 +329,11 @@ def test_compare_byte_identical_runs(tmp_path, capsys):
         tmp_path, "r.json", {"projectivize": {"base": "S4", "c2": -1}, "blowups": 1}
     )
     outputs = []
-    for workers in ("1", "1", "6"):
-        code = main(["compare", "--left", left, "--right", right, "--format", "json", "--workers", workers])
+    for _ in range(2):
+        code = main(["compare", "--left", left, "--right", right, "--format", "json"])
         assert code == EXIT_OK
         outputs.append(capsys.readouterr().out)
-    assert outputs[0].encode() == outputs[1].encode() == outputs[2].encode()
+    assert outputs[0].encode() == outputs[1].encode()
     report = json.loads(outputs[0])
     assert report["result"]["verdict"] == "isomorphic"
 
@@ -322,10 +365,9 @@ def test_base_name_wins_over_file_of_same_name(tmp_path, monkeypatch, capsys):
     assert report["inputs"]["base"]["label"] == "CP2"
 
 
-def test_transition_without_c1_data_omits_reference_class(capsys):
-    base_obj = {"label": "X", "matrix": [[1]], "w2": [1]}
-    job = parse_input(job_doc(command="transition", base=base_obj, bundle={"c1": [0]}))
-    report, code = run(job)
+def test_transition_without_c1_data_omits_reference_class(tmp_path, capsys):
+    base = write_manifold_file(tmp_path, "x.json", {"label": "X", "matrix": [[1]], "w2": [1]})
+    code, report, _ = json_report(capsys, ["transition", "--base", base, "--c1", "0"])
     assert code == EXIT_OK
     assert report["result"]["z1"]["c1_class"] is None
     assert report["result"]["z2"]["c1_class"] is None
@@ -362,7 +404,7 @@ def test_explicit_manifold_file_input(tmp_path, capsys):
     assert report["result"]["system"]["rank"] == 3
 
 
-def test_compare_scope_without_classification_hypotheses():
+def test_compare_scope_without_classification_hypotheses(tmp_path, capsys):
     base_obj = {
         "label": "X",
         "matrix": [[1]],
@@ -370,28 +412,20 @@ def test_compare_scope_without_classification_hypotheses():
         "c1_tangent": [3],
         "simply_connected": False,
     }
-    job = parse_input(
-        job_doc(
-            command="compare",
-            left={"projectivize": {"base": base_obj, "c1": [1], "c2": 0}},
-            right={"projectivize": {"base": base_obj, "c1": [1], "c2": 0}},
-        )
+    side = write_system_file(
+        tmp_path, "x.json", {"projectivize": {"base": base_obj, "c1": [1], "c2": 0}}
     )
-    assert not job.inputs["left"].classifiable
-    report, code = run(job)
+    code, report, _ = json_report(capsys, ["compare", "--left", side, "--right", side])
     assert code == EXIT_OK
+    assert report["inputs"]["left"]["classifiable"] is False
     assert report["result"]["verdict"] == "isomorphic"
     assert report["result"]["scope"] == "invariant-systems-only"
     # the same pair built from declared-simply-connected data compares at
     # diffeomorphism-class scope
-    job2 = parse_input(
-        job_doc(
-            command="compare",
-            left={"projectivize": {"base": "CP2", "c1": [1], "c2": 0}},
-            right={"projectivize": {"base": "CP2", "c1": [1], "c2": 0}},
-        )
+    side2 = write_system_file(
+        tmp_path, "cp2.json", {"projectivize": {"base": "CP2", "c1": [1], "c2": 0}}
     )
-    report2, _ = run(job2)
+    _, report2, _ = json_report(capsys, ["compare", "--left", side2, "--right", side2])
     assert report2["result"]["scope"] == "diffeomorphism-classes"
 
 

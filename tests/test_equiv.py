@@ -26,6 +26,7 @@ from conitop import (
 from conitop.equiv import spiral_entries
 
 from oracles import (
+    fingerprint_reference,
     has_even_w2_cubic_exhaustive,
     random_bundle,
     random_catalog_sum,
@@ -142,23 +143,19 @@ def test_check_c1_requires_c1_data():
         verify_witness(a, a, ((1,),), check_c1=True)
 
 
-def test_find_isomorphism_deterministic_and_parallel_consistent():
+def test_find_isomorphism_deterministic():
     m1 = local_model_system(1)
     side = bundle_side_system()
     first = find_isomorphism(m1, side, bound=3)
     again = find_isomorphism(m1, side, bound=3)
     assert first == again
-    for workers in (2, 4, 8):
-        assert find_isomorphism(m1, side, bound=3, workers=workers) == first
     t = s4_transition()
     seq = find_isomorphism(local_model_system(2), t.z2, bound=3)
-    for workers in (2, 4, 8):
-        assert find_isomorphism(local_model_system(2), t.z2, bound=3, workers=workers) == seq
-    # self-compare has many witnesses scattered over first columns, which
-    # stresses the earliest-in-order reduction
+    assert find_isomorphism(local_model_system(2), t.z2, bound=3) == seq
+    # self-compare has many witnesses scattered over first columns; the
+    # earliest in enumeration order wins every time
     self_seq = find_isomorphism(m1, m1, bound=2)
-    for workers in (3, 7):
-        assert find_isomorphism(m1, m1, bound=2, workers=workers) == self_seq
+    assert find_isomorphism(m1, m1, bound=2) == self_seq
 
 
 def test_search_budget_guard():
@@ -258,6 +255,30 @@ def test_certificate_rejects_odd_prime_without_even_w2_cubic():
     assert f_s != f_t
     cert = DistinctnessCertificate("fingerprint", 3, (f_s, f_t))
     assert not certificate_is_valid(cert, s, t)
+
+
+def test_fingerprint_matches_mu_eval_reference():
+    rng = random.Random(21)
+    odd_diagonal = 0
+    for rank in range(6):
+        for _ in range(3):
+            s = random_system(rng, rank)
+            odd_diagonal += not has_even_w2_cubic(s)
+            for p in (2, 3, 5):
+                assert fingerprint(s, p) == fingerprint_reference(s, p)
+    assert odd_diagonal > 0
+
+
+def test_certificate_outside_fingerprint_window_is_invalid():
+    t = s4_transition()
+    cert = certify_distinct(t.z1, t.z2)
+    # a prime the fingerprint does not support is no valid certificate
+    foreign = DistinctnessCertificate("fingerprint", 11, cert.detail)
+    assert certificate_is_valid(foreign, t.z1, t.z2) is False
+    a = make_system(7, {}, p1=(0,) * 7, w2=(0,) * 7)
+    b = make_system(7, {(0, 0, 0): 1}, p1=(0,) * 7, w2=(0,) * 7)
+    too_big = DistinctnessCertificate("fingerprint", 2, ((), ()))
+    assert certificate_is_valid(too_big, a, b) is False
 
 
 def test_certify_distinct_self_is_none():
