@@ -21,8 +21,9 @@ basis to coordinates in the second's, column ``i`` being the image of the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 
 from .errors import SearchBudgetError, ValidationError
 from .intmat import (
@@ -230,10 +231,24 @@ def has_even_w2_cubic(s: InvariantSystem) -> bool:
 def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
     """Sorted multiset of (cubic, p1 pairing, w2 pairing mod 2) over F_p points.
 
-    Enumerates the canonical representatives x in {0..p-1}^rank and collects
+    Ranges over the canonical representatives x in {0..p-1}^rank and collects
     (mu(x,x,x) mod p, p1.x mod p, mu(w,x,x) mod 2) with w the 0/1 lift of w2;
     the last component only depends on x mod 2, so it is lift-independent,
     and it is computed as a linear form (see :func:`_w2_square_parities`).
+
+    The points are visited by a depth-first walk that fixes x_0, x_1, ... in
+    turn.  With the prefix x fixed and the coordinates j, j' >= k still free,
+    a node carries mu(x,x,x), the contractions L[j] = mu(x,x,e_j) and
+    Q[j][j'] = mu(x,e_j,e_j'), and the running p1 and w2 sums; fixing
+    x_k = t updates them from the slice mu(e_k,.,.) (see
+    :meth:`InvariantSystem.mu_contract`) in O(r^2).  With one coordinate e
+    left free, the cubic is a + 3 L t + 3 Q t^2 + mu(e,e,e) t^3 in x_e = t,
+    so a leaf is the state (a, L, Q, p1 sum, w2 sum) reduced mod p and
+    mod 2.  Equal leaves are counted once, and each distinct leaf adds its p
+    points to a histogram of triples, which is expanded back into the sorted
+    tuple.  The cost is p^(r-1) leaves and O(r^2) work per interior node,
+    where evaluating the cubic directly costs O(nonzeros of mu) at each of
+    the p^r points.
 
     Any witness maps this multiset onto the other system's.  For odd p that
     argument additionally needs the mod-2 component to vanish identically
@@ -247,12 +262,48 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
         raise ValidationError(
             f"fingerprint enumeration limited to rank {MAX_FINGERPRINT_RANK}"
         )
+    r = s.rank
+    if r == 0:
+        return ((0, 0, 0),)
     d = _w2_square_parities(s)
-    triples = [
-        (s.cubic(x) % p, s.p1_pairing(x) % p, dot(x, d) % 2)
-        for x in product(range(p), repeat=s.rank)
+    # slices[k][i][j] = mu(e_i, e_j, e_k) mod p
+    slices = [
+        [[v % p for v in row] for row in s.mu_contract(tuple(int(i == k) for i in range(r)))]
+        for k in range(r)
     ]
-    return tuple(sorted(triples))
+    last = r - 1
+    leaves = []
+
+    def walk(k, cubic, lin, quad, p1, w2):
+        # lin and the upper triangle quad (row by row) start at coordinate k:
+        # quad[:n] is row k, quad[n:] the rows after it
+        n = r - k
+        m = slices[k]
+        diag, cross = m[k][k], m[k][k + 1:]
+        tri = [m[i][j] for i in range(k + 1, r) for j in range(i, r)]
+        l0, lin, q0, row, quad = lin[0], lin[1:], quad[0], quad[1:n], quad[n:]
+        for t in range(p):
+            c = cubic + 3 * t * l0 + 3 * t * t * q0 + t * t * t * diag
+            lin2 = [a + 2 * t * b + t * t * e for a, b, e in zip(lin, row, cross)]
+            quad2 = [a + t * e for a, e in zip(quad, tri)]
+            q = p1 + s.p1[k] * t
+            w = w2 + d[k] * t
+            if k + 1 < last:
+                walk(k + 1, c, lin2, quad2, q, w)
+            else:
+                leaves.append((c % p, lin2[0] % p, quad2[0] % p, q % p, w % 2))
+
+    if r == 1:
+        leaves.append((0, 0, 0, 0, 0))
+    else:
+        walk(0, 0, [0] * r, [0] * (r * (r + 1) // 2), 0, 0)
+    diag, p1_last, w2_last = slices[last][last][last], s.p1[last], d[last]
+    hist = Counter()
+    for (cubic, l0, q0, p1, w2), n in Counter(leaves).items():
+        for t in range(p):
+            c = cubic + 3 * t * l0 + 3 * t * t * q0 + t * t * t * diag
+            hist[c % p, (p1 + p1_last * t) % p, (w2 + w2_last * t) % 2] += n
+    return tuple(chain.from_iterable(repeat(key, n) for key, n in sorted(hist.items())))
 
 
 def certify_distinct(
@@ -271,8 +322,9 @@ def certify_distinct(
         return DistinctnessCertificate("b3", None, (s1.b3, s2.b3))
     if s1.rank > MAX_FINGERPRINT_RANK:
         return None
+    even = has_even_w2_cubic(s1) and has_even_w2_cubic(s2)
     for p in primes:
-        if p != 2 and not (has_even_w2_cubic(s1) and has_even_w2_cubic(s2)):
+        if p != 2 and not even:
             continue
         f1 = fingerprint(s1, p)
         f2 = fingerprint(s2, p)

@@ -40,6 +40,23 @@ def loads(text: str) -> dict:
     return doc
 
 
+# A descriptor value is taken only as its own JSON type: a bool, float or
+# string where an integer belongs is an error, never rounded or converted.
+_JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false"}
+
+
+def _json_value(value, kind: type, field: str):
+    if type(value) is not kind:
+        raise DescriptorError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _json_list(value, kind: type, field: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise DescriptorError(f"{field} must be a list, got {value!r}")
+    return tuple(_json_value(v, kind, field) for v in value)
+
+
 # -- four-manifolds ---------------------------------------------------------
 
 
@@ -56,12 +73,14 @@ def manifold_to_obj(n: FourManifold) -> dict:
 def manifold_from_obj(obj: dict) -> FourManifold:
     if "matrix" not in obj or "w2" not in obj:
         raise DescriptorError("explicit manifold needs 'matrix' and 'w2'")
+    if not isinstance(obj["matrix"], (list, tuple)):
+        raise DescriptorError(f"matrix must be a list of rows, got {obj['matrix']!r}")
     return FourManifold(
-        str(obj.get("label", "custom")),
-        IntersectionForm.from_rows(obj["matrix"]),
-        tuple(obj["w2"]),
-        None if obj.get("c1_tangent") is None else tuple(obj["c1_tangent"]),
-        bool(obj.get("simply_connected", True)),
+        _json_value(obj.get("label", "custom"), str, "label"),
+        IntersectionForm.from_rows([_json_list(row, int, "matrix") for row in obj["matrix"]]),
+        _json_list(obj["w2"], int, "w2"),
+        None if obj.get("c1_tangent") is None else _json_list(obj["c1_tangent"], int, "c1_tangent"),
+        _json_value(obj.get("simply_connected", True), bool, "simply_connected"),
     )
 
 
@@ -110,8 +129,8 @@ def bundle_to_obj(e: RankTwoBundle) -> dict:
 def bundle_from_obj(base: FourManifold, obj: dict) -> RankTwoBundle:
     if not isinstance(obj, dict):
         raise DescriptorError("bundle descriptor must be an object")
-    c1 = obj.get("c1", [0] * base.rank)
-    return RankTwoBundle(base, tuple(c1), int(obj.get("c2", 0)))
+    c1 = _json_list(obj.get("c1", [0] * base.rank), int, "c1")
+    return RankTwoBundle(base, c1, _json_value(obj.get("c2", 0), int, "c2"))
 
 
 def placed_bundle_to_obj(e: RankTwoBundle) -> dict:
@@ -147,7 +166,6 @@ def system_from_obj(obj: dict) -> InvariantSystem:
         raise DescriptorError("mu must be a list of [i, j, k, value] entries")
     entries = []
     for item in obj["mu"]:
-        # JSON integers only: a bool, float or string is an error, never coerced
         if not (
             isinstance(item, (list, tuple))
             and len(item) == 4
@@ -155,16 +173,17 @@ def system_from_obj(obj: dict) -> InvariantSystem:
         ):
             raise DescriptorError(f"mu entries must be [i, j, k, value] integers, got {item!r}")
         entries.append((item[:3], item[3]))
+    labels = obj.get("basis_labels")
     try:
         return make_system(
-            int(obj["rank"]),
+            _json_value(obj["rank"], int, "rank"),
             entries,
-            obj["p1"],
-            obj["w2"],
-            int(obj["b3"]),
-            None if obj.get("c1_class") is None else tuple(obj["c1_class"]),
-            obj.get("basis_labels") or (),
-            bool(obj.get("classifiable", True)),
+            _json_list(obj["p1"], int, "p1"),
+            _json_list(obj["w2"], int, "w2"),
+            _json_value(obj["b3"], int, "b3"),
+            None if obj.get("c1_class") is None else _json_list(obj["c1_class"], int, "c1_class"),
+            () if labels is None else _json_list(labels, str, "basis_labels"),
+            _json_value(obj.get("classifiable", True), bool, "classifiable"),
         )
     except ValidationError as exc:
         raise DescriptorError(str(exc)) from exc
@@ -187,19 +206,20 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
         base = manifold_from_descriptor(inner.get("base"))
         e = bundle_from_obj(base, inner)
         s = projectivize(base, e)
-        blowups = int(doc.get("blowups", 0))
+        blowups = _json_value(doc.get("blowups", 0), int, "blowups")
         if blowups < 0:
             raise DescriptorError(f"blowups must be nonnegative, got {blowups}")
         for _ in range(blowups):
             s = blowup_point(s)
         return s
     if "local_model" in doc:
-        return local_model_system(int(doc["local_model"]))
+        return local_model_system(_json_value(doc["local_model"], int, "local_model"))
     if "transition" in doc:
         inner = doc["transition"]
         base = manifold_from_descriptor(inner.get("base"))
         e = bundle_from_obj(base, inner)
-        result = conifold_transition(base, e, swap=bool(inner.get("swap", False)))
+        swap = _json_value(inner.get("swap", False), bool, "swap")
+        result = conifold_transition(base, e, swap=swap)
         side = doc.get("side", "z1")
         if side not in ("z1", "z2"):
             raise DescriptorError("transition side must be 'z1' or 'z2'")

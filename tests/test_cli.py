@@ -137,6 +137,72 @@ def test_main_rejects_non_integer_mu(tmp_path, capsys):
         assert "mu" in captured.err and captured.out == ""
 
 
+def assert_input_error_naming(capsys, argv, field):
+    assert main(argv) == EXIT_INPUT, (argv, field)
+    captured = capsys.readouterr()
+    assert field in captured.err and captured.out == "", (field, captured.err)
+
+
+def test_main_rejects_coerced_system_fields(tmp_path, capsys):
+    good = {"rank": 1, "mu": [[0, 0, 0, 1]], "p1": [0], "w2": [0], "b3": 0, "c1_class": [2]}
+    right = write_system_file(tmp_path, "right.json", {"system": good})
+    assert main(["compare", "--left", right, "--right", right]) == EXIT_OK
+    capsys.readouterr()
+    for n, (field, bad) in enumerate(
+        (
+            ("rank", "x"),
+            ("rank", 1.0),
+            ("rank", True),
+            ("p1", [0.5]),
+            ("p1", ["0"]),
+            ("p1", 0),
+            ("w2", [False]),
+            ("w2", [0.0]),
+            ("b3", True),
+            ("b3", 0.0),
+            ("c1_class", [2.0]),
+            ("c1_class", ["2"]),
+            ("classifiable", 1),
+            ("basis_labels", [1]),
+            ("basis_labels", "a"),
+        )
+    ):
+        left = write_system_file(tmp_path, f"left{n}.json", {"system": dict(good, **{field: bad})})
+        assert_input_error_naming(capsys, ["compare", "--left", left, "--right", right], field)
+
+
+def test_main_rejects_coerced_descriptor_fields(tmp_path, capsys):
+    right = write_system_file(tmp_path, "right.json", {"local_model": 1})
+    cp2 = {"matrix": [[1]], "w2": [1]}
+    for n, (field, doc) in enumerate(
+        (
+            ("c2", {"projectivize": {"base": "CP2", "c2": "q"}}),
+            ("c2", {"projectivize": {"base": "CP2", "c2": 0.5}}),
+            ("c2", {"transition": {"base": "CP2", "c2": True}}),
+            ("c1", {"projectivize": {"base": "CP2", "c1": [1.0]}}),
+            ("c1", {"projectivize": {"base": "CP2", "c1": "1"}}),
+            ("c1", {"transition": {"base": "CP2", "c1": [True]}}),
+            ("local_model", {"local_model": "a"}),
+            ("local_model", {"local_model": 1.0}),
+            ("local_model", {"local_model": True}),
+            ("blowups", {"projectivize": {"base": "S4"}, "blowups": "2"}),
+            ("blowups", {"projectivize": {"base": "S4"}, "blowups": 1.5}),
+            ("swap", {"transition": {"base": "S4", "swap": 1}}),
+            ("matrix", {"projectivize": {"base": {"matrix": [[1.5]], "w2": [1]}}}),
+            ("matrix", {"projectivize": {"base": {"matrix": [["x"]], "w2": [1]}}}),
+            ("matrix", {"projectivize": {"base": {"matrix": 1, "w2": [1]}}}),
+            ("w2", {"projectivize": {"base": {"matrix": [[1]], "w2": [1.0]}}}),
+            ("c1_tangent", {"projectivize": {"base": dict(cp2, c1_tangent=[3.0])}}),
+            ("simply_connected", {"projectivize": {"base": dict(cp2, simply_connected=0)}}),
+            ("label", {"projectivize": {"base": dict(cp2, label=5)}}),
+        )
+    ):
+        left = write_system_file(tmp_path, f"left{n}.json", doc)
+        assert_input_error_naming(capsys, ["compare", "--left", left, "--right", right], field)
+    base = write_manifold_file(tmp_path, "base.json", {"matrix": [[1.5]], "w2": [1]})
+    assert_input_error_naming(capsys, ["invariants", "--base", base], "matrix")
+
+
 def test_main_rejects_removed_workers_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-paper", "--workers", "2"])

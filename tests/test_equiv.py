@@ -23,7 +23,8 @@ from conitop import (
     trivial_bundle,
     verify_witness,
 )
-from conitop.equiv import spiral_entries
+from conitop import equiv
+from conitop.equiv import SUPPORTED_PRIMES, spiral_entries
 
 from oracles import (
     fingerprint_reference,
@@ -266,7 +267,37 @@ def test_fingerprint_matches_mu_eval_reference():
             odd_diagonal += not has_even_w2_cubic(s)
             for p in (2, 3, 5):
                 assert fingerprint(s, p) == fingerprint_reference(s, p)
+    # dense mu with large entries, and unimodular transports, which fill mu
+    # in: ranks up to 4 at every supported prime, ranks 5 and 6 at p = 2, 3, 5
+    for rank in range(1, 7):
+        primes = SUPPORTED_PRIMES if rank <= 4 else (2, 3, 5)
+        s = random_system(rng, rank, span=9, fill=0.9)
+        for t in (s, transport_system(s, random_unimodular(rng, rank))):
+            odd_diagonal += not has_even_w2_cubic(t)
+            for p in primes:
+                assert fingerprint(t, p) == fingerprint_reference(t, p), (rank, p)
     assert odd_diagonal > 0
+
+
+def test_certify_distinct_same_certificate_with_reference_fingerprint(monkeypatch):
+    rng = random.Random(22)
+    t = s4_transition()
+    pairs = [(t.z1, t.z2), (exp_system(), bundle_side_system())]
+    for rank in (2, 3, 4):
+        base = random_catalog_sum(rng, rank - 1)
+        while base.rank != rank - 1:
+            base = random_catalog_sum(rng, rank - 1)
+        e = random_bundle(rng, base)
+        s = projectivize(base, e)
+        moved = RankTwoBundle(base, e.c1, e.c2 + rng.choice((1, 2, 6)))
+        pairs.append((s, transport_system(s, random_unimodular(rng, rank))))
+        pairs.append((s, projectivize(base, moved)))
+        pairs.append((s, random_system(rng, rank)))
+    expected = [certify_distinct(s1, s2, primes=SUPPORTED_PRIMES) for s1, s2 in pairs]
+    monkeypatch.setattr(equiv, "fingerprint", fingerprint_reference)
+    assert [certify_distinct(s1, s2, primes=SUPPORTED_PRIMES) for s1, s2 in pairs] == expected
+    primes = {None if cert is None else cert.prime for cert in expected}
+    assert None in primes and 2 in primes and primes & {3, 5, 7}
 
 
 def test_certificate_outside_fingerprint_window_is_invalid():
