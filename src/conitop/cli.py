@@ -367,7 +367,7 @@ def _read_json(path: str) -> dict:
         return serialize.loads(handle.read())
 
 
-def _load_descriptor_arg(arg: str):
+def _load_base(arg: str) -> FourManifold:
     """A --base argument: catalog name, sum expression, or JSON file path.
 
     Names and sum expressions win over files of the same name; anything that
@@ -375,17 +375,16 @@ def _load_descriptor_arg(arg: str):
     """
     if not arg.endswith(".json"):
         try:
-            serialize.parse_sum_expression(arg)
-            return arg
+            return serialize.parse_sum_expression(arg)
         except DescriptorError:
             if not os.path.exists(arg):
                 raise
     doc = _read_json(arg)
-    return doc.get("manifold", doc)
+    return serialize.manifold_from_descriptor(doc.get("manifold", doc))
 
 
 def _base_and_bundle(args) -> tuple[FourManifold, RankTwoBundle]:
-    base = serialize.manifold_from_descriptor(_load_descriptor_arg(args.base))
+    base = _load_base(args.base)
     c1 = (0,) * base.rank if args.c1 is None else _parse_int_list(args.c1, "--c1")
     return base, RankTwoBundle(base, c1, args.c2)
 

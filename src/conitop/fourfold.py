@@ -14,6 +14,7 @@ document them rather than verify them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ValidationError
 from .intmat import Vec, as_vector, vec_mod2
@@ -86,21 +87,27 @@ def standard(name: str) -> FourManifold:
     raise ValidationError(f"unknown catalog manifold {name!r}")
 
 
-def connected_sum(n1: FourManifold, n2: FourManifold) -> FourManifold:
-    """Connected sum: block-sum form, concatenated w2 and c1 data.
+def connected_sum(first: FourManifold, *rest: FourManifold) -> FourManifold:
+    """Connected sum, in order: block-sum form, concatenated w2 and c1 data.
 
-    The c1 lift survives only when both summands carry one.
+    Equal to the left fold of pairwise sums, but validated once: an ``S4``
+    summand after the first leaves the label unchanged, and the c1 lift
+    survives only when every summand carries one.
     """
+    pieces = (first,) + rest
+    label = first.label
+    for n in rest:
+        if not (n.rank == 0 and n.label == "S4"):
+            label = f"{label} # {n.label}"
     c1 = None
-    if n1.c1_tangent is not None and n2.c1_tangent is not None:
-        c1 = n1.c1_tangent + n2.c1_tangent
-    label = n1.label if n2.rank == 0 and n2.label == "S4" else f"{n1.label} # {n2.label}"
+    if all(n.c1_tangent is not None for n in pieces):
+        c1 = tuple(chain.from_iterable(n.c1_tangent for n in pieces))
     return FourManifold(
         label,
-        direct_sum(n1.form, n2.form),
-        n1.w2 + n2.w2,
+        direct_sum(*(n.form for n in pieces)),
+        tuple(chain.from_iterable(n.w2 for n in pieces)),
         c1,
-        n1.simply_connected and n2.simply_connected,
+        all(n.simply_connected for n in pieces),
     )
 
 

@@ -6,8 +6,11 @@ integer matrix ``Q`` with ``Q[i][j]`` the evaluation of the product of the
 ``i``-th and ``j``-th basis classes on the fundamental class.  Basis order is
 part of the data; nothing here canonicalizes it.
 
-All arithmetic is exact: Python integers for determinants and mod-2 work,
-``fractions.Fraction`` for the diagonalization behind :func:`signature`.
+All arithmetic is exact.  :func:`signature` and :func:`determinant` (hence
+:func:`is_unimodular`) read one sparse Lagrange reduction, :func:`_reduce`,
+whose entries are Python ints until a quotient needs a
+``fractions.Fraction``; mod-2 work stays in integers.  Descriptors are capped
+at rank ``serialize.MAX_FORM_RANK`` before a form is built.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .intmat import Mat, Vec, as_matrix, as_vector, determinant as _det
+from .intmat import Mat, Vec, as_matrix, as_vector
 
 MAX_EXHAUSTIVE_RANK = 20
 
@@ -66,64 +69,102 @@ class IntersectionForm:
         return sum(x[i] * v for i, v in enumerate(self.matvec(y)))
 
 
-def signature(q: IntersectionForm) -> int:
-    """Positive minus negative inertia index, computed exactly.
+def _quotient(x, num, den):
+    """x - num/den, kept an int while the division is exact."""
+    q, r = divmod(num, den)
+    return x - q if r == 0 else x - Fraction(num) / den
 
-    Symmetric (Lagrange) reduction over the rationals.  Pivot rule, fixed so
-    the computation is deterministic: take the first nonzero diagonal entry;
-    if the whole diagonal vanishes but the form does not, split off the
-    hyperbolic plane on the first off-diagonal nonzero entry, which
-    contributes one positive and one negative square.
+
+def _reduce(q: IntersectionForm) -> tuple[int, int, int]:
+    """Exact Lagrange reduction: (positive squares, negative squares, det).
+
+    Pivot rule, fixed so the computation is deterministic: take the first
+    nonzero diagonal entry a, which contributes one square of the sign of a
+    and the factor a to the determinant; if the whole diagonal vanishes but
+    the form does not, split off the hyperbolic plane on the first
+    off-diagonal nonzero entry b, which contributes one positive and one
+    negative square and the factor -b^2.  A nonzero zero block left over has
+    determinant 0.
+
+    Each row is a dict of its nonzero entries over the live indices, and a
+    pivot updates only the rows that meet it, so a block sum costs the sum
+    of its blocks.  Entries stay ints until a quotient is not exact.
     """
-    m = [[Fraction(v) for v in row] for row in q.matrix]
+    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(q.matrix)}
     pos = neg = 0
-    while m:
-        n = len(m)
-        k = next((i for i in range(n) if m[i][i] != 0), None)
+    det = 1
+    while rows:
+        k = next((i for i in rows if rows[i].get(i)), None)
         if k is not None:
-            a = m[k][k]
+            col = rows.pop(k)
+            a = col.pop(k)
             if a > 0:
                 pos += 1
             else:
                 neg += 1
-            rest = [i for i in range(n) if i != k]
-            m = [
-                [m[i][j] - m[i][k] * m[k][j] / a for j in rest]
-                for i in rest
+            det *= a
+            for i in col:
+                del rows[i][k]
+            pairs = [(i, j, u * v) for i, u in col.items() for j, v in col.items()]
+            den = a
+        else:
+            k = next((i for i in rows if rows[i]), None)
+            if k is None:
+                return pos, neg, 0
+            l = min(rows[k])
+            ck, cl = rows.pop(k), rows.pop(l)
+            b = ck.pop(l)
+            del cl[k]
+            pos += 1
+            neg += 1
+            det *= -b * b
+            for i in ck:
+                del rows[i][k]
+            for i in cl:
+                del rows[i][l]
+            meet = {**ck, **cl}
+            pairs = [
+                (i, j, ck.get(i, 0) * cl.get(j, 0) + cl.get(i, 0) * ck.get(j, 0))
+                for i in meet
+                for j in meet
             ]
-            continue
-        hyp = next(
-            ((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != 0),
-            None,
-        )
-        if hyp is None:
-            break
-        k, l = hyp
-        b = m[k][l]
-        pos += 1
-        neg += 1
-        rest = [i for i in range(n) if i not in (k, l)]
-        m = [
-            [m[i][j] - (m[i][k] * m[j][l] + m[i][l] * m[j][k]) / b for j in rest]
-            for i in rest
-        ]
+            den = b
+        for i, j, num in pairs:
+            if not num:
+                continue
+            row = rows[i]
+            v = _quotient(row.get(j, 0), num, den)
+            if v:
+                row[j] = v
+            else:
+                row.pop(j, None)
+    return pos, neg, int(det)
+
+
+def signature(q: IntersectionForm) -> int:
+    """Positive minus negative inertia index, computed exactly by :func:`_reduce`."""
+    pos, neg, _ = _reduce(q)
     return pos - neg
 
 
 def determinant(q: IntersectionForm) -> int:
-    return _det(q.matrix)
+    """Determinant of the form, from the same reduction as :func:`signature`."""
+    return _reduce(q)[2]
 
 
 def is_unimodular(q: IntersectionForm) -> bool:
     return determinant(q) in (1, -1)
 
 
-def direct_sum(q1: IntersectionForm, q2: IntersectionForm) -> IntersectionForm:
-    """Block sum; models the intersection form of a connected sum."""
-    r1, r2 = q1.rank, q2.rank
-    rows = [list(row) + [0] * r2 for row in q1.matrix]
-    rows += [[0] * r1 + list(row) for row in q2.matrix]
-    return IntersectionForm.from_rows(rows)
+def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
+    """Block sum, in order; models the intersection form of a connected sum."""
+    n = sum(f.rank for f in forms)
+    rows, offset = [], 0
+    for f in forms:
+        for row in f.matrix:
+            rows.append((0,) * offset + row + (0,) * (n - offset - f.rank))
+        offset += f.rank
+    return IntersectionForm(tuple(rows))
 
 
 def _check_mod2_vector(w, rank: int) -> Vec:

@@ -20,6 +20,9 @@ from .transitions import conifold_transition, local_model_system
 
 SCHEMA = "conitop/1"
 REPORT_SCHEMA = "conitop-report/1"
+# The largest intersection form a manifold descriptor may describe, checked
+# before any form is built; it also caps the summand count of a sum expression.
+MAX_FORM_RANK = 256
 
 
 def json_canonical(obj) -> str:
@@ -42,7 +45,7 @@ def loads(text: str) -> dict:
 
 # A descriptor value is taken only as its own JSON type: a bool, float or
 # string where an integer belongs is an error, never rounded or converted.
-_JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false"}
+_JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false", list: "a list"}
 
 
 def _json_value(value, kind: type, field: str):
@@ -55,6 +58,19 @@ def _json_list(value, kind: type, field: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise DescriptorError(f"{field} must be a list, got {value!r}")
     return tuple(_json_value(v, kind, field) for v in value)
+
+
+def _json_rows(value, field: str) -> tuple:
+    """A list of integer lists, such as a matrix."""
+    return tuple(_json_list(row, int, field) for row in _json_list(value, list, field))
+
+
+def _require(obj, fields, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise DescriptorError(f"{what} must be a JSON object, got {obj!r}")
+    for field in fields:
+        if field not in obj:
+            raise DescriptorError(f"{what} needs field {field!r}")
 
 
 # -- four-manifolds ---------------------------------------------------------
@@ -71,13 +87,13 @@ def manifold_to_obj(n: FourManifold) -> dict:
 
 
 def manifold_from_obj(obj: dict) -> FourManifold:
-    if "matrix" not in obj or "w2" not in obj:
-        raise DescriptorError("explicit manifold needs 'matrix' and 'w2'")
-    if not isinstance(obj["matrix"], (list, tuple)):
-        raise DescriptorError(f"matrix must be a list of rows, got {obj['matrix']!r}")
+    _require(obj, ("matrix", "w2"), "explicit manifold")
+    matrix = _json_rows(obj["matrix"], "matrix")
+    if len(matrix) > MAX_FORM_RANK:
+        raise DescriptorError(f"matrix has {len(matrix)} rows, above the limit of {MAX_FORM_RANK}")
     return FourManifold(
         _json_value(obj.get("label", "custom"), str, "label"),
-        IntersectionForm.from_rows([_json_list(row, int, "matrix") for row in obj["matrix"]]),
+        IntersectionForm(matrix),
         _json_list(obj["w2"], int, "w2"),
         None if obj.get("c1_tangent") is None else _json_list(obj["c1_tangent"], int, "c1_tangent"),
         _json_value(obj.get("simply_connected", True), bool, "simply_connected"),
@@ -85,15 +101,22 @@ def manifold_from_obj(obj: dict) -> FourManifold:
 
 
 def parse_sum_expression(text: str) -> FourManifold:
-    """Connected-sum expressions over the catalog, e.g. ``CP2 # 3 CP2bar``."""
-    result = None
+    """Connected-sum expressions over the catalog, e.g. ``CP2 # 3 CP2bar``.
+
+    The summands are counted against MAX_FORM_RANK before any is repeated,
+    and the sum is built and validated once.
+    """
+    terms = []
     for piece in text.split("#"):
         tokens = piece.split()
         if not tokens:
             raise DescriptorError(f"empty summand in manifold expression {text!r}")
         count = 1
-        if tokens[0].lstrip("-").isdigit():
-            count = int(tokens[0])
+        if tokens[0].lstrip("-").isdecimal():
+            try:
+                count = int(tokens[0])
+            except ValueError as exc:  # more digits than int() accepts
+                raise DescriptorError(f"summand count {tokens[0]!r} is out of range") from exc
             tokens = tokens[1:]
         if len(tokens) != 1:
             raise DescriptorError(f"cannot parse manifold summand {piece.strip()!r}")
@@ -102,12 +125,17 @@ def parse_sum_expression(text: str) -> FourManifold:
             raise DescriptorError(f"unknown catalog manifold {name!r}")
         if count < 0:
             raise DescriptorError(f"negative summand count in {text!r}")
-        for _ in range(count):
-            piece_manifold = standard(name)
-            result = piece_manifold if result is None else connected_sum(result, piece_manifold)
-    if result is None:
+        terms.append((standard(name), count))
+    summands = sum(count for _, count in terms)
+    rank = sum(n.rank * count for n, count in terms)
+    if max(summands, rank) > MAX_FORM_RANK:
+        raise DescriptorError(
+            f"manifold expression {text!r} has {summands} summands and rank {rank};"
+            f" each is limited to {MAX_FORM_RANK}"
+        )
+    if not summands:
         raise DescriptorError(f"empty manifold expression {text!r}")
-    return result
+    return connected_sum(*(n for n, count in terms for _ in range(count)))
 
 
 def manifold_from_descriptor(desc) -> FourManifold:
@@ -159,9 +187,7 @@ def system_to_obj(s: InvariantSystem) -> dict:
 
 
 def system_from_obj(obj: dict) -> InvariantSystem:
-    for field in ("rank", "mu", "p1", "w2", "b3"):
-        if field not in obj:
-            raise DescriptorError(f"invariant system needs field {field!r}")
+    _require(obj, ("rank", "mu", "p1", "w2", "b3"), "invariant system")
     if not isinstance(obj["mu"], (list, tuple)):
         raise DescriptorError("mu must be a list of [i, j, k, value] entries")
     entries = []
@@ -240,9 +266,14 @@ def witness_to_obj(w: IsomorphismWitness) -> dict:
 
 
 def witness_from_obj(obj: dict) -> IsomorphismWitness:
-    return IsomorphismWitness(
-        tuple(tuple(row) for row in obj["matrix"]), bool(obj["preserves_c1"])
-    )
+    _require(obj, ("matrix", "preserves_c1"), "witness")
+    matrix = _json_rows(obj["matrix"], "matrix")
+    if any(len(row) != len(matrix) for row in matrix):
+        raise DescriptorError("witness matrix must be square")
+    try:
+        return IsomorphismWitness(matrix, _json_value(obj["preserves_c1"], bool, "preserves_c1"))
+    except ValidationError as exc:
+        raise DescriptorError(str(exc)) from exc
 
 
 def certificate_to_obj(c: DistinctnessCertificate) -> dict:
@@ -254,12 +285,16 @@ def certificate_to_obj(c: DistinctnessCertificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> DistinctnessCertificate:
-    kind = obj["kind"]
+    _require(obj, ("kind", "detail"), "certificate")
+    kind = _json_value(obj["kind"], str, "kind")
     if kind == "fingerprint":
-        detail = tuple(tuple(tuple(t) for t in side) for side in obj["detail"])
+        sides = _json_list(obj["detail"], list, "detail")
+        detail = tuple(_json_rows(side, "detail") for side in sides)
     elif kind in ("rank", "b3"):
-        detail = tuple(obj["detail"])
+        detail = _json_list(obj["detail"], int, "detail")
     else:
-        raise ValidationError(f"unknown certificate kind {kind!r}")
+        raise DescriptorError(f"unknown certificate kind {kind!r}")
     prime = obj.get("prime")
-    return DistinctnessCertificate(kind, None if prime is None else int(prime), detail)
+    if prime is not None:
+        prime = _json_value(prime, int, "prime")
+    return DistinctnessCertificate(kind, prime, detail)

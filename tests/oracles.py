@@ -10,10 +10,12 @@ other.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 from conitop import (
     FourManifold,
+    IntersectionForm,
     RankTwoBundle,
     connected_sum,
     make_system,
@@ -51,6 +53,67 @@ def signature_oracle_small(rows) -> int:
             return 0
         return (tr > 0) - (tr < 0)
     raise ValueError("oracle only handles ranks 0..2")
+
+
+def signature_reference(rows) -> int:
+    """Dense Lagrange reduction over ``Fraction``, the pre-sparse ``signature``.
+
+    Rebuilds the whole (n-1)x(n-1) Schur complement at every pivot, with the
+    same pivot rule: the first nonzero diagonal entry, else the hyperbolic
+    plane on the first off-diagonal nonzero entry.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    pos = neg = 0
+    while m:
+        n = len(m)
+        k = next((i for i in range(n) if m[i][i] != 0), None)
+        if k is not None:
+            a = m[k][k]
+            if a > 0:
+                pos += 1
+            else:
+                neg += 1
+            rest = [i for i in range(n) if i != k]
+            m = [[m[i][j] - m[i][k] * m[k][j] / a for j in rest] for i in rest]
+            continue
+        hyp = next(
+            ((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != 0),
+            None,
+        )
+        if hyp is None:
+            break
+        k, l = hyp
+        b = m[k][l]
+        pos += 1
+        neg += 1
+        rest = [i for i in range(n) if i not in (k, l)]
+        m = [
+            [m[i][j] - (m[i][k] * m[j][l] + m[i][l] * m[j][k]) / b for j in rest]
+            for i in rest
+        ]
+    return pos - neg
+
+
+def connected_sum_pair_reference(n1: FourManifold, n2: FourManifold) -> FourManifold:
+    """The pairwise connected sum, as it was before ``connected_sum`` took n summands."""
+    c1 = None
+    if n1.c1_tangent is not None and n2.c1_tangent is not None:
+        c1 = n1.c1_tangent + n2.c1_tangent
+    label = n1.label if n2.rank == 0 and n2.label == "S4" else f"{n1.label} # {n2.label}"
+    r1, r2 = n1.rank, n2.rank
+    rows = [list(row) + [0] * r2 for row in n1.form.matrix]
+    rows += [[0] * r1 + list(row) for row in n2.form.matrix]
+    return FourManifold(
+        label,
+        IntersectionForm.from_rows(rows),
+        n1.w2 + n2.w2,
+        c1,
+        n1.simply_connected and n2.simply_connected,
+    )
+
+
+def manifold_fields(n: FourManifold) -> tuple:
+    return (n.label, n.form.matrix, n.w2, n.c1_tangent, n.simply_connected)
 
 
 # -- symbolic cohomology of the base ----------------------------------------

@@ -203,6 +203,18 @@ def test_main_rejects_coerced_descriptor_fields(tmp_path, capsys):
     assert_input_error_naming(capsys, ["invariants", "--base", base], "matrix")
 
 
+def test_main_caps_the_form_rank(tmp_path, capsys):
+    code, report, _ = json_report(capsys, ["invariants", "--base", "CP2 # 80 CP2bar"])
+    assert code == EXIT_OK and report["result"]["system"]["rank"] == 82
+    assert_input_error_naming(capsys, ["invariants", "--base", "300 CP2"], "rank")
+    assert_input_error_naming(capsys, ["transition", "--base", "CP2 # 300 CP2bar"], "rank")
+    rows = [[int(i == j) for j in range(300)] for i in range(300)]
+    base = write_manifold_file(tmp_path, "big.json", {"matrix": rows, "w2": [1] * 300})
+    assert_input_error_naming(capsys, ["invariants", "--base", base], "matrix")
+    left = write_system_file(tmp_path, "left.json", {"projectivize": {"base": "300 CP2bar"}})
+    assert_input_error_naming(capsys, ["compare", "--left", left, "--right", left], "rank")
+
+
 def test_main_rejects_removed_workers_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-paper", "--workers", "2"])

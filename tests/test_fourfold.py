@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -13,7 +14,7 @@ from conitop import (
     standard,
 )
 
-from oracles import random_catalog_sum
+from oracles import connected_sum_pair_reference, manifold_fields, random_catalog_sum
 
 
 def test_catalog_s4():
@@ -116,6 +117,28 @@ def test_connected_sum_commutative_associative_up_to_permutation():
     assert _equal_up_to_permutation(
         connected_sum(connected_sum(a, b), c), connected_sum(a, connected_sum(b, c))
     )
+
+
+def test_n_ary_connected_sum_equals_pairwise_fold():
+    # summands without a c1 lift, and not simply connected, beside the catalog
+    no_c1 = FourManifold("E", IntersectionForm.from_rows([[1]]), (1,))
+    hyperbolic = IntersectionForm.from_rows([[0, 1], [1, 0]])
+    not_sc = FourManifold("X", hyperbolic, (0, 0), (2, 2), simply_connected=False)
+    pool = [standard(name) for name in ("S4", "CP2", "CP2bar", "S2xS2")] + [no_c1, not_sc]
+    s4, cp2, bar = standard("S4"), standard("CP2"), standard("CP2bar")
+    cases = [[s4], [cp2], [s4, cp2, bar], [cp2, s4, bar], [cp2, bar, s4], [s4, s4, s4]]
+    rng = random.Random(2026)
+    for _ in range(300):
+        pieces = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        pieces.insert(rng.randint(0, len(pieces)), s4)
+        cases.append(pieces)
+    seen_none = False
+    for pieces in cases:
+        expected = reduce(connected_sum_pair_reference, pieces)
+        labels = [n.label for n in pieces]
+        assert manifold_fields(connected_sum(*pieces)) == manifold_fields(expected), labels
+        seen_none |= expected.c1_tangent is None
+    assert seen_none
 
 
 def test_validation_rejects_bad_data():

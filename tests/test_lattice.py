@@ -11,9 +11,15 @@ from conitop import (
     is_unimodular,
     signature,
 )
+from conitop import intmat
 from conitop.lattice import determinant
 
-from oracles import random_symmetric_rows, signature_oracle_small
+from oracles import (
+    random_symmetric_rows,
+    random_unimodular,
+    signature_oracle_small,
+    signature_reference,
+)
 
 HYPERBOLIC = IntersectionForm.from_rows([[0, 1], [1, 0]])
 
@@ -59,6 +65,101 @@ def test_e8_form_known_values():
     neg = IntersectionForm.from_rows([[-v for v in row] for row in E8_ROWS])
     assert signature(neg) == -8
     assert signature(direct_sum(q, neg)) == 0
+
+
+def _shuffled(rng, rows):
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return tuple(tuple(rows[i][j] for j in perm) for i in perm)
+
+
+def _zero_diagonal(rng, rank):
+    rows = [list(row) for row in random_symmetric_rows(rng, rank)]
+    for i in range(rank):
+        rows[i][i] = 0
+    return rows
+
+
+def _low_rank(rng, rank):
+    # M^T D M with M of k < rank rows, so the form is singular
+    k = rng.randrange(rank)
+    m = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(k)]
+    d = [rng.choice((-2, -1, 1, 2)) for _ in range(k)]
+    return [
+        [sum(m[t][i] * d[t] * m[t][j] for t in range(k)) for j in range(rank)]
+        for i in range(rank)
+    ]
+
+
+def _hyperbolic_only(rng, rank):
+    # planes [[0, b], [b, 0]], plus a zero row at odd rank, on a shuffled basis
+    rows = [[0] * rank for _ in range(rank)]
+    for i in range(0, rank - 1, 2):
+        rows[i][i + 1] = rows[i + 1][i] = rng.choice((1, -1, 2, -3))
+    return _shuffled(rng, rows)
+
+
+def _block_sum(rng, rank):
+    blocks, left = [], rank
+    while left:
+        size = rng.randint(1, left)
+        make = rng.choice((random_symmetric_rows, _zero_diagonal, _hyperbolic_only))
+        blocks.append(IntersectionForm(make(rng, size)))
+        left -= size
+    return _shuffled(rng, direct_sum(*blocks).matrix)
+
+
+def _congruent(rng, rank):
+    # A^T Q A with det A = +-1: large entries, same signature and determinant
+    a = random_unimodular(rng, rank, max_entry=3, steps=12)
+    q = random_symmetric_rows(rng, rank)
+    return intmat.matmul(intmat.transpose(a), intmat.matmul(q, a))
+
+
+FORM_FAMILIES = (
+    random_symmetric_rows,
+    _zero_diagonal,
+    _low_rank,
+    _hyperbolic_only,
+    _block_sum,
+    _congruent,
+)
+
+
+def _assert_matches_oracles(rows):
+    q = IntersectionForm.from_rows(rows)
+    det = intmat.determinant(q.matrix)
+    assert signature(q) == signature_reference(q.matrix), q.matrix
+    assert determinant(q) == det, q.matrix
+    assert is_unimodular(q) == (det in (1, -1))
+    return det
+
+
+def test_reduction_matches_dense_and_bareiss_oracles():
+    rng = random.Random(20261018)
+    dets = {name.__name__: set() for name in FORM_FAMILIES}
+    for rank in range(11):
+        for family in FORM_FAMILIES:
+            for _ in range(6):
+                if rank == 0 and family is _low_rank:
+                    continue
+                dets[family.__name__].add(_assert_matches_oracles(family(rng, rank)))
+    # every family reaches both singular and nonsingular forms
+    assert 0 in dets["_low_rank"] and 0 in dets["_hyperbolic_only"]
+    assert all(dets[name] - {0} for name in dets if name != "_low_rank")
+
+
+def test_reduction_matches_oracles_on_e8():
+    e8 = IntersectionForm.from_rows(E8_ROWS)
+    neg = IntersectionForm.from_rows([[-v for v in row] for row in E8_ROWS])
+    rng = random.Random(8)
+    for rows, det in (
+        (e8.matrix, 1),
+        (neg.matrix, 1),
+        (_shuffled(rng, direct_sum(e8, neg).matrix), 1),
+        (_shuffled(rng, direct_sum(neg, HYPERBOLIC, e8, e8).matrix), -1),
+    ):
+        assert _assert_matches_oracles(rows) == det
 
 
 def test_signature_even_form_with_zero_diagonal():

@@ -1,3 +1,6 @@
+import random
+from functools import reduce
+
 import pytest
 
 from conitop import (
@@ -14,6 +17,8 @@ from conitop import (
     trivial_bundle,
 )
 from conitop import serialize
+
+from oracles import CATALOG, connected_sum_pair_reference, manifold_fields
 
 
 def test_manifold_round_trip_catalog_and_explicit():
@@ -91,6 +96,72 @@ def test_certificate_round_trip_all_kinds():
     assert serialize.certificate_from_obj(serialize.certificate_to_obj(b3_cert)) == b3_cert
     with pytest.raises(Exception):
         serialize.certificate_from_obj({"kind": "mystery", "prime": None, "detail": []})
+
+
+def test_parse_sum_expression_equals_pairwise_fold():
+    rng = random.Random(1018)
+    texts = ["S4 # CP2", "CP2 # S4 # CP2bar", "CP2 # S4", "0 CP2 # S4", "2 S4 # 0 CP2 # S2xS2"]
+    for _ in range(200):
+        terms = [(rng.choice(CATALOG), rng.choice(("", "0 ", "1 ", "2 ", "3 "))) for _ in range(4)]
+        texts.append(" # ".join(count + name for name, count in terms[: rng.randint(1, 4)]))
+    for text in texts:
+        pieces = []
+        for term in text.split("#"):
+            *count, name = term.split()
+            pieces += [standard(name)] * (int(count[0]) if count else 1)
+        if not pieces:
+            with pytest.raises(DescriptorError):
+                serialize.parse_sum_expression(text)
+            continue
+        expected = reduce(connected_sum_pair_reference, pieces)
+        parsed = serialize.parse_sum_expression(text)
+        assert manifold_fields(parsed) == manifold_fields(expected), text
+
+
+def test_form_rank_cap():
+    cap = serialize.MAX_FORM_RANK
+    assert serialize.parse_sum_expression(f"{cap // 2} S2xS2").rank == cap
+    # counted before any summand is repeated, so a huge count costs nothing
+    for text in (f"{cap + 1} CP2", f"{cap} CP2 # CP2bar", "1000000000000 S4", "9" * 5000 + " CP2"):
+        with pytest.raises(DescriptorError, match="limit|range"):
+            serialize.parse_sum_expression(text)
+    with pytest.raises(DescriptorError, match="matrix"):
+        serialize.manifold_from_obj({"matrix": [[]] * (cap + 1), "w2": []})
+
+
+def test_witness_and_certificate_decoding_is_strict():
+    ok = {"matrix": [[1]], "preserves_c1": True}
+    assert serialize.witness_from_obj(ok).preserves_c1 is True
+    for field, obj in (
+        ("preserves_c1", {"matrix": [[1]], "preserves_c1": "no"}),
+        ("preserves_c1", {"matrix": [[1]], "preserves_c1": 1}),
+        ("preserves_c1", {"matrix": [[1]]}),
+        ("matrix", {"matrix": [[1.0]], "preserves_c1": True}),
+        ("matrix", {"matrix": [[True]], "preserves_c1": True}),
+        ("matrix", {"matrix": [["1"]], "preserves_c1": True}),
+        ("matrix", {"matrix": 1, "preserves_c1": True}),
+        ("matrix", {"matrix": [[1, 0], [0]], "preserves_c1": True}),
+        ("determinant", {"matrix": [[2]], "preserves_c1": True}),
+        ("witness", [[1]]),
+    ):
+        with pytest.raises(DescriptorError, match=field):
+            serialize.witness_from_obj(obj)
+    for field, obj in (
+        ("prime", {"kind": "fingerprint", "prime": "3", "detail": [[], []]}),
+        ("prime", {"kind": "fingerprint", "prime": 3.0, "detail": [[], []]}),
+        ("prime", {"kind": "fingerprint", "prime": True, "detail": [[], []]}),
+        ("kind", {"kind": 5, "prime": None, "detail": [1, 2]}),
+        ("kind", {"kind": "mystery", "prime": None, "detail": []}),
+        ("kind", {"prime": None, "detail": [1, 2]}),
+        ("detail", {"kind": "rank", "prime": None, "detail": [1, "2"]}),
+        ("detail", {"kind": "b3", "prime": None, "detail": 0}),
+        ("detail", {"kind": "fingerprint", "prime": 2, "detail": [[[0, 1, 0.5]], []]}),
+        ("detail", {"kind": "fingerprint", "prime": 2, "detail": [[0, 1, 0]]}),
+        ("detail", {"kind": "rank", "prime": None}),
+        ("certificate", "rank"),
+    ):
+        with pytest.raises(DescriptorError, match=field):
+            serialize.certificate_from_obj(obj)
 
 
 def test_system_descriptor_shapes():
