@@ -27,19 +27,16 @@ from .lattice import (
     IntersectionForm,
     direct_sum,
     is_characteristic,
-    is_characteristic_exhaustive,
     is_unimodular,
     signature,
 )
 from .sixfold import (
-    CohClass2,
     InvariantSystem,
     blowup_point,
     cp3bar_system,
     euler_characteristic,
     make_system,
     projectivize,
-    sum_with_s6,
     twist_witness,
 )
 from .transitions import TransitionResult, conifold_transition, local_model_system
@@ -47,7 +44,6 @@ from .transitions import TransitionResult, conifold_transition, local_model_syst
 __version__ = "0.1.0"
 
 __all__ = [
-    "CohClass2",
     "DescriptorError",
     "DistinctnessCertificate",
     "FourManifold",
@@ -71,7 +67,6 @@ __all__ = [
     "fingerprint",
     "has_even_w2_cubic",
     "is_characteristic",
-    "is_characteristic_exhaustive",
     "is_unimodular",
     "local_model_system",
     "make_system",
@@ -79,7 +74,6 @@ __all__ = [
     "projectivize",
     "signature",
     "standard",
-    "sum_with_s6",
     "transport_system",
     "trivial_bundle",
     "twist",

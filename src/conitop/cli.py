@@ -53,11 +53,7 @@ STEP_BUDGET_ENV = "CONITOP_STEP_BUDGET"
 def _run_invariants(
     base: FourManifold, bundle: RankTwoBundle, blowups: int
 ) -> tuple[dict, int]:
-    if blowups < 0:
-        raise ValidationError(f"blowups must be nonnegative, got {blowups}")
-    system = projectivize(base, bundle)
-    for _ in range(blowups):
-        system = blowup_point(system)
+    system = serialize.blown_up_projectivization(base, bundle, blowups)
     report = {
         "schema": serialize.REPORT_SCHEMA,
         "command": "invariants",

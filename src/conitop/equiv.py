@@ -80,7 +80,7 @@ def spiral_entries(bound: int) -> tuple[int, ...]:
 def verify_witness(
     s1: InvariantSystem, s2: InvariantSystem, matrix, check_c1: bool = False
 ) -> bool:
-    """Exact transport check for a candidate witness matrix."""
+    """Exact transport check; b3, det, p1, w2 and c1 come before the C(r+2, 3) mu triples."""
     if s1.rank != s2.rank:
         raise ValidationError("systems have different ranks")
     rows = tuple(tuple(int(v) for v in row) for row in matrix)
@@ -94,17 +94,16 @@ def verify_witness(
     if determinant(rows) not in (1, -1):
         return False
     cols = transpose(rows)
-    for i, j, k in triple_indices(r):
-        if s2.mu_eval(cols[i], cols[j], cols[k]) != s1.mu_value(i, j, k):
-            return False
-    for i in range(r):
-        if dot(s2.p1, cols[i]) != s1.p1[i]:
-            return False
+    if any(dot(s2.p1, cols[i]) != s1.p1[i] for i in range(r)):
+        return False
     if vec_mod2(matvec(rows, s1.w2)) != s2.w2:
         return False
     if check_c1 and matvec(rows, s1.c1_class) != s2.c1_class:
         return False
-    return True
+    return all(
+        s2.mu_eval(cols[i], cols[j], cols[k]) == s1.mu_value(i, j, k)
+        for i, j, k in triple_indices(r)
+    )
 
 
 def _c1_transported(s1: InvariantSystem, s2: InvariantSystem, rows: Mat) -> bool:
@@ -149,16 +148,9 @@ class _WitnessSearch:
 
     def finish(self, cols: list[Vec]) -> IsomorphismWitness | None:
         rows = transpose(tuple(cols))
-        if determinant(rows) not in (1, -1):
-            return None
-        if vec_mod2(matvec(rows, self.s1.w2)) != self.s2.w2:
-            return None
-        c1_ok = _c1_transported(self.s1, self.s2, rows)
-        if self.check_c1 and not c1_ok:
-            return None
         if not verify_witness(self.s1, self.s2, rows, self.check_c1):
             return None
-        return IsomorphismWitness(rows, c1_ok)
+        return IsomorphismWitness(rows, _c1_transported(self.s1, self.s2, rows))
 
     def complete_from(self, cols: list[Vec]) -> IsomorphismWitness | None:
         """Depth-first completion of a partial column assignment."""

@@ -7,6 +7,8 @@ computation.  Matrices are tuples of row tuples.
 
 from __future__ import annotations
 
+from operator import mul
+
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
@@ -19,10 +21,6 @@ def as_matrix(rows) -> Mat:
     return tuple(tuple(int(v) for v in row) for row in rows)
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def transpose(m: Mat) -> Mat:
     if not m:
         return ()
@@ -30,24 +28,11 @@ def transpose(m: Mat) -> Mat:
 
 
 def matvec(m: Mat, v: Vec) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def dot(u: Vec, v: Vec) -> int:
-    return sum(x * y for x, y in zip(u, v))
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_scale(c: int, v: Vec) -> Vec:
-    return tuple(c * x for x in v)
+    return sum(map(mul, u, v))
 
 
 def vec_mod2(v: Vec) -> Vec:

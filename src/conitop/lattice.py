@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .intmat import Mat, Vec, as_matrix, as_vector
-
-MAX_EXHAUSTIVE_RANK = 20
+from .intmat import Mat, Vec, as_matrix, as_vector, dot, matvec
 
 
 @dataclass(frozen=True)
@@ -43,30 +41,20 @@ class IntersectionForm:
                         f"form matrix is not symmetric at ({i},{j})"
                     )
 
-    @classmethod
-    def from_rows(cls, rows) -> "IntersectionForm":
-        return cls(as_matrix(rows))
-
     @property
     def rank(self) -> int:
         return len(self.matrix)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.matrix[i][j]
-
-    def diagonal(self) -> Vec:
-        return tuple(self.matrix[i][i] for i in range(self.rank))
-
     def matvec(self, x: Vec) -> Vec:
         if len(x) != self.rank:
             raise ValidationError("vector length does not match form rank")
-        return tuple(sum(row[j] * x[j] for j in range(self.rank)) for row in self.matrix)
+        return matvec(self.matrix, x)
 
     def evaluate(self, x: Vec, y: Vec) -> int:
         """Pairing x^T Q y."""
         if len(x) != self.rank or len(y) != self.rank:
             raise ValidationError("vector length does not match form rank")
-        return sum(x[i] * v for i, v in enumerate(self.matvec(y)))
+        return dot(x, matvec(self.matrix, y))
 
 
 def _quotient(x, num, den):
@@ -167,39 +155,16 @@ def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
     return IntersectionForm(tuple(rows))
 
 
-def _check_mod2_vector(w, rank: int) -> Vec:
-    w = as_vector(w)
-    if len(w) != rank:
-        raise ValidationError("w2 length does not match form rank")
-    if any(v not in (0, 1) for v in w):
-        raise ValidationError("w2 entries must be 0 or 1")
-    return w
-
-
 def is_characteristic(w, q: IntersectionForm) -> bool:
     """Wu condition: x.Q.x = w.Q.x (mod 2) for all x.
 
     Uses the closed form diag(Q) = Q.w (mod 2), which is equivalent because
     x.Q.x = sum_i Q[i][i] x_i (mod 2).
     """
-    w = _check_mod2_vector(w, q.rank)
+    w = as_vector(w)
+    if len(w) != q.rank:
+        raise ValidationError("w2 length does not match form rank")
+    if any(v not in (0, 1) for v in w):
+        raise ValidationError("w2 entries must be 0 or 1")
     qw = q.matvec(w)
     return all((q.matrix[i][i] - qw[i]) % 2 == 0 for i in range(q.rank))
-
-
-def is_characteristic_exhaustive(w, q: IntersectionForm) -> bool:
-    """Wu condition checked by running over all 2^rank mod-2 vectors.
-
-    Independent of :func:`is_characteristic`; kept as a cross-check oracle.
-    Refuses ranks above MAX_EXHAUSTIVE_RANK.
-    """
-    w = _check_mod2_vector(w, q.rank)
-    if q.rank > MAX_EXHAUSTIVE_RANK:
-        raise ValidationError(
-            f"exhaustive characteristic check limited to rank {MAX_EXHAUSTIVE_RANK}"
-        )
-    for bits in range(2 ** q.rank):
-        x = tuple((bits >> i) & 1 for i in range(q.rank))
-        if (q.evaluate(x, x) - q.evaluate(w, x)) % 2 != 0:
-            return False
-    return True

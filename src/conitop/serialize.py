@@ -21,7 +21,9 @@ from .transitions import conifold_transition, local_model_system
 SCHEMA = "conitop/1"
 REPORT_SCHEMA = "conitop-report/1"
 # The largest intersection form a manifold descriptor may describe, checked
-# before any form is built; it also caps the summand count of a sum expression.
+# before any form is built; it also caps the summand count of a sum expression
+# and, with the base rank, the number of blowups (so every system has rank at
+# most MAX_FORM_RANK + 1).
 MAX_FORM_RANK = 256
 
 
@@ -215,6 +217,21 @@ def system_from_obj(obj: dict) -> InvariantSystem:
         raise DescriptorError(str(exc)) from exc
 
 
+def blown_up_projectivization(
+    base: FourManifold, e: RankTwoBundle, blowups: int
+) -> InvariantSystem:
+    """The sphere bundle of ``e`` blown up at ``blowups`` points, count checked first."""
+    if not 0 <= blowups <= MAX_FORM_RANK - base.rank:
+        raise DescriptorError(
+            f"blowups must be between 0 and {MAX_FORM_RANK - base.rank}"
+            f" (base rank + blowups at most {MAX_FORM_RANK}), got {blowups}"
+        )
+    s = projectivize(base, e)
+    for _ in range(blowups):
+        s = blowup_point(s)
+    return s
+
+
 def system_from_descriptor(doc: dict) -> InvariantSystem:
     """Build a system from any of the accepted descriptor shapes.
 
@@ -231,13 +248,9 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
         inner = doc["projectivize"]
         base = manifold_from_descriptor(inner.get("base"))
         e = bundle_from_obj(base, inner)
-        s = projectivize(base, e)
-        blowups = _json_value(doc.get("blowups", 0), int, "blowups")
-        if blowups < 0:
-            raise DescriptorError(f"blowups must be nonnegative, got {blowups}")
-        for _ in range(blowups):
-            s = blowup_point(s)
-        return s
+        return blown_up_projectivization(
+            base, e, _json_value(doc.get("blowups", 0), int, "blowups")
+        )
     if "local_model" in doc:
         return local_model_system(_json_value(doc["local_model"], int, "local_model"))
     if "transition" in doc:

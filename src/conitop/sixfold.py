@@ -19,32 +19,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
-from .bundle import RankTwoBundle, c1_squared
+from .bundle import RankTwoBundle
 from .errors import ValidationError
-from .fourfold import FourManifold
-from .intmat import Mat, Vec, as_vector, vec_mod2
-from .lattice import signature
+from .fourfold import FourManifold, p1_number
+from .intmat import Mat, Vec, as_vector, dot, vec_mod2
 
 
 def triple_indices(rank: int) -> tuple[tuple[int, int, int], ...]:
     """All index triples i <= j <= k, in lexicographic order."""
     return tuple(combinations_with_replacement(range(rank), 3))
-
-
-@dataclass(frozen=True)
-class CohClass2:
-    """A degree-two cohomology class, as coordinates in a system's basis."""
-
-    coords: Vec
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", as_vector(self.coords))
-
-
-def _coords(x) -> Vec:
-    if isinstance(x, CohClass2):
-        return x.coords
-    return as_vector(x)
 
 
 MuEntries = tuple[tuple[tuple[int, int, int], int], ...]
@@ -82,7 +65,9 @@ class InvariantSystem:
         r = self.rank
         previous = None
         for ijk, v in self.mu:
-            if len(ijk) != 3 or not 0 <= ijk[0] <= ijk[1] <= ijk[2] < r:
+            if len(ijk) != 3 or any(type(i) is not int for i in ijk):
+                raise ValidationError(f"mu triple {ijk!r} is not three integers")
+            if not 0 <= ijk[0] <= ijk[1] <= ijk[2] < r:
                 raise ValidationError(f"mu triple {ijk} is not sorted and in range for rank {r}")
             if previous is not None and ijk <= previous:
                 raise ValidationError(f"mu triple {ijk} is duplicated or out of order")
@@ -124,8 +109,8 @@ class InvariantSystem:
             raise ValidationError("vector length does not match system rank")
 
     def mu_eval(self, x, y, z) -> int:
-        """Trilinear evaluation on coordinate vectors or :class:`CohClass2`."""
-        x, y, z = _coords(x), _coords(y), _coords(z)
+        """Trilinear evaluation on coordinate vectors."""
+        x, y, z = as_vector(x), as_vector(y), as_vector(z)
         self._check_length(x, y, z)
         total = 0
         for (i, j, k), v in self._mu_terms.items():
@@ -134,7 +119,7 @@ class InvariantSystem:
 
     def mu_contract(self, v) -> list[list[int]]:
         """The matrix M with M[p][q] = sum_k mu(p, q, k) v[k]."""
-        v = _coords(v)
+        v = as_vector(v)
         self._check_length(v)
         m = [[0] * self.rank for _ in range(self.rank)]
         for (p, q, k), value in self._mu_terms.items():
@@ -146,21 +131,7 @@ class InvariantSystem:
         return self.mu_eval(x, x, x)
 
     def p1_pairing(self, x) -> int:
-        x = _coords(x)
-        return sum(a * b for a, b in zip(self.p1, x))
-
-    def basis_class(self, label: str) -> CohClass2:
-        """The basis vector carrying the given label, as a class."""
-        if label not in self.basis_labels:
-            raise ValidationError(f"no basis slot labeled {label!r}")
-        pos = self.basis_labels.index(label)
-        return CohClass2(tuple(1 if i == pos else 0 for i in range(self.rank)))
-
-    def c1_as_class(self) -> CohClass2:
-        """The reference first Chern class; errors when absent."""
-        if self.c1_class is None:
-            raise ValidationError("system carries no reference c1 class")
-        return CohClass2(self.c1_class)
+        return dot(self.p1, as_vector(x))
 
 
 def make_system(
@@ -175,17 +146,23 @@ def make_system(
 ) -> InvariantSystem:
     """Build a system from mu entries given as {triple: value} or (triple, value) pairs.
 
-    Triples may come in any index order; zero values are dropped.  Raises
-    :class:`ValidationError` for a triple out of range and for two values
-    given for the same triple.
+    Triples may come in any index order; zero values are dropped.  Indices
+    and values must be ``int``: nothing is converted.  Raises
+    :class:`ValidationError` for a triple that is not three integers in
+    range, for a value that is not an integer, and for two values given for
+    the same triple.
     """
     pairs = entries.items() if isinstance(entries, dict) else entries
     table: dict[tuple[int, int, int], int] = {}
     for ijk, v in pairs:
-        key = tuple(sorted(int(i) for i in ijk))
-        if len(key) != 3 or key[0] < 0 or key[2] >= rank:
-            raise ValidationError(f"mu triple {tuple(ijk)} out of range for rank {rank}")
-        v = int(v)
+        ijk = tuple(ijk)
+        if len(ijk) != 3 or any(type(i) is not int for i in ijk):
+            raise ValidationError(f"mu triple {ijk!r} is not three integers")
+        key = tuple(sorted(ijk))
+        if key[0] < 0 or key[2] >= rank:
+            raise ValidationError(f"mu triple {ijk} out of range for rank {rank}")
+        if type(v) is not int:
+            raise ValidationError(f"mu value {v!r} at {ijk} is not an integer")
         if table.get(key, v) != v:
             raise ValidationError(f"conflicting mu values for triple {key}")
         table[key] = v
@@ -221,20 +198,19 @@ def projectivize(base: FourManifold, e: RankTwoBundle) -> InvariantSystem:
     q = base.form
     r = base.rank
     qc1 = q.matvec(e.c1)
-    entries: dict[tuple[int, int, int], int] = {(0, 0, 0): c1_squared(e) - e.c2}
-    for i in range(r):
-        entries[(0, 0, i + 1)] = -qc1[i]
-        for j in range(i, r):
-            entries[(0, i + 1, j + 1)] = q.entry(i, j)
-    p1 = (3 * signature(q) + c1_squared(e) - 4 * e.c2,) + (0,) * r
+    c1c1 = dot(e.c1, qc1)
+    # emitted in canonical order: (0,0,0), then every (0,0,i), then (0,i,j), i <= j
+    mu = [((0, 0, 0), c1c1 - e.c2)]
+    mu += [((0, 0, i + 1), -v) for i, v in enumerate(qc1)]
+    mu += [((0, i + 1, j + 1), row[j]) for i, row in enumerate(q.matrix) for j in range(i, r)]
+    p1 = (p1_number(base) + c1c1 - 4 * e.c2,) + (0,) * r
     w2 = (0,) + tuple((a + b) % 2 for a, b in zip(base.w2, e.c1))
     c1_class = None
     if base.c1_tangent is not None:
         c1_class = (2,) + tuple(a + b for a, b in zip(base.c1_tangent, e.c1))
     labels = ("a",) + tuple(f"y{i + 1}" for i in range(r))
-    return make_system(
-        r + 1, entries, p1, w2, 0, c1_class, labels, classifiable=base.simply_connected
-    )
+    mu = tuple(entry for entry in mu if entry[1])
+    return InvariantSystem(r + 1, mu, p1, w2, 0, c1_class, labels, base.simply_connected)
 
 
 def euler_characteristic(s: InvariantSystem) -> int:
@@ -304,11 +280,6 @@ def blowup_point(s: InvariantSystem) -> InvariantSystem:
         labels,
         classifiable=s.classifiable,
     )
-
-
-def sum_with_s6(s: InvariantSystem) -> InvariantSystem:
-    """Connected sum with the 6-sphere changes nothing."""
-    return s
 
 
 def twist_witness(base: FourManifold, e: RankTwoBundle, l) -> Mat:

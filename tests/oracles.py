@@ -17,11 +17,13 @@ from conitop import (
     FourManifold,
     IntersectionForm,
     RankTwoBundle,
+    ValidationError,
     connected_sum,
     make_system,
     signature,
     standard,
 )
+from conitop.intmat import transpose
 from conitop.sixfold import triple_indices
 
 CATALOG = ("S4", "CP2", "CP2bar", "S2xS2")
@@ -105,11 +107,36 @@ def connected_sum_pair_reference(n1: FourManifold, n2: FourManifold) -> FourMani
     rows += [[0] * r1 + list(row) for row in n2.form.matrix]
     return FourManifold(
         label,
-        IntersectionForm.from_rows(rows),
+        IntersectionForm(rows),
         n1.w2 + n2.w2,
         c1,
         n1.simply_connected and n2.simply_connected,
     )
+
+
+def matmul(a, b):
+    """Product of two integer matrices given as row tuples."""
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+MAX_EXHAUSTIVE_RANK = 20
+
+
+def is_characteristic_exhaustive(w, q: IntersectionForm) -> bool:
+    """Wu condition checked by running over all 2^rank mod-2 vectors.
+
+    Independent of ``is_characteristic``'s closed form; refuses ranks above
+    MAX_EXHAUSTIVE_RANK.
+    """
+    if q.rank > MAX_EXHAUSTIVE_RANK:
+        raise ValidationError(
+            f"exhaustive characteristic check limited to rank {MAX_EXHAUSTIVE_RANK}"
+        )
+    for x in mod2_vectors(q.rank):
+        if (q.evaluate(x, x) - q.evaluate(w, x)) % 2 != 0:
+            return False
+    return True
 
 
 def manifold_fields(n: FourManifold) -> tuple:

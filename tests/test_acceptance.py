@@ -20,7 +20,6 @@ from conitop import (
     find_isomorphism,
     fingerprint,
     is_characteristic,
-    is_characteristic_exhaustive,
     local_model_system,
     projectivize,
     signature,
@@ -37,6 +36,7 @@ from conitop.intmat import matvec
 from conitop.sixfold import triple_indices
 
 from oracles import (
+    is_characteristic_exhaustive,
     random_bundle,
     random_catalog_sum,
     random_symmetric_rows,

@@ -70,7 +70,7 @@ def test_parse_input_sum_expression(capsys):
     assert code == EXIT_OK
     base = serialize.manifold_from_obj(report["inputs"]["base"])
     assert base.rank == 4
-    assert base.form.diagonal() == (1, -1, -1, -1)
+    assert tuple(row[i] for i, row in enumerate(base.form.matrix)) == (1, -1, -1, -1)
 
 
 def test_parse_input_explicit_manifold_with_bad_w2(tmp_path, capsys):
@@ -346,6 +346,25 @@ def test_main_rejects_negative_blowups(tmp_path, capsys):
     code = main(["compare", "--left", left, "--right", left])
     assert code == EXIT_INPUT
     assert "blowups" in capsys.readouterr().err
+
+
+def test_main_caps_blowups(tmp_path, capsys):
+    # base rank + blowups is capped at MAX_FORM_RANK, so systems stop at rank 257
+    cap = serialize.MAX_FORM_RANK - 1
+    code, report, _ = json_report(capsys, ["invariants", "--base", "CP2", "--blowups", str(cap)])
+    assert code == EXIT_OK and report["result"]["system"]["rank"] == serialize.MAX_FORM_RANK + 1
+    above_argv = ["invariants", "--base", "CP2", "--blowups", str(cap + 1)]
+    assert_input_error_naming(capsys, above_argv, "blowups")
+    small = write_system_file(tmp_path, "small.json", {"projectivize": {"base": "CP2"}})
+    at_cap = write_system_file(
+        tmp_path, "at_cap.json", {"projectivize": {"base": "CP2"}, "blowups": cap}
+    )
+    above = write_system_file(
+        tmp_path, "above.json", {"projectivize": {"base": "CP2"}, "blowups": cap + 1}
+    )
+    code, report, _ = json_report(capsys, ["compare", "--left", at_cap, "--right", small])
+    assert code == EXIT_OK and report["result"]["certificate"]["kind"] == "rank"
+    assert_input_error_naming(capsys, ["compare", "--left", above, "--right", small], "blowups")
 
 
 def test_main_budget_exceeded(tmp_path, capsys, monkeypatch):

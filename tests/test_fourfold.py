@@ -121,8 +121,8 @@ def test_connected_sum_commutative_associative_up_to_permutation():
 
 def test_n_ary_connected_sum_equals_pairwise_fold():
     # summands without a c1 lift, and not simply connected, beside the catalog
-    no_c1 = FourManifold("E", IntersectionForm.from_rows([[1]]), (1,))
-    hyperbolic = IntersectionForm.from_rows([[0, 1], [1, 0]])
+    no_c1 = FourManifold("E", IntersectionForm([[1]]), (1,))
+    hyperbolic = IntersectionForm([[0, 1], [1, 0]])
     not_sc = FourManifold("X", hyperbolic, (0, 0), (2, 2), simply_connected=False)
     pool = [standard(name) for name in ("S4", "CP2", "CP2bar", "S2xS2")] + [no_c1, not_sc]
     s4, cp2, bar = standard("S4"), standard("CP2"), standard("CP2bar")
@@ -143,13 +143,13 @@ def test_n_ary_connected_sum_equals_pairwise_fold():
 
 def test_validation_rejects_bad_data():
     with pytest.raises(ValidationError):
-        FourManifold("bad", IntersectionForm.from_rows([[2]]), (0,))
+        FourManifold("bad", IntersectionForm([[2]]), (0,))
     with pytest.raises(ValidationError):
-        FourManifold("bad", IntersectionForm.from_rows([[1]]), (0,))
+        FourManifold("bad", IntersectionForm([[1]]), (0,))
     with pytest.raises(ValidationError):
-        FourManifold("bad", IntersectionForm.from_rows([[1]]), (1,), (2,))
+        FourManifold("bad", IntersectionForm([[1]]), (1,), (2,))
     with pytest.raises(ValidationError):
-        FourManifold("bad", IntersectionForm.from_rows([[1]]), (1,), (1, 1))
+        FourManifold("bad", IntersectionForm([[1]]), (1,), (1, 1))
 
 
 def test_every_catalog_manifold_validates():

@@ -12,7 +12,6 @@ from conitop import (
     make_system,
     projectivize,
     standard,
-    sum_with_s6,
     transport_system,
     trivial_bundle,
     twist,
@@ -114,17 +113,14 @@ def test_mu_accessor_fully_symmetric():
 def test_labeled_classes():
     cp2 = standard("CP2")
     s = projectivize(cp2, RankTwoBundle(cp2, (1,), 0))
-    a = s.basis_class("a")
-    y = s.basis_class("y1")
+    assert s.basis_labels == ("a", "y1")
+    a, y = (1, 0), (0, 1)
     assert s.cubic(a) == 1
     assert s.mu_eval(a, a, y) == -1
     assert s.p1_pairing(a) == 4
-    assert s.c1_as_class().coords == (2, 4)
-    with pytest.raises(ValidationError):
-        s.basis_class("nope")
+    assert s.c1_class == (2, 4)
     stripped = make_system(1, {(0, 0, 0): 0}, p1=(0,), w2=(0,))
-    with pytest.raises(ValidationError):
-        stripped.c1_as_class()
+    assert stripped.c1_class is None
 
 
 def test_euler_characteristic():
@@ -215,15 +211,6 @@ def test_blowup_without_c1_class_propagates_absence():
     assert blowup_point(s).c1_class is None
 
 
-def test_sum_with_s6_identity():
-    cp2 = standard("CP2")
-    s = projectivize(cp2, RankTwoBundle(cp2, (1,), 0))
-    t = sum_with_s6(s)
-    assert t == s
-    assert t.rank == s.rank
-    assert t.mu == s.mu
-
-
 def test_make_system_validation():
     with pytest.raises(ValidationError):
         make_system(1, {(0, 0, 0): 1}, p1=(0, 0), w2=(0,))
@@ -245,6 +232,27 @@ def test_make_system_stores_canonical_nonzero_entries():
     assert s.mu_items()[0] == ((0, 0, 0), -1) and len(s.mu_items()) == 10
     b = blowup_point(s)
     assert b.mu == s.mu + (((3, 3, 3), -1),)
+
+
+def test_make_system_rejects_non_integer_entries():
+    good = make_system(2, {(1, 0, 0): 2}, p1=(0, 0), w2=(0, 0))
+    assert good.mu == (((0, 0, 1), 2),)
+    bad_entries = [
+        {(0, 0, 0): 1.5},
+        {(0, 0, 0): True},
+        {(0, 0, 0): "1"},
+        {(0, 0, 0): 0.0},
+        {(0, 0, 1.0): 1},
+        {(0, True, 1): 1},
+        {(0, "0", 1): 1},
+        [(("0", 0, 0), 1)],
+    ]
+    for entries in bad_entries:
+        with pytest.raises(ValidationError):
+            make_system(2, entries, p1=(0, 0), w2=(0, 0))
+    for mu in ((((0, 0, 1.0), 2),), (((0, False, 1), 2),), (((0, 0, "1"), 2),)):
+        with pytest.raises(ValidationError, match="three integers"):
+            InvariantSystem(2, mu, (0, 0), (0, 0), 0)
 
 
 def test_invariant_system_rejects_non_canonical_mu():
