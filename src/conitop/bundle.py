@@ -22,8 +22,9 @@ class RankTwoBundle:
     c2: int
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", as_vector(self.c1))
-        object.__setattr__(self, "c2", int(self.c2))
+        object.__setattr__(self, "c1", as_vector(self.c1, "bundle c1"))
+        if type(self.c2) is not int:
+            raise ValidationError(f"bundle c2 {self.c2!r} is not an integer")
         if len(self.c1) != self.base.rank:
             raise ValidationError("bundle c1 length does not match base rank")
 

@@ -10,11 +10,16 @@ Commands
 Exit codes are a stable contract: 0 success (including a decided compare),
 1 parse/validation failure, 2 inconclusive compare, 3 step budget exceeded,
 4 verification-suite failure.
+
+``compare --stats`` writes the witness search's counters (see
+:class:`conitop.equiv.SearchStats`) to stderr as one JSON line, after the
+report; stdout is the same with or without it.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -23,6 +28,7 @@ from .bundle import RankTwoBundle, trivial_bundle, twist
 from .equiv import (
     DEFAULT_BOUND,
     DEFAULT_PRIMES,
+    SearchStats,
     certify_distinct,
     find_isomorphism,
     verify_witness,
@@ -99,6 +105,7 @@ def _run_compare(
     primes: tuple[int, ...],
     check_c1: bool,
     step_budget: int | None,
+    stats: SearchStats | None,
 ) -> tuple[dict, int]:
     certificate = certify_distinct(left, right, primes)
     witness = None
@@ -106,7 +113,7 @@ def _run_compare(
     if certificate is not None:
         verdict = "distinct"
     else:
-        witness = find_isomorphism(left, right, bound, check_c1, step_budget=step_budget)
+        witness = find_isomorphism(left, right, bound, check_c1, step_budget, stats)
         if witness is not None:
             verdict = "isomorphic"
     # verdicts identify diffeomorphism classes only under the declared
@@ -425,6 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     p_cmp.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES))
     p_cmp.add_argument("--check-c1", action="store_true")
+    p_cmp.add_argument(
+        "--stats", action="store_true", help="write search counters to stderr as one JSON line"
+    )
     add_format(p_cmp)
 
     p_ver = sub.add_parser("verify-paper", help="run the built-in verification suite")
@@ -432,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_command(args) -> tuple[dict, int]:
+def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
     step_budget = _env_step_budget()
     if args.command == "invariants":
         return _run_invariants(*_base_and_bundle(args), args.blowups)
@@ -442,14 +452,15 @@ def _run_command(args) -> tuple[dict, int]:
         left = serialize.system_from_descriptor(_read_json(args.left))
         right = serialize.system_from_descriptor(_read_json(args.right))
         primes = _parse_int_list(args.primes, "--primes")
-        return _run_compare(left, right, args.bound, primes, args.check_c1, step_budget)
+        return _run_compare(left, right, args.bound, primes, args.check_c1, step_budget, stats)
     return _run_verify(step_budget)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stats = SearchStats() if getattr(args, "stats", False) else None
     try:
-        report, code = _run_command(args)
+        report, code = _run_command(args, stats)
     except SearchBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -457,6 +468,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     sys.stdout.write(render_report(report, args.format))
+    if stats is not None:
+        print(json.dumps({"search": stats.to_obj()}, sort_keys=True), file=sys.stderr)
     return code
 
 

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, count, product, repeat
+from operator import mul
 
 from .errors import SearchBudgetError, ValidationError
 from .intmat import (
     Mat,
     Vec,
+    as_matrix,
     determinant,
     dot,
     inverse_unimodular,
@@ -53,9 +55,7 @@ class IsomorphismWitness:
     preserves_c1: bool = False
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "matrix", tuple(tuple(int(v) for v in row) for row in self.matrix)
-        )
+        object.__setattr__(self, "matrix", as_matrix(self.matrix, "witness matrix"))
         if determinant(self.matrix) not in (1, -1):
             raise ValidationError("witness matrix must have determinant +-1")
 
@@ -83,7 +83,7 @@ def verify_witness(
     """Exact transport check; b3, det, p1, w2 and c1 come before the C(r+2, 3) mu triples."""
     if s1.rank != s2.rank:
         raise ValidationError("systems have different ranks")
-    rows = tuple(tuple(int(v) for v in row) for row in matrix)
+    rows = as_matrix(matrix, "witness matrix")
     r = s1.rank
     if len(rows) != r or any(len(row) != r for row in rows):
         raise ValidationError("witness matrix shape does not match rank")
@@ -112,39 +112,129 @@ def _c1_transported(s1: InvariantSystem, s2: InvariantSystem, rows: Mat) -> bool
     return matvec(rows, s1.c1_class) == s2.c1_class
 
 
-class _WitnessSearch:
-    """Column-by-column enumeration with pruning.
+@dataclass
+class SearchStats:
+    """Work counters of the witness searches it is passed to, summed.
 
-    Columns are chosen left to right; within a column, entries range over
-    :func:`spiral_entries` with row 0 most significant.  The first fully
-    verified matrix in this order wins, which makes the result reproducible.
+    ``nodes`` counts the partial column sets visited, the empty one and full
+    matrices included.  ``column_tests`` counts raw candidate columns,
+    (2 bound + 1)^rank at each node short of a full matrix.  Each raw
+    candidate is pruned for the first reason it fails, in the order the
+    search checks them (``table``, ``mod2``, ``triple``; see
+    :class:`_WitnessSearch`), or becomes a node, so that
+    column_tests = table + mod2 + triple + nodes - searches.
     """
 
-    def __init__(self, s1: InvariantSystem, s2: InvariantSystem, bound: int, check_c1: bool):
+    nodes: int = 0
+    column_tests: int = 0
+    pruned_table: int = 0
+    pruned_mod2: int = 0
+    pruned_triple: int = 0
+
+    def to_obj(self) -> dict:
+        pruned = dict(table=self.pruned_table, mod2=self.pruned_mod2, triple=self.pruned_triple)
+        return {"nodes": self.nodes, "column_tests": self.column_tests, "pruned": pruned}
+
+
+class _WitnessSearch:
+    """Column-by-column depth-first enumeration over per-column candidate tables.
+
+    Columns are chosen left to right; within a column, candidates come in
+    product order over :func:`spiral_entries` with row 0 most significant.
+    The first fully verified matrix in this order wins, which makes the
+    result reproducible.  A candidate v for column c must pass, in order:
+
+    * table: p1_2 . v = p1_1[c] and mu2(v, v, v) = mu1(c, c, c).  Both depend
+      on c alone, so each column's survivors are listed once, and only as
+      far as the search reads them (columns with equal p1 and cubic values
+      share a list), each with w_v = mu2(v, v, .) and its mod-2 bitmask;
+    * mod2: v is independent mod 2 of the columns already chosen, checked
+      against an XOR basis of them;
+    * triple: w_v . col_i = mu1(i, c, c) for i < c, and
+      u_ij . v = mu1(i, j, c) for i <= j < c, with u_ij = mu2(col_i, col_j, .)
+      computed once, when column j is chosen.
+
+    The table and triple tests are the conditions mu2(col_i, col_j, col_c) =
+    mu1(i, j, c) for i <= j <= c and the p1 condition of column c, all of
+    which a witness meets.  A determinant +-1 matrix is invertible over F_2,
+    so its columns are independent mod 2.  No prune removes a witness, and
+    the first witness found is the first in the enumeration order;
+    :meth:`finish` still checks every full matrix with :func:`verify_witness`.
+    """
+
+    def __init__(
+        self,
+        s1: InvariantSystem,
+        s2: InvariantSystem,
+        bound: int,
+        check_c1: bool,
+        stats: SearchStats,
+    ):
         self.s1 = s1
         self.s2 = s2
         self.r = s1.rank
         self.check_c1 = check_c1
         self.entries = spiral_entries(bound)
+        self.raw = len(self.entries) ** self.r
+        self.stats = stats
+        self.tables = {}
+        # mu2(e_p, e_q, .) as (k, value) pairs for each nonzero (p, q)
+        slices = {}
+        for (p, q, k), v in s2.mu_terms.items():
+            slices.setdefault(p, {}).setdefault(q, []).append((k, v))
+        self.slices = tuple(tuple(slices.get(p, {}).items()) for p in range(self.r))
 
-    def column_ok(self, c: int, v: Vec, cols: list[Vec]) -> bool:
-        """Prune: cubic/p1 of the new column and every mu triple it completes."""
-        if dot(self.s2.p1, v) != self.s1.p1[c]:
-            return False
-        m = self.s2.mu_contract(v)
-        stack = cols + [v]
-        for i in range(c + 1):
-            ci = stack[i]
-            for j in range(i, c + 1):
-                cj = stack[j]
-                val = 0
-                for p, cip in enumerate(ci):
-                    if cip:
-                        row = m[p]
-                        val += cip * sum(cj[q] * row[q] for q in range(self.r) if cj[q])
-                if val != self.s1.mu_value(i, j, c):
-                    return False
-        return True
+    def contract(self, x: Vec, y: Vec) -> list[int]:
+        """The vector u with u[k] = mu2(x, y, e_k)."""
+        u = [0] * self.r
+        for xp, row in zip(x, self.slices):
+            if xp:
+                for q, terms in row:
+                    if y[q]:
+                        f = xp * y[q]
+                        for k, v in terms:
+                            u[k] += f * v
+        return u
+
+    def table(self, c: int):
+        """Column c's survivors in raw order, as (raw place, v, w_v, v mod 2 as a bitmask).
+
+        Columns with equal p1 and cubic values share one list.  It is filled
+        only as far as the search has read it, so a witness found early in a
+        column pays for little of it.
+        """
+        key = (self.s1.p1[c], self.s1.mu_value(c, c, c))
+        if key not in self.tables:
+            self.tables[key] = ([], self.survivors(*key))
+        done, source = self.tables[key]
+        return done if source is None else self.reading(key)
+
+    def reading(self, key):
+        """Iterate a shared list, filling it from its source as needed."""
+        done, source = self.tables[key]
+        for i in count():
+            if i == len(done):
+                item = next(source, None)
+                if item is None:
+                    self.tables[key] = (done, None)
+                    return
+                done.append(item)
+            yield done[i]
+
+    def survivors(self, p1: int, cubic: int):
+        # the last entry is the least significant: given the others, the p1
+        # test leaves only the entries whose p1 term makes up the rest
+        *head_p1, last_p1 = self.s2.p1
+        n = len(self.entries)
+        lasts = {}
+        for place, t in enumerate(self.entries):
+            lasts.setdefault(last_p1 * t, []).append((place, t))
+        for h, head in enumerate(product(self.entries, repeat=self.r - 1)):
+            for place, t in lasts.get(p1 - dot(head_p1, head), ()):
+                v = head + (t,)
+                w = self.contract(v, v)
+                if dot(w, v) == cubic:
+                    yield h * n + place, v, w, sum(1 << i for i, x in enumerate(v) if x & 1)
 
     def finish(self, cols: list[Vec]) -> IsomorphismWitness | None:
         rows = transpose(tuple(cols))
@@ -152,17 +242,51 @@ class _WitnessSearch:
             return None
         return IsomorphismWitness(rows, _c1_transported(self.s1, self.s2, rows))
 
-    def complete_from(self, cols: list[Vec]) -> IsomorphismWitness | None:
-        """Depth-first completion of a partial column assignment."""
+    def complete_from(
+        self, cols: list[Vec], pairs: list, basis: list
+    ) -> IsomorphismWitness | None:
+        """Depth-first completion of a partial column assignment.
+
+        ``pairs`` holds (i, j, u_ij) for i <= j < len(cols), and ``basis`` the
+        chosen columns mod 2 as (pivot bit, bitmask) pairs, each bitmask clear
+        at the pivots before it.
+        """
+        stats = self.stats
+        stats.nodes += 1
         c = len(cols)
         if c == self.r:
             return self.finish(cols)
-        for v in product(self.entries, repeat=self.r):
-            if self.column_ok(c, v, cols):
-                found = self.complete_from(cols + [v])
-                if found is not None:
-                    return found
-        return None
+        mu1 = self.s1.mu_value
+        quad = [(col, mu1(i, c, c)) for i, col in enumerate(cols)]
+        lin = [(u, mu1(i, j, c)) for i, j, u in pairs]
+        tested = self.raw
+        mod2 = triple = children = 0
+        found = None
+        for place, v, w, m in self.table(c):
+            for pivot, b in basis:
+                if m & pivot:
+                    m ^= b
+            if not m:
+                mod2 += 1
+                continue
+            if any(sum(map(mul, u, v)) != t for u, t in lin) or any(
+                sum(map(mul, w, col)) != t for col, t in quad
+            ):
+                triple += 1
+                continue
+            children += 1
+            new = [(i, c, self.contract(col, v)) for i, col in enumerate(cols)]
+            found = self.complete_from(
+                cols + [v], pairs + new + [(c, c, w)], basis + [(m & -m, m)]
+            )
+            if found is not None:
+                tested = place + 1
+                break
+        stats.column_tests += tested
+        stats.pruned_table += tested - mod2 - triple - children
+        stats.pruned_mod2 += mod2
+        stats.pruned_triple += triple
+        return found
 
 
 def find_isomorphism(
@@ -171,13 +295,17 @@ def find_isomorphism(
     bound: int = DEFAULT_BOUND,
     check_c1: bool = False,
     step_budget: int | None = None,
+    stats: SearchStats | None = None,
 ) -> IsomorphismWitness | None:
     """Exhaustive bounded search for a witness; None is NOT a distinctness proof.
 
     Returns the first verified witness in the fixed enumeration order, or
     None when the bounded space holds no witness (or the ranks / third Betti
     numbers already disagree).  Refuses to start when the raw candidate count
-    (2 bound + 1)^(rank^2) exceeds the step budget.
+    (2 bound + 1)^(rank^2) exceeds the step budget.  The search (see
+    :class:`_WitnessSearch`) prunes only matrices that are no witness, so
+    the result is that of testing every matrix in order.  When ``stats`` is
+    given, the search adds its counters to it.
     """
     if bound < 1:
         raise ValidationError("search bound must be at least 1")
@@ -196,7 +324,8 @@ def find_isomorphism(
         raise SearchBudgetError(
             f"search space {space} exceeds step budget {budget}"
         )
-    return _WitnessSearch(s1, s2, bound, check_c1).complete_from([])
+    search = _WitnessSearch(s1, s2, bound, check_c1, SearchStats() if stats is None else stats)
+    return search.complete_from([], [], [])
 
 
 def _w2_square_parities(s: InvariantSystem) -> tuple[int, ...]:
@@ -232,8 +361,8 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
     turn.  With the prefix x fixed and the coordinates j, j' >= k still free,
     a node carries mu(x,x,x), the contractions L[j] = mu(x,x,e_j) and
     Q[j][j'] = mu(x,e_j,e_j'), and the running p1 and w2 sums; fixing
-    x_k = t updates them from the slice mu(e_k,.,.) (see
-    :meth:`InvariantSystem.mu_contract`) in O(r^2).  With one coordinate e
+    x_k = t updates them from the slice mu(e_k,.,.) in O(r^2); the slices
+    are filled in one pass over :attr:`InvariantSystem.mu_terms`.  With one coordinate e
     left free, the cubic is a + 3 L t + 3 Q t^2 + mu(e,e,e) t^3 in x_e = t,
     so a leaf is the state (a, L, Q, p1 sum, w2 sum) reduced mod p and
     mod 2.  Equal leaves are counted once, and each distinct leaf adds its p
@@ -259,10 +388,9 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
         return ((0, 0, 0),)
     d = _w2_square_parities(s)
     # slices[k][i][j] = mu(e_i, e_j, e_k) mod p
-    slices = [
-        [[v % p for v in row] for row in s.mu_contract(tuple(int(i == k) for i in range(r)))]
-        for k in range(r)
-    ]
+    slices = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for (i, j, k), v in s.mu_terms.items():
+        slices[k][i][j] = v % p
     last = r - 1
     leaves = []
 
@@ -353,7 +481,7 @@ def transport_system(s: InvariantSystem, matrix) -> InvariantSystem:
     Produces the unique system for which ``matrix`` is a witness from ``s``;
     the workhorse behind fingerprint-invariance and soundness tests.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in matrix)
+    rows = as_matrix(matrix, "transport matrix")
     r = s.rank
     if len(rows) != r or any(len(row) != r for row in rows):
         raise ValidationError("transport matrix shape does not match rank")

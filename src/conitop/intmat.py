@@ -9,16 +9,23 @@ from __future__ import annotations
 
 from operator import mul
 
+from .errors import ValidationError
+
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
 
-def as_vector(values) -> Vec:
-    return tuple(int(v) for v in values)
+def as_vector(values, field: str = "vector") -> Vec:
+    """``values`` as a tuple; an entry that is not an ``int`` (a bool, a float) is refused."""
+    out = tuple(values)
+    if not set(map(type, out)) <= {int}:
+        bad = next(v for v in out if type(v) is not int)
+        raise ValidationError(f"{field} entry {bad!r} is not an integer")
+    return out
 
 
-def as_matrix(rows) -> Mat:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+def as_matrix(rows, field: str = "matrix") -> Mat:
+    return tuple(as_vector(row, field) for row in rows)
 
 
 def transpose(m: Mat) -> Mat:

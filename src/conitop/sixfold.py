@@ -54,10 +54,10 @@ class InvariantSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple((tuple(ijk), v) for ijk, v in self.mu))
-        object.__setattr__(self, "p1", as_vector(self.p1))
-        object.__setattr__(self, "w2", as_vector(self.w2))
+        object.__setattr__(self, "p1", as_vector(self.p1, "p1"))
+        object.__setattr__(self, "w2", as_vector(self.w2, "w2"))
         if self.c1_class is not None:
-            object.__setattr__(self, "c1_class", as_vector(self.c1_class))
+            object.__setattr__(self, "c1_class", as_vector(self.c1_class, "c1_class"))
         if not self.basis_labels:
             object.__setattr__(
                 self, "basis_labels", tuple(f"e{i + 1}" for i in range(self.rank))
@@ -89,7 +89,7 @@ class InvariantSystem:
     # -- trilinear form access ----------------------------------------------
 
     @cached_property
-    def _mu_terms(self) -> dict[tuple[int, int, int], int]:
+    def mu_terms(self) -> dict[tuple[int, int, int], int]:
         """Every distinct ordering of every nonzero triple, with its value."""
         return {
             ordering: v for ijk, v in self.mu for ordering in permutations(ijk)
@@ -97,11 +97,11 @@ class InvariantSystem:
 
     def mu_value(self, i: int, j: int, k: int) -> int:
         """Fully symmetric accessor: indices may come in any order."""
-        return self._mu_terms.get((i, j, k), 0)
+        return self.mu_terms.get((i, j, k), 0)
 
     def mu_items(self) -> MuEntries:
         """Every triple in :func:`triple_indices` order, zeros included."""
-        terms = self._mu_terms
+        terms = self.mu_terms
         return tuple((ijk, terms.get(ijk, 0)) for ijk in triple_indices(self.rank))
 
     def _check_length(self, *vectors: Vec) -> None:
@@ -113,7 +113,7 @@ class InvariantSystem:
         x, y, z = as_vector(x), as_vector(y), as_vector(z)
         self._check_length(x, y, z)
         total = 0
-        for (i, j, k), v in self._mu_terms.items():
+        for (i, j, k), v in self.mu_terms.items():
             total += v * x[i] * y[j] * z[k]
         return total
 
@@ -122,7 +122,7 @@ class InvariantSystem:
         v = as_vector(v)
         self._check_length(v)
         m = [[0] * self.rank for _ in range(self.rank)]
-        for (p, q, k), value in self._mu_terms.items():
+        for (p, q, k), value in self.mu_terms.items():
             if v[k]:
                 m[p][q] += value * v[k]
         return m

@@ -16,14 +16,17 @@ from itertools import product
 from conitop import (
     FourManifold,
     IntersectionForm,
+    IsomorphismWitness,
     RankTwoBundle,
     ValidationError,
     connected_sum,
     make_system,
     signature,
     standard,
+    verify_witness,
 )
-from conitop.intmat import transpose
+from conitop.equiv import spiral_entries
+from conitop.intmat import dot, matvec, transpose
 from conitop.sixfold import triple_indices
 
 CATALOG = ("S4", "CP2", "CP2bar", "S2xS2")
@@ -341,3 +344,58 @@ def fingerprint_reference(s, p: int):
             for x in product(range(p), repeat=s.rank)
         )
     )
+
+
+# -- the witness search before per-column candidate tables --------------------
+
+
+def find_isomorphism_reference(s1, s2, bound: int, check_c1: bool = False):
+    """``find_isomorphism`` as it was before candidate tables, without its budget.
+
+    Tests every raw column in the same enumeration order: the p1 pairing,
+    then every triple (i, j, c) it completes, each rebuilt from
+    ``mu_contract``; a full matrix must pass ``verify_witness``.
+    """
+    if s1.rank != s2.rank or s1.b3 != s2.b3:
+        return None
+    r = s1.rank
+    both_c1 = s1.c1_class is not None and s2.c1_class is not None
+    if r == 0:
+        return IsomorphismWitness((), preserves_c1=both_c1)
+    entries = spiral_entries(bound)
+
+    def column_ok(c, v, cols):
+        if dot(s2.p1, v) != s1.p1[c]:
+            return False
+        m = s2.mu_contract(v)
+        stack = cols + [v]
+        for i in range(c + 1):
+            ci = stack[i]
+            for j in range(i, c + 1):
+                cj = stack[j]
+                val = 0
+                for p, cip in enumerate(ci):
+                    if cip:
+                        row = m[p]
+                        val += cip * sum(cj[q] * row[q] for q in range(r) if cj[q])
+                if val != s1.mu_value(i, j, c):
+                    return False
+        return True
+
+    def complete_from(cols):
+        c = len(cols)
+        if c == r:
+            rows = transpose(tuple(cols))
+            if not verify_witness(s1, s2, rows, check_c1):
+                return None
+            return IsomorphismWitness(
+                rows, both_c1 and matvec(rows, s1.c1_class) == s2.c1_class
+            )
+        for v in product(entries, repeat=r):
+            if column_ok(c, v, cols):
+                found = complete_from(cols + [v])
+                if found is not None:
+                    return found
+        return None
+
+    return complete_from([])

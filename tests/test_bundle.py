@@ -99,6 +99,15 @@ def test_dimension_mismatch():
         twist(trivial_bundle(cp2), (1, 2))
 
 
+def test_bundle_rejects_non_integer_chern_data():
+    # RankTwoBundle(CP2, (1.7,), 0.9) was the bundle with c1 (1,), c2 0
+    cp2 = standard("CP2")
+    for c1, c2 in (((1.7,), 0), ((1,), 0.9), ((True,), 0), ((1,), False)):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            RankTwoBundle(cp2, c1, c2)
+    assert RankTwoBundle(cp2, [1], -2).c1 == (1,)
+
+
 def test_trivial_bundle():
     s4 = standard("S4")
     e = trivial_bundle(s4)

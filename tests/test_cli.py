@@ -388,6 +388,33 @@ def test_step_budget_env_override(tmp_path, capsys, monkeypatch):
     assert code == EXIT_INPUT
 
 
+def test_compare_stats_pin_the_s2xs2_sides_search(tmp_path, capsys, monkeypatch):
+    # the transition sides over S2xS2 at bound 2: no witness.  Fingerprints are
+    # switched off so that the search runs; it once took 1.18 M column tests
+    left = write_system_file(tmp_path, "l.json", {"transition": {"base": "S2xS2"}, "side": "z1"})
+    right = write_system_file(tmp_path, "r.json", {"transition": {"base": "S2xS2"}, "side": "z2"})
+    monkeypatch.setenv("CONITOP_STEP_BUDGET", str(10**12))
+    argv = ["compare", "--left", left, "--right", right, "--bound", "2", "--primes", ""]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(argv + ["--stats"]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "search": {
+            "nodes": 571,
+            "column_tests": 356875,
+            "pruned": {"table": 322044, "mod2": 24301, "triple": 9960},
+        }
+    }
+    # a compare that a certificate decides searches nothing
+    assert main(["compare", "--left", left, "--right", right, "--stats"]) == EXIT_OK
+    stats = json.loads(capsys.readouterr().err)["search"]
+    assert stats["nodes"] == stats["column_tests"] == 0
+
+
 def test_verify_paper_passes(capsys):
     code = main(["verify-paper"])
     out = capsys.readouterr().out

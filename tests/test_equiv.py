@@ -24,9 +24,10 @@ from conitop import (
     verify_witness,
 )
 from conitop import equiv
-from conitop.equiv import SUPPORTED_PRIMES, spiral_entries
+from conitop.equiv import SUPPORTED_PRIMES, SearchStats, spiral_entries
 
 from oracles import (
+    find_isomorphism_reference,
     fingerprint_reference,
     has_even_w2_cubic_exhaustive,
     random_bundle,
@@ -89,6 +90,21 @@ def test_verify_witness_rejects_non_unimodular_and_bad_shape():
 def test_witness_type_requires_unimodular_matrix():
     with pytest.raises(ValidationError):
         IsomorphismWitness(((2, 0), (0, 1)))
+
+
+def test_witness_matrix_entries_must_be_integers():
+    # verify_witness(s, s, [[1.5]]) was True, and IsomorphismWitness([[True]])
+    # stored ((1,),)
+    s = make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(0,))
+    for matrix in ([[1.5]], [[True]], [[1.0]]):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            verify_witness(s, s, matrix)
+        with pytest.raises(ValidationError, match="is not an integer"):
+            IsomorphismWitness(matrix)
+        with pytest.raises(ValidationError, match="is not an integer"):
+            transport_system(s, matrix)
+    assert verify_witness(s, s, [[1]])
+    assert IsomorphismWitness([[-1]]).matrix == ((-1,),)
 
 
 def test_find_isomorphism_self_is_identity_for_rigid_system():
@@ -482,3 +498,70 @@ def test_mutual_exclusion_window():
         cert = certify_distinct(s1, s2)
         witness = find_isomorphism(s1, s2, bound=2)
         assert not (cert is not None and witness is not None)
+
+
+def _search_source(rng, rank):
+    """A system with a c1 lift: a sphere bundle, or a blowup of one, of the given rank."""
+    if rank == 1:
+        cubic, p1, c1 = rng.choice((-2, -1, 1, 2)), rng.randint(-4, 4), 2 * rng.randint(-1, 1)
+        return make_system(1, {(0, 0, 0): cubic}, (p1,), (0,), 0, (c1,))
+    while True:
+        base = random_catalog_sum(rng, max_pieces=rank - 1)
+        if base.rank == rank - 1:
+            return projectivize(base, random_bundle(rng, base))
+        if base.rank == rank - 2:
+            return blowup_point(projectivize(base, random_bundle(rng, base)))
+
+
+def _moved_c1(rng, s):
+    """``s`` with its c1 lift moved so that no witness with c1 transport exists."""
+    while True:
+        c1 = tuple(a + 2 * rng.randint(-1, 1) for a in s.c1_class)
+        t = make_system(s.rank, dict(s.mu), s.p1, s.w2, s.b3, c1)
+        if t.cubic(c1) != s.cubic(s.c1_class) or t.p1_pairing(c1) != s.p1_pairing(s.c1_class):
+            return t
+
+
+def test_find_isomorphism_matches_reference_search():
+    # the pruned search returns what testing every raw column returned:
+    # hits made by a transport, misses made by a moved c1 lift, self-compares
+    rng = random.Random(4711)
+    outcomes = set()
+    for rank, bounds in {1: (1, 2, 3), 2: (1, 2, 3), 3: (1, 2), 4: (1,)}.items():
+        for bound in bounds:
+            for _ in range(6):
+                s = _search_source(rng, rank)
+                t = transport_system(s, random_unimodular(rng, rank, max_entry=bound))
+                for other in (s, t, _moved_c1(rng, t)):
+                    for check_c1 in (False, True):
+                        expected = find_isomorphism_reference(s, other, bound, check_c1)
+                        assert find_isomorphism(s, other, bound, check_c1) == expected
+                        outcomes.add((check_c1, expected is None))
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_find_isomorphism_matches_reference_on_s2xs2_sides():
+    base = standard("S2xS2")
+    t = conifold_transition(base, trivial_bundle(base))
+    assert find_isomorphism_reference(t.z1, t.z2, 2) is None
+    assert find_isomorphism(t.z1, t.z2, 2, step_budget=10**12) is None
+
+
+def test_search_stats_account_for_every_raw_column():
+    # each raw column at a node is pruned for one reason or becomes a node,
+    # on hits (which stop at the witness's place) and misses alike
+    m1 = local_model_system(1)
+    t = s4_transition()
+    cases = [(m1, bundle_side_system(), 3, True), (m1, m1, 2, False), (t.z1, t.z2, 3, False)]
+    total = SearchStats()
+    for s1, s2, bound, check_c1 in cases:
+        stats = SearchStats()
+        found = find_isomorphism(s1, s2, bound, check_c1, stats=stats)
+        assert found == find_isomorphism(s1, s2, bound, check_c1)
+        find_isomorphism(s1, s2, bound, check_c1, stats=total)
+        pruned = stats.pruned_table + stats.pruned_mod2 + stats.pruned_triple
+        assert stats.column_tests == pruned + stats.nodes - 1
+    assert total.column_tests == (
+        total.pruned_table + total.pruned_mod2 + total.pruned_triple + total.nodes - len(cases)
+    )
+    assert total.pruned_table and total.pruned_mod2 and total.pruned_triple

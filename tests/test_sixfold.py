@@ -255,6 +255,23 @@ def test_make_system_rejects_non_integer_entries():
             InvariantSystem(2, mu, (0, 0), (0, 0), 0)
 
 
+def test_invariant_system_rejects_coerced_p1_w2_c1():
+    # p1=(0.5,) was stored as (0,) and w2=(1.0,) as (1,)
+    bad = [
+        {"p1": (0.5,), "w2": (1,)},
+        {"p1": (0,), "w2": (1.0,)},
+        {"p1": (0,), "w2": (True,)},
+        {"p1": (False,), "w2": (0,)},
+        {"p1": (0,), "w2": (1,), "c1_class": (1.0,)},
+        {"p1": (0,), "w2": (1,), "c1_class": (True,)},
+    ]
+    for fields in bad:
+        with pytest.raises(ValidationError, match="is not an integer"):
+            make_system(1, {(0, 0, 0): 1}, **fields)
+    s = make_system(1, {(0, 0, 0): 1}, p1=(4,), w2=(1,), c1_class=(3,))
+    assert (s.p1, s.w2, s.c1_class) == ((4,), (1,), (3,))
+
+
 def test_invariant_system_rejects_non_canonical_mu():
     def build(mu):
         return InvariantSystem(2, mu, (0, 0), (0, 0), 0)
