@@ -8,21 +8,18 @@ pairing with the fundamental class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ValidationError
+from .errors import ValidationError, Value
 from .fourfold import FourManifold
 from .intmat import Vec, as_vector, vec_mod2
 
 
-@dataclass(frozen=True)
-class RankTwoBundle:
-    base: FourManifold
-    c1: Vec
-    c2: int
+class RankTwoBundle(Value):
+    fields = ("base", "c1", "c2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", as_vector(self.c1, "bundle c1"))
+    def __init__(self, base: FourManifold, c1: Vec, c2: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "c1", as_vector(c1, "bundle c1"))
+        object.__setattr__(self, "c2", c2)
         if type(self.c2) is not int:
             raise ValidationError(f"bundle c2 {self.c2!r} is not an integer")
         if len(self.c1) != self.base.rank:

@@ -397,9 +397,12 @@ def _env_step_budget() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise ValidationError(f"{STEP_BUDGET_ENV} must be an integer") from exc
+    if budget < 0:
+        raise ValidationError(f"{STEP_BUDGET_ENV} must not be negative, got {budget}")
+    return budget
 
 
 def build_parser() -> argparse.ArgumentParser:

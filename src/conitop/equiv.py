@@ -22,11 +22,10 @@ basis to coordinates in the second's, column ``i`` being the image of the
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, count, product, repeat
 from operator import mul
 
-from .errors import SearchBudgetError, ValidationError
+from .errors import SearchBudgetError, ValidationError, Value
 from .intmat import (
     Mat,
     Vec,
@@ -47,26 +46,28 @@ MAX_FINGERPRINT_RANK = 6
 DEFAULT_STEP_BUDGET = 10**9
 
 
-@dataclass(frozen=True)
-class IsomorphismWitness:
+class IsomorphismWitness(Value):
     """A verified basis change; constitutes a proof of isomorphism."""
 
-    matrix: Mat
-    preserves_c1: bool = False
+    fields = ("matrix", "preserves_c1")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, "witness matrix"))
+    def __init__(self, matrix: Mat, preserves_c1: bool = False):
+        object.__setattr__(self, "matrix", as_matrix(matrix, "witness matrix"))
+        object.__setattr__(self, "preserves_c1", preserves_c1)
         if determinant(self.matrix) not in (1, -1):
             raise ValidationError("witness matrix must have determinant +-1")
 
 
-@dataclass(frozen=True)
-class DistinctnessCertificate:
+class DistinctnessCertificate(Value):
     """A re-checkable reason two systems cannot be isomorphic."""
 
-    kind: str  # "rank" | "b3" | "fingerprint"
-    prime: int | None
-    detail: tuple
+    fields = ("kind", "prime", "detail")
+
+    def __init__(self, kind: str, prime: int | None, detail: tuple):
+        # kind is "rank", "b3" or "fingerprint"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "detail", detail)
 
 
 def spiral_entries(bound: int) -> tuple[int, ...]:
@@ -112,8 +113,7 @@ def _c1_transported(s1: InvariantSystem, s2: InvariantSystem, rows: Mat) -> bool
     return matvec(rows, s1.c1_class) == s2.c1_class
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Value):
     """Work counters of the witness searches it is passed to, summed.
 
     ``nodes`` counts the partial column sets visited, the empty one and full
@@ -122,14 +122,28 @@ class SearchStats:
     candidate is pruned for the first reason it fails, in the order the
     search checks them (``table``, ``mod2``, ``triple``; see
     :class:`_WitnessSearch`), or becomes a node, so that
-    column_tests = table + mod2 + triple + nodes - searches.
+    column_tests = table + mod2 + triple + nodes - searches.  Unlike the
+    other value types it is mutable, and so not hashable.
     """
 
-    nodes: int = 0
-    column_tests: int = 0
-    pruned_table: int = 0
-    pruned_mod2: int = 0
-    pruned_triple: int = 0
+    fields = ("nodes", "column_tests", "pruned_table", "pruned_mod2", "pruned_triple")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        nodes: int = 0,
+        column_tests: int = 0,
+        pruned_table: int = 0,
+        pruned_mod2: int = 0,
+        pruned_triple: int = 0,
+    ):
+        self.nodes = nodes
+        self.column_tests = column_tests
+        self.pruned_table = pruned_table
+        self.pruned_mod2 = pruned_mod2
+        self.pruned_triple = pruned_triple
 
     def to_obj(self) -> dict:
         pruned = dict(table=self.pruned_table, mod2=self.pruned_mod2, triple=self.pruned_triple)

@@ -13,31 +13,36 @@ document them rather than verify them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
-from .errors import ValidationError
+from .errors import ValidationError, Value
 from .intmat import Vec, as_vector, vec_mod2
 from .lattice import IntersectionForm, direct_sum, is_characteristic, is_unimodular, signature
 
 STANDARD_NAMES = ("S4", "CP2", "CP2bar", "S2xS2")
 
 
-@dataclass(frozen=True)
-class FourManifold:
+class FourManifold(Value):
     # simply_connected is a declared assumption, never verified: it is not
     # computable from the stored data, but the downstream classification
     # layer is only valid under it, so the flag rides along into outputs.
-    label: str
-    form: IntersectionForm
-    w2: Vec
-    c1_tangent: Vec | None = None
-    simply_connected: bool = True
+    fields = ("label", "form", "w2", "c1_tangent", "simply_connected")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w2", as_vector(self.w2))
-        if self.c1_tangent is not None:
-            object.__setattr__(self, "c1_tangent", as_vector(self.c1_tangent))
+    def __init__(
+        self,
+        label: str,
+        form: IntersectionForm,
+        w2: Vec,
+        c1_tangent: Vec | None = None,
+        simply_connected: bool = True,
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "w2", as_vector(w2))
+        if c1_tangent is not None:
+            c1_tangent = as_vector(c1_tangent)
+        object.__setattr__(self, "c1_tangent", c1_tangent)
+        object.__setattr__(self, "simply_connected", simply_connected)
         if not is_unimodular(self.form):
             raise ValidationError(
                 f"{self.label}: intersection form is not unimodular"

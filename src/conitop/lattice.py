@@ -9,27 +9,24 @@ part of the data; nothing here canonicalizes it.
 All arithmetic is exact.  :func:`signature` and :func:`determinant` (hence
 :func:`is_unimodular`) read one sparse Lagrange reduction, :func:`_reduce`,
 whose entries are Python ints until a quotient needs a
-``fractions.Fraction``; mod-2 work stays in integers.  Descriptors are capped
-at rank ``serialize.MAX_FORM_RANK`` before a form is built.
+``fractions.Fraction`` (imported only then, so start-up does not pay for
+it); mod-2 work stays in integers.  Descriptors are capped at rank
+``serialize.MAX_FORM_RANK`` before a form is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import ValidationError
+from .errors import ValidationError, Value
 from .intmat import Mat, Vec, as_matrix, as_vector, dot, matvec
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(Value):
     """Symmetric integer bilinear form; rank 0 is allowed."""
 
-    matrix: Mat
+    fields = ("matrix",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix))
+    def __init__(self, matrix: Mat):
+        object.__setattr__(self, "matrix", as_matrix(matrix))
         n = len(self.matrix)
         for row in self.matrix:
             if len(row) != n:
@@ -60,7 +57,11 @@ class IntersectionForm:
 def _quotient(x, num, den):
     """x - num/den, kept an int while the division is exact."""
     q, r = divmod(num, den)
-    return x - q if r == 0 else x - Fraction(num) / den
+    if r == 0:
+        return x - q
+    from fractions import Fraction
+
+    return x - Fraction(num) / den
 
 
 def _reduce(q: IntersectionForm) -> tuple[int, int, int]:

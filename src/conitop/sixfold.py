@@ -15,12 +15,11 @@ classes in base order.  Every formula below is stated in this basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
 from .bundle import RankTwoBundle
-from .errors import ValidationError
+from .errors import ValidationError, Value
 from .fourfold import FourManifold, p1_number
 from .intmat import Mat, Vec, as_vector, dot, vec_mod2
 
@@ -33,35 +32,41 @@ def triple_indices(rank: int) -> tuple[tuple[int, int, int], ...]:
 MuEntries = tuple[tuple[tuple[int, int, int], int], ...]
 
 
-@dataclass(frozen=True)
-class InvariantSystem:
+class InvariantSystem(Value):
     # classifiable records whether the classification hypotheses (simple
     # connectivity, torsion-free homology) were declared for everything this
     # system was built from; when False, equivalence verdicts are statements
     # about invariant systems only, not about diffeomorphism classes.
-    rank: int
-    # the nonzero entries ((i, j, k), value) of the cup-product form, with
-    # i <= j <= k, sorted by triple; absent triples are zero.  Kept in this
-    # one canonical form so that equality and hashing are structural; use
-    # make_system to build it from arbitrary entries.
-    mu: MuEntries
-    p1: Vec
-    w2: Vec
-    b3: int
-    c1_class: Vec | None = None
-    basis_labels: tuple[str, ...] = ()
-    classifiable: bool = True
+    #
+    # mu holds the nonzero entries ((i, j, k), value) of the cup-product
+    # form, with i <= j <= k, sorted by triple; absent triples are zero.  Kept
+    # in this one canonical form so that equality and hashing are structural;
+    # use make_system to build it from arbitrary entries.
+    fields = ("rank", "mu", "p1", "w2", "b3", "c1_class", "basis_labels", "classifiable")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", tuple((tuple(ijk), v) for ijk, v in self.mu))
-        object.__setattr__(self, "p1", as_vector(self.p1, "p1"))
-        object.__setattr__(self, "w2", as_vector(self.w2, "w2"))
-        if self.c1_class is not None:
-            object.__setattr__(self, "c1_class", as_vector(self.c1_class, "c1_class"))
-        if not self.basis_labels:
-            object.__setattr__(
-                self, "basis_labels", tuple(f"e{i + 1}" for i in range(self.rank))
-            )
+    def __init__(
+        self,
+        rank: int,
+        mu: MuEntries,
+        p1: Vec,
+        w2: Vec,
+        b3: int,
+        c1_class: Vec | None = None,
+        basis_labels: tuple[str, ...] = (),
+        classifiable: bool = True,
+    ):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "mu", tuple((tuple(ijk), v) for ijk, v in mu))
+        object.__setattr__(self, "p1", as_vector(p1, "p1"))
+        object.__setattr__(self, "w2", as_vector(w2, "w2"))
+        object.__setattr__(self, "b3", b3)
+        if c1_class is not None:
+            c1_class = as_vector(c1_class, "c1_class")
+        object.__setattr__(self, "c1_class", c1_class)
+        if not basis_labels:
+            basis_labels = tuple(f"e{i + 1}" for i in range(rank))
+        object.__setattr__(self, "basis_labels", basis_labels)
+        object.__setattr__(self, "classifiable", classifiable)
         r = self.rank
         previous = None
         for ijk, v in self.mu:

@@ -18,16 +18,13 @@ cross-check oracles for the constructors above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundle import RankTwoBundle
-from .errors import ValidationError
+from .errors import ValidationError, Value
 from .fourfold import FourManifold, connected_sum, standard
 from .sixfold import InvariantSystem, blowup_point, make_system, projectivize
 
 
-@dataclass(frozen=True)
-class TransitionResult:
+class TransitionResult(Value):
     """Both sides of a transition, with the transferred Chern data.
 
     ``z1``/``z2`` are the invariant systems of the two diffeomorphism types,
@@ -36,13 +33,25 @@ class TransitionResult:
     the orientation of the collapsed sphere swaps the types).
     """
 
-    z1: InvariantSystem
-    z2: InvariantSystem
-    e1: RankTwoBundle
-    e2: RankTwoBundle
-    base: FourManifold
-    bundle: RankTwoBundle
-    swapped: bool = False
+    fields = ("z1", "z2", "e1", "e2", "base", "bundle", "swapped")
+
+    def __init__(
+        self,
+        z1: InvariantSystem,
+        z2: InvariantSystem,
+        e1: RankTwoBundle,
+        e2: RankTwoBundle,
+        base: FourManifold,
+        bundle: RankTwoBundle,
+        swapped: bool = False,
+    ):
+        object.__setattr__(self, "z1", z1)
+        object.__setattr__(self, "z2", z2)
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "swapped", swapped)
 
 
 def conifold_transition(

@@ -388,6 +388,17 @@ def test_step_budget_env_override(tmp_path, capsys, monkeypatch):
     assert code == EXIT_INPUT
 
 
+def test_negative_step_budget_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("CONITOP_STEP_BUDGET", "-5")
+    assert main(["verify-paper"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "CONITOP_STEP_BUDGET" in err and "budget exceeded" not in err
+    # 0 is a valid budget: the first search of the suite is refused
+    monkeypatch.setenv("CONITOP_STEP_BUDGET", "0")
+    assert main(["verify-paper"]) == EXIT_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_compare_stats_pin_the_s2xs2_sides_search(tmp_path, capsys, monkeypatch):
     # the transition sides over S2xS2 at bound 2: no witness.  Fingerprints are
     # switched off so that the search runs; it once took 1.18 M column tests

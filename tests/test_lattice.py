@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from conitop import (
     signature,
 )
 from conitop import intmat
-from conitop.lattice import determinant
+from conitop.lattice import _quotient, determinant
 
 from oracles import (
     is_characteristic_exhaustive,
@@ -43,6 +44,16 @@ def test_signature_matches_eigen_oracle_exhaustively():
             for c in span:
                 rows = [[a, b], [b, c]]
                 assert signature(IntersectionForm(rows)) == signature_oracle_small(rows)
+
+
+def test_inexact_quotient_takes_the_fraction_branch():
+    # the pivot 2 leaves 2 - 1*1/2 = 3/2 in the other row; Fraction is imported there
+    q = IntersectionForm([[2, 1], [1, 2]])
+    assert signature(q) == 2 and determinant(q) == 3 and not is_unimodular(q)
+    assert _quotient(2, 1, 2) == Fraction(3, 2)
+    assert type(_quotient(2, 4, 2)) is int and _quotient(2, 4, 2) == 0
+    assert signature(IntersectionForm([[-2, 1], [1, -2]])) == -2
+    assert determinant(IntersectionForm([[3, 1, 1], [1, 3, 1], [1, 1, 3]])) == 20
 
 
 E8_ROWS = (
