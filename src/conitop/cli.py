@@ -176,8 +176,8 @@ def verification_suite(step_budget: int | None = None) -> list[dict]:
     m1 = local_model_system(1)
     m2 = local_model_system(2)
     passed = (
-        [v for _, v in m1.mu_items()] == [0, 1, -1, 0]
-        and [v for _, v in m2.mu_items()] == [0, 1, -1, 1]
+        m1.mu == (((0, 0, 1), 1), ((0, 1, 1), -1))
+        and m2.mu == (((0, 0, 1), 1), ((0, 1, 1), -1), ((1, 1, 1), 1))
         and m1.p1 == (0, 0)
         and m2.p1 == (0, 4)
         and m1.w2 == m2.w2 == (0, 0)

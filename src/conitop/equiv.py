@@ -22,7 +22,7 @@ basis to coordinates in the second's, column ``i`` being the image of the
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, count, product, repeat
+from itertools import count, product
 from operator import mul
 
 from .errors import SearchBudgetError, ValidationError, Value
@@ -54,6 +54,8 @@ class IsomorphismWitness(Value):
     def __init__(self, matrix: Mat, preserves_c1: bool = False):
         object.__setattr__(self, "matrix", as_matrix(matrix, "witness matrix"))
         object.__setattr__(self, "preserves_c1", preserves_c1)
+        if type(preserves_c1) is not bool:
+            raise ValidationError(f"preserves_c1 must be a bool, got {preserves_c1!r}")
         if determinant(self.matrix) not in (1, -1):
             raise ValidationError("witness matrix must have determinant +-1")
 
@@ -363,13 +365,14 @@ def has_even_w2_cubic(s: InvariantSystem) -> bool:
     return not any(_w2_square_parities(s))
 
 
-def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
-    """Sorted multiset of (cubic, p1 pairing, w2 pairing mod 2) over F_p points.
+def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Histogram of (cubic, p1 pairing, w2 pairing mod 2) over F_p points.
 
-    Ranges over the canonical representatives x in {0..p-1}^rank and collects
-    (mu(x,x,x) mod p, p1.x mod p, mu(w,x,x) mod 2) with w the 0/1 lift of w2;
-    the last component only depends on x mod 2, so it is lift-independent,
-    and it is computed as a linear form (see :func:`_w2_square_parities`).
+    Counts, over the canonical representatives x in {0..p-1}^rank, the keys
+    (mu(x,x,x) mod p, p1.x mod p, mu(w,x,x) mod 2) with w the 0/1 lift of
+    w2; the last only depends on x mod 2, so it is lift-independent, and it
+    is a linear form (see :func:`_w2_square_parities`).  Returns the sorted
+    rows (cubic, p1, w2, count): at most 2 p^2, counts summing to p^rank.
 
     The points are visited by a depth-first walk that fixes x_0, x_1, ... in
     turn.  With the prefix x fixed and the coordinates j, j' >= k still free,
@@ -380,16 +383,15 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
     left free, the cubic is a + 3 L t + 3 Q t^2 + mu(e,e,e) t^3 in x_e = t,
     so a leaf is the state (a, L, Q, p1 sum, w2 sum) reduced mod p and
     mod 2.  Equal leaves are counted once, and each distinct leaf adds its p
-    points to a histogram of triples, which is expanded back into the sorted
-    tuple.  The cost is p^(r-1) leaves and O(r^2) work per interior node,
-    where evaluating the cubic directly costs O(nonzeros of mu) at each of
-    the p^r points.
+    points to the histogram.  The cost is p^(r-1) leaves and O(r^2) work
+    per interior node, where evaluating the cubic directly costs
+    O(nonzeros of mu) at each of the p^r points.
 
-    Any witness maps this multiset onto the other system's.  For odd p that
-    argument additionally needs the mod-2 component to vanish identically
-    (see :func:`has_even_w2_cubic`), which holds for all genuinely geometric
-    systems; :func:`certify_distinct` only trusts odd-p mismatches after
-    checking it.
+    Any witness maps points to points with equal keys, so isomorphic systems
+    have equal histograms.  For odd p that argument additionally needs the
+    mod-2 component to vanish identically (see :func:`has_even_w2_cubic`),
+    which holds for all genuinely geometric systems; :func:`certify_distinct`
+    only trusts odd-p mismatches after checking it.
     """
     if p not in SUPPORTED_PRIMES:
         raise ValidationError(f"fingerprint prime must be one of {SUPPORTED_PRIMES}")
@@ -399,7 +401,7 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
         )
     r = s.rank
     if r == 0:
-        return ((0, 0, 0),)
+        return ((0, 0, 0, 1),)
     d = _w2_square_parities(s)
     # slices[k][i][j] = mu(e_i, e_j, e_k) mod p
     slices = [[[0] * r for _ in range(r)] for _ in range(r)]
@@ -437,7 +439,7 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int], ...]:
         for t in range(p):
             c = cubic + 3 * t * l0 + 3 * t * t * q0 + t * t * t * diag
             hist[c % p, (p1 + p1_last * t) % p, (w2 + w2_last * t) % 2] += n
-    return tuple(chain.from_iterable(repeat(key, n) for key, n in sorted(hist.items())))
+    return tuple(key + (n,) for key, n in sorted(hist.items()))
 
 
 def certify_distinct(
@@ -447,7 +449,7 @@ def certify_distinct(
 
     None means inconclusive, never "isomorphic".  Fingerprints are skipped
     entirely above rank 6, and odd primes are skipped for systems without
-    the even w2-cubic property (where the odd-p multiset is not a sound
+    the even w2-cubic property (where the odd-p histogram is not a sound
     invariant).
     """
     if s1.rank != s2.rank:
@@ -470,23 +472,12 @@ def certify_distinct(
 def certificate_is_valid(
     cert: DistinctnessCertificate, s1: InvariantSystem, s2: InvariantSystem
 ) -> bool:
-    """Recompute the invariant named by a certificate and confirm it differs."""
-    if cert.kind == "rank":
-        return (s1.rank, s2.rank) == cert.detail and s1.rank != s2.rank
-    if cert.kind == "b3":
-        return (s1.b3, s2.b3) == cert.detail and s1.b3 != s2.b3
-    if cert.kind == "fingerprint":
-        # a prime or rank fingerprint cannot handle is no verdict either way
-        if cert.prime not in SUPPORTED_PRIMES or max(s1.rank, s2.rank) > MAX_FINGERPRINT_RANK:
-            return False
-        # an odd-p mismatch is only an invariant under the even w2 property,
-        # the same precondition certify_distinct checks
-        if cert.prime != 2 and not (has_even_w2_cubic(s1) and has_even_w2_cubic(s2)):
-            return False
-        f1 = fingerprint(s1, cert.prime)
-        f2 = fingerprint(s2, cert.prime)
-        return (f1, f2) == cert.detail and f1 != f2
-    return False
+    """Whether :func:`certify_distinct` at the certificate's prime alone returns it.
+
+    Its prime, rank and even-w2 rules thus decide validity too, kept in one place.
+    """
+    primes = (cert.prime,) if cert.prime in SUPPORTED_PRIMES else ()
+    return certify_distinct(s1, s2, primes) == cert
 
 
 def transport_system(s: InvariantSystem, matrix) -> InvariantSystem:

@@ -84,7 +84,7 @@ def inverse_unimodular(m: Mat) -> Mat:
     """Inverse of an integer matrix with determinant +-1 (stays integral)."""
     d = determinant(m)
     if d not in (1, -1):
-        raise ValueError(f"matrix has determinant {d}, expected +-1")
+        raise ValidationError(f"matrix has determinant {d}, expected +-1")
     n = len(m)
     if n == 0:
         return ()

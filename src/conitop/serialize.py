@@ -19,7 +19,7 @@ from .sixfold import InvariantSystem, blowup_point, make_system, projectivize
 from .transitions import conifold_transition, local_model_system
 
 SCHEMA = "conitop/1"
-REPORT_SCHEMA = "conitop-report/1"
+REPORT_SCHEMA = "conitop-report/2"
 # The largest intersection form a manifold descriptor may describe, checked
 # before any form is built; it also caps the summand count of a sum expression
 # and, with the base rank, the number of blowups (so every system has rank at

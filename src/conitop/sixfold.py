@@ -55,6 +55,9 @@ class InvariantSystem(Value):
         basis_labels: tuple[str, ...] = (),
         classifiable: bool = True,
     ):
+        for name, value in (("rank", rank), ("b3", b3)):
+            if type(value) is not int:
+                raise ValidationError(f"{name} {value!r} is not an integer")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "mu", tuple((tuple(ijk), v) for ijk, v in mu))
         object.__setattr__(self, "p1", as_vector(p1, "p1"))

@@ -10,6 +10,7 @@ other.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -337,13 +338,12 @@ def has_even_w2_cubic_exhaustive(s) -> bool:
 
 
 def fingerprint_reference(s, p: int):
-    """The fingerprint multiset with mu(w2, x, x) mod 2 as a full mu_eval."""
-    return tuple(
-        sorted(
-            (s.cubic(x) % p, s.p1_pairing(x) % p, s.mu_eval(s.w2, x, x) % 2)
-            for x in product(range(p), repeat=s.rank)
-        )
+    """The fingerprint histogram rows with mu(w2, x, x) mod 2 as a full mu_eval."""
+    hist = Counter(
+        (s.cubic(x) % p, s.p1_pairing(x) % p, s.mu_eval(s.w2, x, x) % 2)
+        for x in product(range(p), repeat=s.rank)
     )
+    return tuple(key + (n,) for key, n in sorted(hist.items()))
 
 
 # -- the witness search before per-column candidate tables --------------------

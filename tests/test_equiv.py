@@ -25,6 +25,8 @@ from conitop import (
 )
 from conitop import equiv
 from conitop.equiv import SUPPORTED_PRIMES, SearchStats, spiral_entries
+from conitop.intmat import inverse_unimodular
+from conitop.serialize import certificate_to_obj, json_canonical, parse_sum_expression
 
 from oracles import (
     find_isomorphism_reference,
@@ -105,6 +107,15 @@ def test_witness_matrix_entries_must_be_integers():
             transport_system(s, matrix)
     assert verify_witness(s, s, [[1]])
     assert IsomorphismWitness([[-1]]).matrix == ((-1,),)
+
+
+def test_transport_refuses_a_matrix_that_is_not_unimodular():
+    # inverse_unimodular raised a bare ValueError, outside the package's error type
+    s = make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(0,))
+    with pytest.raises(ValidationError, match="determinant 2"):
+        transport_system(s, ((2,),))
+    with pytest.raises(ValidationError, match="determinant 0"):
+        inverse_unimodular(((1, 1), (1, 1)))
 
 
 def test_find_isomorphism_self_is_identity_for_rigid_system():
@@ -190,7 +201,32 @@ def test_bad_bound():
 
 def test_fingerprint_rank_zero():
     s = make_system(0, {}, p1=(), w2=())
-    assert fingerprint(s, 5) == ((0, 0, 0),)
+    assert fingerprint(s, 5) == ((0, 0, 0, 1),)
+
+
+def test_fingerprint_is_a_sorted_histogram():
+    rng = random.Random(31)
+    for rank in range(7):
+        s = random_system(rng, rank)
+        for p in SUPPORTED_PRIMES:
+            rows = fingerprint(s, p)
+            keys = [row[:3] for row in rows]
+            assert all(len(row) == 4 and row[3] > 0 for row in rows)
+            assert sum(row[3] for row in rows) == p**rank
+            assert keys == sorted(set(keys))
+            assert len(rows) <= 2 * p * p
+
+
+def test_rank_six_certificate_is_a_few_rows():
+    # told apart at p = 5, where a side has at most 2 p^2 = 50 rows, not 5^6
+    base = parse_sum_expression("CP2 # 4 CP2bar")
+    s1 = projectivize(base, RankTwoBundle(base, (0,) * 5, 0))
+    s2 = projectivize(base, RankTwoBundle(base, (0,) * 5, 6))
+    cert = certify_distinct(s1, s2)
+    assert cert.kind == "fingerprint" and cert.prime == 5
+    assert all(len(side) <= 50 for side in cert.detail)
+    assert len(json_canonical(certificate_to_obj(cert))) < 4096
+    assert certificate_is_valid(cert, s1, s2)
 
 
 def test_fingerprint_guards():
@@ -326,6 +362,35 @@ def test_certificate_outside_fingerprint_window_is_invalid():
     b = make_system(7, {(0, 0, 0): 1}, p1=(0,) * 7, w2=(0,) * 7)
     too_big = DistinctnessCertificate("fingerprint", 2, ((), ()))
     assert certificate_is_valid(too_big, a, b) is False
+
+
+def test_certificate_is_valid_refuses_altered_certificates():
+    t = s4_transition()
+    cert = certify_distinct(t.z1, t.z2)
+    f1, f2 = cert.detail
+    assert certificate_is_valid(cert, t.z1, t.z2)
+    recounted = ((f1[0][:3] + (f1[0][3] + 1,),) + f1[1:], f2)
+    assert not certificate_is_valid(
+        DistinctnessCertificate("fingerprint", cert.prime, recounted), t.z1, t.z2
+    )
+    swapped = DistinctnessCertificate("fingerprint", cert.prime, (f2, f1))
+    assert not certificate_is_valid(swapped, t.z1, t.z2)
+    assert certificate_is_valid(swapped, t.z2, t.z1)
+    for p in SUPPORTED_PRIMES:
+        if p != cert.prime:
+            other = DistinctnessCertificate("fingerprint", p, cert.detail)
+            assert not certificate_is_valid(other, t.z1, t.z2)
+    # the ranks differ, so certify_distinct issues a rank certificate, never
+    # this one, although the b3 values differ too
+    a = make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(0,))
+    b = make_system(2, {}, p1=(0, 0), w2=(0, 0), b3=4)
+    assert not certificate_is_valid(DistinctnessCertificate("b3", None, (0, 4)), a, b)
+    # likewise a fingerprint certificate on systems whose b3 differs
+    c = make_system(1, {}, p1=(0,), w2=(0,), b3=2)
+    fp = DistinctnessCertificate("fingerprint", 2, (fingerprint(a, 2), fingerprint(c, 2)))
+    assert fp.detail[0] != fp.detail[1]
+    assert not certificate_is_valid(fp, a, c)
+    assert certify_distinct(a, c) == DistinctnessCertificate("b3", None, (0, 2))
 
 
 def test_certify_distinct_self_is_none():

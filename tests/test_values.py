@@ -195,6 +195,28 @@ def test_constructors_still_validate():
         IsomorphismWitness(((1.0,),))
 
 
+def test_invariant_system_rejects_non_integer_b3():
+    # b3=0.5 was stored, and b3="1" raised a raw TypeError from the b3 < 0 check
+    for b3 in (0.5, "1", True):
+        with pytest.raises(ValidationError, match="^b3 .* is not an integer"):
+            InvariantSystem(1, (), (0,), (0,), b3)
+
+
+def test_invariant_system_rejects_non_integer_rank():
+    # rank=True was stored as the rank of a one-element basis
+    for rank in (True, 1.0):
+        with pytest.raises(ValidationError, match="^rank .* is not an integer"):
+            InvariantSystem(rank, (), (0,), (0,), 0, None, ("a",))
+
+
+def test_witness_preserves_c1_must_be_a_bool():
+    # preserves_c1="no" was stored as given
+    for flag in ("no", 1, None):
+        with pytest.raises(ValidationError, match="preserves_c1"):
+            IsomorphismWitness(HYPERBOLIC, flag)
+    assert IsomorphismWitness(HYPERBOLIC, True).preserves_c1 is True
+
+
 def test_mu_terms_is_cached_on_the_instance():
     s = InvariantSystem(*SYSTEM_ARGS)
     terms = s.mu_terms
