@@ -66,7 +66,10 @@ class DistinctnessCertificate(Value):
     fields = ("kind", "prime", "detail")
 
     def __init__(self, kind: str, prime: int | None, detail: tuple):
-        # kind is "rank", "b3" or "fingerprint"
+        if kind not in ("rank", "b3", "fingerprint"):
+            raise ValidationError(f"unknown certificate kind {kind!r}")
+        if prime is not None and type(prime) is not int:
+            raise ValidationError(f"certificate prime {prime!r} is not an integer")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "detail", detail)
@@ -365,27 +368,31 @@ def has_even_w2_cubic(s: InvariantSystem) -> bool:
     return not any(_w2_square_parities(s))
 
 
+def _check_prime(p) -> None:
+    if type(p) is not int or p not in SUPPORTED_PRIMES:
+        raise ValidationError(f"fingerprint prime {p!r} is not one of {SUPPORTED_PRIMES}")
+
+
 def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], ...]:
     """Histogram of (cubic, p1 pairing, w2 pairing mod 2) over F_p points.
 
     Counts, over the canonical representatives x in {0..p-1}^rank, the keys
     (mu(x,x,x) mod p, p1.x mod p, mu(w,x,x) mod 2) with w the 0/1 lift of
     w2; the last only depends on x mod 2, so it is lift-independent, and it
-    is a linear form (see :func:`_w2_square_parities`).  Returns the sorted
-    rows (cubic, p1, w2, count): at most 2 p^2, counts summing to p^rank.
+    is the linear form d.x with d = :func:`_w2_square_parities`.  Returns the
+    sorted rows (cubic, p1, w2, count): at most 2 p^2, counts summing to
+    p^rank.  Each prime has its own method, all giving these same rows:
 
-    The points are visited by a depth-first walk that fixes x_0, x_1, ... in
-    turn.  With the prefix x fixed and the coordinates j, j' >= k still free,
-    a node carries mu(x,x,x), the contractions L[j] = mu(x,x,e_j) and
-    Q[j][j'] = mu(x,e_j,e_j'), and the running p1 and w2 sums; fixing
-    x_k = t updates them from the slice mu(e_k,.,.) in O(r^2); the slices
-    are filled in one pass over :attr:`InvariantSystem.mu_terms`.  With one coordinate e
-    left free, the cubic is a + 3 L t + 3 Q t^2 + mu(e,e,e) t^3 in x_e = t,
-    so a leaf is the state (a, L, Q, p1 sum, w2 sum) reduced mod p and
-    mod 2.  Equal leaves are counted once, and each distinct leaf adds its p
-    points to the histogram.  The cost is p^(r-1) leaves and O(r^2) work
-    per interior node, where evaluating the cubic directly costs
-    O(nonzeros of mu) at each of the p^r points.
+    * p = 2 (:func:`_fingerprint_mod2`): the cubic is a quadratic function on
+      F_2^r, and the 8 counts follow from 8 character sums, O(r^2) work;
+    * p = 3 (:func:`_fingerprint_mod3`): the cubic is the linear form
+      sum_i mu_iii x_i, so the histogram is a convolution of r tables, O(r);
+    * p = 5, 7 (:func:`_fingerprint_walk`): a depth-first walk over the points,
+      O(r^2) work per node.  When d = 0 it visits only the points whose first
+      nonzero coordinate is 1, (p^r - 1)/(p - 1) of them, and scales their
+      keys: lambda x has the key (lambda^3 c, lambda pi, 0).  When some d_i
+      is 1, the parity of the representative of lambda x_i is not that of
+      x_i, so the w2 key does not scale, and the walk visits every point.
 
     Any witness maps points to points with equal keys, so isomorphic systems
     have equal histograms.  For odd p that argument additionally needs the
@@ -393,53 +400,167 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
     which holds for all genuinely geometric systems; :func:`certify_distinct`
     only trusts odd-p mismatches after checking it.
     """
-    if p not in SUPPORTED_PRIMES:
-        raise ValidationError(f"fingerprint prime must be one of {SUPPORTED_PRIMES}")
+    _check_prime(p)
     if s.rank > MAX_FINGERPRINT_RANK:
         raise ValidationError(
             f"fingerprint enumeration limited to rank {MAX_FINGERPRINT_RANK}"
         )
-    r = s.rank
-    if r == 0:
+    if s.rank == 0:
         return ((0, 0, 0, 1),)
     d = _w2_square_parities(s)
+    if p == 2:
+        hist = _fingerprint_mod2(s, d)
+    elif p == 3:
+        hist = _fingerprint_mod3(s, d)
+    else:
+        hist = _fingerprint_walk(s, p, d)
+    return tuple(key + (n,) for key, n in sorted(hist.items()))
+
+
+def _sign_sum(rows: list[int], lin: int) -> int:
+    """The sum of (-1)^q(x) over F_2^r, q(x) = sum_{i<j} a_ij x_i x_j + lin . x.
+
+    ``rows[i]`` and ``lin`` are bitmasks, a_ij the bit j of ``rows[i]``
+    (symmetric, no diagonal).  Variables are summed out in order.  One that
+    meets no other gives 2, or 0 if it is in ``lin``.  One that meets some
+    x_j is summed out with it: if U and V are the affine forms x_i and x_j
+    meet, then sum_{a,b} (-1)^(ab + aU + bV) = 2 (-1)^(UV), and UV joins q.
+    """
+    rows = list(rows)
+    gone = sign = 0
+    total = 1
+    for i in range(len(rows)):
+        if gone >> i & 1:
+            continue
+        gone |= 1 << i
+        u = rows[i] & ~gone
+        if u:
+            j = (u & -u).bit_length() - 1
+            gone |= 1 << j
+            u &= ~gone
+            v = rows[j] & ~gone
+            bi, bj = lin >> i & 1, lin >> j & 1
+            sign ^= bi & bj
+            lin ^= (u & v) ^ (u if bj else 0) ^ (v if bi else 0)
+            for k in range(i + 1, len(rows)):
+                rows[k] ^= (v if u >> k & 1 else 0) ^ (u if v >> k & 1 else 0)
+        elif lin >> i & 1:
+            return 0
+        total *= 2
+    return -total if sign else total
+
+
+def _fingerprint_mod2(s: InvariantSystem, d: tuple[int, ...]) -> Counter:
+    """p = 2: mu(x,x,x) = sum_i mu_iii x_i + sum_{i<j} (mu_iij + mu_ijj) x_i x_j.
+
+    That is a quadratic function q on F_2^r; P = p1 . x and D = d . x are
+    linear.  The count of (c, pi, w) is 1/8 of the sum over a, b, g in F_2
+    of (-1)^(ac + b pi + gw) S(a, b, g), where S(a, b, g) is the sum of
+    (-1)^(a q + b P + g D) over F_2^r: 2^r or 0 when a = 0, and
+    :func:`_sign_sum` when a = 1.
+    """
+    r = s.rank
+    rows, lin = [0] * r, 0
+    for (i, j, k), v in s.mu:
+        if v & 1 and (i == j or j == k):
+            if i == k:
+                lin ^= 1 << i
+            else:
+                rows[i] ^= 1 << k
+                rows[k] ^= 1 << i
+    p1 = sum((v & 1) << i for i, v in enumerate(s.p1))
+    w2 = sum(v << i for i, v in enumerate(d))
+    hist = Counter()
+    for b, g in product((0, 1), repeat=2):
+        form = (p1 if b else 0) ^ (w2 if g else 0)
+        flat, signed = 0 if form else 1 << r, _sign_sum(rows, lin ^ form)
+        for c, pi, w in product((0, 1), repeat=3):
+            hist[c, pi, w] += (-1) ** (b * pi + g * w) * (flat - signed if c else flat + signed)
+    for key in hist:
+        hist[key] >>= 3
+    return +hist
+
+
+def _fingerprint_mod3(s: InvariantSystem, d: tuple[int, ...]) -> Counter:
+    """p = 3: mu(x,x,x) = sum_i mu_iii x_i (mod 3), since the cross terms carry 3 or 6.
+
+    With t^3 = t mod 3, coordinate i adds (mu_iii t, p1_i t, d_i t) to the
+    key, so the histogram is a convolution of r tables.
+    """
+    hist = Counter({(0, 0, 0): 1})
+    for i in range(s.rank):
+        a, b = s.mu_value(i, i, i), s.p1[i]
+        step = Counter()
+        for (c, q, w), n in hist.items():
+            for t in range(3):
+                step[(c + a * t) % 3, (q + b * t) % 3, (w + d[i] * t) % 2] += n
+        hist = step
+    return hist
+
+
+def _fingerprint_walk(s: InvariantSystem, p: int, d: tuple[int, ...]) -> Counter:
+    """p = 5, 7: a depth-first walk that fixes x_0, x_1, ... in turn.
+
+    With the prefix x fixed and the coordinates j, j' >= k still free, a node
+    carries mu(x,x,x), the contractions L[j] = mu(x,x,e_j) and Q[j][j'] =
+    mu(x,e_j,e_j'), and the running p1 and w2 sums; fixing x_k = t updates
+    them from the slice mu(e_k,.,.) in O(r^2).  With one coordinate e left
+    free, the cubic is a + 3 L t + 3 Q t^2 + mu(e,e,e) t^3 in x_e = t, so a
+    leaf is the state (a, L, Q, p1 sum, w2 sum) reduced mod p and mod 2.
+    Equal leaves are counted once, and each distinct leaf adds its p points.
+
+    The nonzero points are walked by their first nonzero coordinate, which
+    takes the values ``starts`` while later coordinates take every value,
+    and each key is counted once per lambda in ``scales`` (see
+    :func:`fingerprint`): (1,) and F_p^* when d = 0, else 1..p-1 and (1,).
+    """
+    r = s.rank
     # slices[k][i][j] = mu(e_i, e_j, e_k) mod p
     slices = [[[0] * r for _ in range(r)] for _ in range(r)]
     for (i, j, k), v in s.mu_terms.items():
         slices[k][i][j] = v % p
+    # for each k: mu(e_k,e_k,e_k), mu(e_k,e_k,e_j) for j > k, mu(e_k,e_i,e_j) for k < i <= j
+    parts = [
+        (m[k][k], m[k][k + 1:], [m[i][j] for i in range(k + 1, r) for j in range(i, r)])
+        for k, m in enumerate(slices)
+    ]
+    starts, scales = (range(1, p), (1,)) if any(d) else ((1,), range(1, p))
     last = r - 1
     leaves = []
 
-    def walk(k, cubic, lin, quad, p1, w2):
+    def walk(k, ts, cubic, lin, quad, p1, w2):
         # lin and the upper triangle quad (row by row) start at coordinate k:
         # quad[:n] is row k, quad[n:] the rows after it
         n = r - k
-        m = slices[k]
-        diag, cross = m[k][k], m[k][k + 1:]
-        tri = [m[i][j] for i in range(k + 1, r) for j in range(i, r)]
+        diag, cross, tri = parts[k]
         l0, lin, q0, row, quad = lin[0], lin[1:], quad[0], quad[1:n], quad[n:]
-        for t in range(p):
+        for t in ts:
             c = cubic + 3 * t * l0 + 3 * t * t * q0 + t * t * t * diag
             lin2 = [a + 2 * t * b + t * t * e for a, b, e in zip(lin, row, cross)]
             quad2 = [a + t * e for a, e in zip(quad, tri)]
             q = p1 + s.p1[k] * t
             w = w2 + d[k] * t
             if k + 1 < last:
-                walk(k + 1, c, lin2, quad2, q, w)
+                walk(k + 1, range(p), c, lin2, quad2, q, w)
             else:
                 leaves.append((c % p, lin2[0] % p, quad2[0] % p, q % p, w % 2))
 
-    if r == 1:
-        leaves.append((0, 0, 0, 0, 0))
-    else:
-        walk(0, 0, [0] * r, [0] * (r * (r + 1) // 2), 0, 0)
-    diag, p1_last, w2_last = slices[last][last][last], s.p1[last], d[last]
+    for k in range(last):
+        n = r - k
+        walk(k, starts, 0, [0] * n, [0] * (n * (n + 1) // 2), 0, 0)
+    diag, p1_last, w2_last = parts[last][0], s.p1[last], d[last]
     hist = Counter()
     for (cubic, l0, q0, p1, w2), n in Counter(leaves).items():
         for t in range(p):
             c = cubic + 3 * t * l0 + 3 * t * t * q0 + t * t * t * diag
             hist[c % p, (p1 + p1_last * t) % p, (w2 + w2_last * t) % 2] += n
-    return tuple(key + (n,) for key, n in sorted(hist.items()))
+    for t in starts:  # the points whose first nonzero coordinate is the last one
+        hist[diag * t**3 % p, p1_last * t % p, w2_last * t % 2] += 1
+    out = Counter({(0, 0, 0): 1})
+    for (c, q, w), n in hist.items():
+        for lam in scales:
+            out[c * lam**3 % p, q * lam % p, w] += n
+    return out
 
 
 def certify_distinct(
@@ -450,8 +571,11 @@ def certify_distinct(
     None means inconclusive, never "isomorphic".  Fingerprints are skipped
     entirely above rank 6, and odd primes are skipped for systems without
     the even w2-cubic property (where the odd-p histogram is not a sound
-    invariant).
+    invariant).  Every prime is checked to be a supported one first.
     """
+    primes = tuple(primes)
+    for p in primes:
+        _check_prime(p)
     if s1.rank != s2.rank:
         return DistinctnessCertificate("rank", None, (s1.rank, s2.rank))
     if s1.b3 != s2.b3:

@@ -118,6 +118,19 @@ def test_main_rejects_non_integer_list_flags(tmp_path, capsys):
     assert "--primes" in captured.err and captured.out == ""
 
 
+def test_compare_refuses_an_unsupported_prime_above_the_fingerprint_rank(tmp_path, capsys):
+    # rank 7 skips the fingerprints, so prime 11 went unchecked and the
+    # search ended in exit 3 (budget exceeded)
+    sides = [
+        write_system_file(tmp_path, f"c2_{c2}.json", {"projectivize": {
+            "base": "CP2 # 5 CP2bar", "c1": [0] * 6, "c2": c2}})
+        for c2 in (0, 1)
+    ]
+    assert main(["compare", "--left", sides[0], "--right", sides[1], "--primes", "11"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "prime 11" in captured.err and captured.out == ""
+
+
 def test_main_rejects_non_integer_mu(tmp_path, capsys):
     right = write_system_file(tmp_path, "right.json", {"local_model": 1})
     good = {"rank": 2, "p1": [0, 0], "w2": [0, 0], "b3": 0}

@@ -331,6 +331,93 @@ def test_fingerprint_matches_mu_eval_reference():
     assert odd_diagonal > 0
 
 
+def oracle_systems(rng, rank):
+    """Sparse, dense-mu and transported systems at one rank, each also with w2 = 0."""
+    sparse = random_system(rng, rank)
+    dense = random_system(rng, rank, span=9, fill=0.9)
+    moved = transport_system(dense, random_unimodular(rng, rank))
+    for s in (sparse, dense, moved):
+        yield s
+        yield make_system(rank, dict(s.mu), s.p1, (0,) * rank)
+
+
+def test_fingerprint_closed_forms_match_reference():
+    # both closed forms, p = 2 and p = 3, against a mu_eval at every point
+    rng = random.Random(41)
+    parities = set()
+    for rank in range(7):
+        for s in oracle_systems(rng, rank):
+            parities.add(has_even_w2_cubic(s))
+            for p in (2, 3):
+                assert fingerprint(s, p) == fingerprint_reference(s, p), (rank, p, s)
+    assert parities == {True, False}
+
+
+def test_fingerprint_walk_matches_reference_on_both_start_sets():
+    # even systems walk the points with first nonzero coordinate 1 and scale,
+    # the others walk every point
+    rng = random.Random(42)
+    parities = {5: set(), 7: set()}
+    for p, top in ((5, 5), (7, 4)):
+        for rank in range(top + 1):
+            for s in oracle_systems(rng, rank):
+                parities[p].add(has_even_w2_cubic(s))
+                assert fingerprint(s, p) == fingerprint_reference(s, p), (rank, p, s)
+    assert parities == {5: {True, False}, 7: {True, False}}
+
+
+def test_even_fingerprint_is_invariant_under_scaling():
+    # on an even system, x -> lambda x maps the key (c, pi, 0) to
+    # (lambda^3 c, lambda pi, 0), so those two keys have equal counts
+    rng = random.Random(43)
+    base = parse_sum_expression("CP2 # 2 CP2bar")
+    systems = [projectivize(base, random_bundle(rng, base)) for _ in range(3)]
+    systems += [s for s in oracle_systems(rng, 4) if has_even_w2_cubic(s)]
+    for s in systems:
+        assert has_even_w2_cubic(s)
+        for p in (3, 5, 7):
+            counts = {row[:3]: row[3] for row in fingerprint(s, p)}
+            assert all(w == 0 for _, _, w in counts)
+            for (c, pi, _), n in counts.items():
+                for lam in range(1, p):
+                    assert counts.get((lam**3 * c % p, lam * pi % p, 0)) == n
+
+
+def test_fingerprint_refuses_a_prime_that_is_not_an_int():
+    s = exp_system()
+    for p in (2.0, True, "2", None):
+        with pytest.raises(ValidationError, match="prime"):
+            fingerprint(s, p)
+
+
+def test_certificate_refuses_a_non_int_prime_and_an_unknown_kind():
+    rows = fingerprint(exp_system(), 2)
+    with pytest.raises(ValidationError, match="prime"):
+        DistinctnessCertificate("fingerprint", 2.0, (rows, rows))
+    with pytest.raises(ValidationError, match="prime"):
+        DistinctnessCertificate("fingerprint", True, (rows, rows))
+    with pytest.raises(ValidationError, match="kind"):
+        DistinctnessCertificate("mu", None, (1, 2))
+    assert DistinctnessCertificate("rank", None, (1, 2)).kind == "rank"
+
+
+def test_certify_distinct_checks_primes_before_its_shortcuts():
+    a = make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(0,))
+    b = make_system(2, {}, p1=(0, 0), w2=(0, 0))
+    with pytest.raises(ValidationError, match="11"):
+        certify_distinct(a, b, (11,))
+    big = make_system(7, {}, p1=(0,) * 7, w2=(0,) * 7)
+    with pytest.raises(ValidationError, match="2.0"):
+        certify_distinct(big, big, (2.0,))
+    # an odd prime is refused even where the even-w2 rule would skip it
+    weird = make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(1,), c1_class=(1,))
+    with pytest.raises(ValidationError, match="9"):
+        certify_distinct(weird, weird, (2, 9))
+    # checking the primes first must not use up a one-pass iterable
+    t = s4_transition()
+    assert certify_distinct(t.z1, t.z2, iter((2, 3, 5))) == certify_distinct(t.z1, t.z2)
+
+
 def test_certify_distinct_same_certificate_with_reference_fingerprint(monkeypatch):
     rng = random.Random(22)
     t = s4_transition()
