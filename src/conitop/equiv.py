@@ -37,7 +37,7 @@ from .intmat import (
     transpose,
     vec_mod2,
 )
-from .sixfold import InvariantSystem, make_system, triple_indices
+from .sixfold import InvariantSystem, make_system
 
 DEFAULT_BOUND = 3
 DEFAULT_PRIMES = (2, 3, 5)
@@ -86,12 +86,11 @@ def spiral_entries(bound: int) -> tuple[int, ...]:
 def verify_witness(
     s1: InvariantSystem, s2: InvariantSystem, matrix, check_c1: bool = False
 ) -> bool:
-    """Exact transport check; b3, det, p1, w2 and c1 come before the C(r+2, 3) mu triples."""
+    """Exact transport check: b3, det, p1, w2 and c1, then mu2 pulled back through the rows."""
     if s1.rank != s2.rank:
         raise ValidationError("systems have different ranks")
     rows = as_matrix(matrix, "witness matrix")
-    r = s1.rank
-    if len(rows) != r or any(len(row) != r for row in rows):
+    if len(rows) != s1.rank or any(len(row) != s1.rank for row in rows):
         raise ValidationError("witness matrix shape does not match rank")
     if check_c1 and (s1.c1_class is None or s2.c1_class is None):
         raise ValidationError("c1 transport requested but a system lacks c1_class")
@@ -99,23 +98,13 @@ def verify_witness(
         return False
     if determinant(rows) not in (1, -1):
         return False
-    cols = transpose(rows)
-    if any(dot(s2.p1, cols[i]) != s1.p1[i] for i in range(r)):
+    if matvec(transpose(rows), s2.p1) != s1.p1:
         return False
     if vec_mod2(matvec(rows, s1.w2)) != s2.w2:
         return False
     if check_c1 and matvec(rows, s1.c1_class) != s2.c1_class:
         return False
-    return all(
-        s2.mu_eval(cols[i], cols[j], cols[k]) == s1.mu_value(i, j, k)
-        for i, j, k in triple_indices(r)
-    )
-
-
-def _c1_transported(s1: InvariantSystem, s2: InvariantSystem, rows: Mat) -> bool:
-    if s1.c1_class is None or s2.c1_class is None:
-        return False
-    return matvec(rows, s1.c1_class) == s2.c1_class
+    return s2.pull_back(rows) == s1.mu
 
 
 class SearchStats(Value):
@@ -256,10 +245,11 @@ class _WitnessSearch:
                     yield h * n + place, v, w, sum(1 << i for i, x in enumerate(v) if x & 1)
 
     def finish(self, cols: list[Vec]) -> IsomorphismWitness | None:
-        rows = transpose(tuple(cols))
-        if not verify_witness(self.s1, self.s2, rows, self.check_c1):
+        s1, s2, rows = self.s1, self.s2, transpose(tuple(cols))
+        if not verify_witness(s1, s2, rows, self.check_c1):
             return None
-        return IsomorphismWitness(rows, _c1_transported(self.s1, self.s2, rows))
+        both = s1.c1_class is not None and s2.c1_class is not None
+        return IsomorphismWitness(rows, both and matvec(rows, s1.c1_class) == s2.c1_class)
 
     def complete_from(
         self, cols: list[Vec], pairs: list, basis: list
@@ -338,11 +328,15 @@ def find_isomorphism(
             (), preserves_c1=s1.c1_class is not None and s2.c1_class is not None
         )
     budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
-    space = (2 * bound + 1) ** (r * r)
-    if space > budget:
-        raise SearchBudgetError(
-            f"search space {space} exceeds step budget {budget}"
-        )
+    # (2 bound + 1)^(r^2) is never built past the budget: at rank 83 it has
+    # more digits than str() will print
+    base, space = 2 * bound + 1, 1
+    for _ in range(r * r):
+        space *= base
+        if space > budget:
+            raise SearchBudgetError(
+                f"search space {base}^{r * r} exceeds step budget {budget}"
+            )
     search = _WitnessSearch(s1, s2, bound, check_c1, SearchStats() if stats is None else stats)
     return search.complete_from([], [], [])
 
@@ -354,8 +348,11 @@ def _w2_square_parities(s: InvariantSystem) -> tuple[int, ...]:
     come in equal pairs and x_i^2 = x_i.  So these rank-many parities give
     mu(W, x, x) mod 2 as a linear form in x.
     """
-    m = s.mu_contract(s.w2)
-    return tuple(m[i][i] % 2 for i in range(s.rank))
+    d = [0] * s.rank
+    for (i, j, k), v in s.mu:
+        if i == j or j == k:  # mu(e_m, e_j, e_j) with m = i + k - j; mu_jjj once
+            d[j] += s.w2[i + k - j] * v
+    return tuple(x % 2 for x in d)
 
 
 def has_even_w2_cubic(s: InvariantSystem) -> bool:
@@ -607,19 +604,14 @@ def certificate_is_valid(
 def transport_system(s: InvariantSystem, matrix) -> InvariantSystem:
     """Push an invariant system through a determinant +-1 basis change.
 
-    Produces the unique system for which ``matrix`` is a witness from ``s``;
-    the workhorse behind fingerprint-invariance and soundness tests.
+    Produces the unique system for which ``matrix`` is a witness from ``s``:
+    mu and p1 are pulled back through the inverse, w2 and c1 pushed forward.
     """
     rows = as_matrix(matrix, "transport matrix")
-    r = s.rank
-    if len(rows) != r or any(len(row) != r for row in rows):
+    if len(rows) != s.rank or any(len(row) != s.rank for row in rows):
         raise ValidationError("transport matrix shape does not match rank")
-    inv_cols = transpose(inverse_unimodular(rows))
-    entries = {
-        (i, j, k): s.mu_eval(inv_cols[i], inv_cols[j], inv_cols[k])
-        for i, j, k in triple_indices(r)
-    }
-    p1 = tuple(dot(s.p1, inv_cols[i]) for i in range(r))
+    inv = inverse_unimodular(rows)
+    p1 = matvec(transpose(inv), s.p1)
     w2 = vec_mod2(matvec(rows, s.w2))
     c1 = matvec(rows, s.c1_class) if s.c1_class is not None else None
-    return make_system(r, entries, p1, w2, s.b3, c1, classifiable=s.classifiable)
+    return make_system(s.rank, s.pull_back(inv), p1, w2, s.b3, c1, classifiable=s.classifiable)

@@ -46,17 +46,14 @@ def vec_mod2(v: Vec) -> Vec:
     return tuple(x % 2 for x in v)
 
 
-def determinant(m: Mat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _eliminate(a: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) elimination, in place, of the first n columns of ``a``.
 
-    The empty matrix has determinant 1.
+    Rows may run on past column n, as in [A | I]; every entry stays a minor, so
+    each division is exact.  Returns the determinant of the leading block (1 when
+    empty); unless it is 0, that block is left upper triangular.
     """
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -64,32 +61,36 @@ def determinant(m: Mat) -> int:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        top, akk = a[k], a[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            f = a[i][k]
+            if f or akk != prev:
+                a[i] = [(x * akk - f * y) // prev for x, y in zip(a[i], top)]
+        prev = akk
+    return sign * a[n - 1][n - 1] if n else 1
 
 
-def _minor(m: Mat, row: int, col: int) -> Mat:
-    return tuple(
-        tuple(v for j, v in enumerate(r) if j != col)
-        for i, r in enumerate(m)
-        if i != row
-    )
+def determinant(m: Mat) -> int:
+    """Exact determinant by :func:`_eliminate`."""
+    return _eliminate([list(row) for row in m], len(m))
 
 
 def inverse_unimodular(m: Mat) -> Mat:
-    """Inverse of an integer matrix with determinant +-1 (stays integral)."""
-    d = determinant(m)
+    """Inverse of an integer matrix with determinant +-1, raising ValidationError otherwise.
+
+    [A | I] is eliminated to [U | B].  A^-1 solves U X = B and is integral, so
+    back substitution, which skips the zeros of U, divides exactly.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    d = _eliminate(a, n)
     if d not in (1, -1):
         raise ValidationError(f"matrix has determinant {d}, expected +-1")
-    n = len(m)
-    if n == 0:
-        return ()
-    # adjugate transposed: inv[i][j] = d * (-1)^(i+j) * det(minor(j, i))
-    return tuple(
-        tuple(d * (-1) ** (i + j) * determinant(_minor(m, j, i)) for j in range(n))
-        for i in range(n)
-    )
+    inv = [()] * n
+    for i in reversed(range(n)):
+        row, rest = a[i], a[i][n:]
+        for j in range(i + 1, n):
+            if row[j]:
+                rest = [x - row[j] * y for x, y in zip(rest, inv[j])]
+        inv[i] = tuple(x // row[i] for x in rest)
+    return tuple(inv)

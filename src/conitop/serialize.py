@@ -22,8 +22,9 @@ SCHEMA = "conitop/1"
 REPORT_SCHEMA = "conitop-report/2"
 # The largest intersection form a manifold descriptor may describe, checked
 # before any form is built; it also caps the summand count of a sum expression
-# and, with the base rank, the number of blowups (so every system has rank at
-# most MAX_FORM_RANK + 1).
+# and, with the base rank, the number of blowups.  So a blown-up
+# projectivization has rank at most MAX_FORM_RANK + 1 and a transition side
+# (over base # CP2bar) at most MAX_FORM_RANK + 2, the cap on explicit systems.
 MAX_FORM_RANK = 256
 
 
@@ -190,6 +191,9 @@ def system_to_obj(s: InvariantSystem) -> dict:
 
 def system_from_obj(obj: dict) -> InvariantSystem:
     _require(obj, ("rank", "mu", "p1", "w2", "b3"), "invariant system")
+    rank = _json_value(obj["rank"], int, "rank")
+    if rank > MAX_FORM_RANK + 2:
+        raise DescriptorError(f"system rank {rank} is above the limit of {MAX_FORM_RANK + 2}")
     if not isinstance(obj["mu"], (list, tuple)):
         raise DescriptorError("mu must be a list of [i, j, k, value] entries")
     entries = []
@@ -204,7 +208,7 @@ def system_from_obj(obj: dict) -> InvariantSystem:
     labels = obj.get("basis_labels")
     try:
         return make_system(
-            _json_value(obj["rank"], int, "rank"),
+            rank,
             entries,
             _json_list(obj["p1"], int, "p1"),
             _json_list(obj["w2"], int, "w2"),

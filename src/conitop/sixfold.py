@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement, permutations
 from .bundle import RankTwoBundle
 from .errors import ValidationError, Value
 from .fourfold import FourManifold, p1_number
-from .intmat import Mat, Vec, as_vector, dot, vec_mod2
+from .intmat import Mat, Vec, as_matrix, as_vector, dot, vec_mod2
 
 
 def triple_indices(rank: int) -> tuple[tuple[int, int, int], ...]:
@@ -125,15 +125,25 @@ class InvariantSystem(Value):
             total += v * x[i] * y[j] * z[k]
         return total
 
-    def mu_contract(self, v) -> list[list[int]]:
-        """The matrix M with M[p][q] = sum_k mu(p, q, k) v[k]."""
-        v = as_vector(v)
-        self._check_length(v)
-        m = [[0] * self.rank for _ in range(self.rank)]
-        for (p, q, k), value in self.mu_terms.items():
-            if v[k]:
-                m[p][q] += value * v[k]
-        return m
+    def pull_back(self, matrix) -> MuEntries:
+        """The entries of mu(A e_i, A e_j, A e_k), in the canonical form of ``mu``.
+
+        A is given by its rows.  Each term mu(e_a, e_b, e_c) is taken through
+        the nonzero entries of rows a, b and c only, never all rank^3 triples.
+        """
+        rows = as_matrix(matrix)
+        if len(rows) != self.rank or any(len(row) != self.rank for row in rows):
+            raise ValidationError("matrix shape does not match system rank")
+        support = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
+        out = {}
+        for (a, b, c), v in self.mu_terms.items():
+            for i, x in support[a]:
+                for j, y in support[b]:
+                    if j >= i:
+                        for k, z in support[c]:
+                            if k >= j:
+                                out[i, j, k] = out.get((i, j, k), 0) + v * x * y * z
+        return tuple(sorted(entry for entry in out.items() if entry[1]))
 
     def cubic(self, x) -> int:
         return self.mu_eval(x, x, x)

@@ -27,7 +27,7 @@ from conitop import (
     verify_witness,
 )
 from conitop.equiv import spiral_entries
-from conitop.intmat import dot, matvec, transpose
+from conitop.intmat import determinant, dot, matvec, transpose
 from conitop.sixfold import triple_indices
 
 CATALOG = ("S4", "CP2", "CP2bar", "S2xS2")
@@ -330,6 +330,46 @@ def mu_contract_dense(s, v):
     ]
 
 
+def pull_back_dense(s, rows):
+    """mu(A e_i, A e_j, A e_k) on every triple i <= j <= k, zeros dropped.
+
+    The dense loop ``verify_witness`` and ``transport_system`` ran before
+    ``InvariantSystem.pull_back``: one ``mu_eval`` per triple of columns.
+    """
+    cols = transpose(rows)
+    values = ((ijk, s.mu_eval(*(cols[i] for i in ijk))) for ijk in triple_indices(s.rank))
+    return tuple((ijk, v) for ijk, v in values if v)
+
+
+def determinant_laplace(m) -> int:
+    """The determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * v * determinant_laplace(_minor(m, 0, j)) for j, v in enumerate(m[0]))
+
+
+def _minor(m, row, col):
+    return tuple(
+        tuple(v for j, v in enumerate(r) if j != col) for i, r in enumerate(m) if i != row
+    )
+
+
+def inverse_adjugate(m):
+    """The inverse of a determinant +-1 matrix as its adjugate, built from n^2 minors.
+
+    ``inverse_unimodular`` before the elimination: inv[i][j] is
+    d (-1)^(i+j) det(minor(j, i)); raises ``ValidationError`` otherwise.
+    """
+    d = determinant(m)
+    if d not in (1, -1):
+        raise ValidationError(f"matrix has determinant {d}, expected +-1")
+    n = len(m)
+    return tuple(
+        tuple(d * (-1) ** (i + j) * determinant(_minor(m, j, i)) for j in range(n))
+        for i in range(n)
+    )
+
+
 def has_even_w2_cubic_exhaustive(s) -> bool:
     """mu(w2 lift, x, x) even for all x, checked on all 2^rank residues mod 2."""
     return all(
@@ -354,7 +394,7 @@ def find_isomorphism_reference(s1, s2, bound: int, check_c1: bool = False):
 
     Tests every raw column in the same enumeration order: the p1 pairing,
     then every triple (i, j, c) it completes, each rebuilt from
-    ``mu_contract``; a full matrix must pass ``verify_witness``.
+    :func:`mu_contract_dense`; a full matrix must pass ``verify_witness``.
     """
     if s1.rank != s2.rank or s1.b3 != s2.b3:
         return None
@@ -363,11 +403,14 @@ def find_isomorphism_reference(s1, s2, bound: int, check_c1: bool = False):
     if r == 0:
         return IsomorphismWitness((), preserves_c1=both_c1)
     entries = spiral_entries(bound)
+    contractions = {}
 
     def column_ok(c, v, cols):
         if dot(s2.p1, v) != s1.p1[c]:
             return False
-        m = s2.mu_contract(v)
+        if v not in contractions:
+            contractions[v] = mu_contract_dense(s2, v)
+        m = contractions[v]
         stack = cols + [v]
         for i in range(c + 1):
             ci = stack[i]

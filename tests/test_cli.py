@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -362,7 +363,8 @@ def test_main_rejects_negative_blowups(tmp_path, capsys):
 
 
 def test_main_caps_blowups(tmp_path, capsys):
-    # base rank + blowups is capped at MAX_FORM_RANK, so systems stop at rank 257
+    # base rank + blowups is capped at MAX_FORM_RANK, so a blown-up
+    # projectivization stops at rank 257 (a transition side reaches 258)
     cap = serialize.MAX_FORM_RANK - 1
     code, report, _ = json_report(capsys, ["invariants", "--base", "CP2", "--blowups", str(cap)])
     assert code == EXIT_OK and report["result"]["system"]["rank"] == serialize.MAX_FORM_RANK + 1
@@ -387,6 +389,32 @@ def test_main_budget_exceeded(tmp_path, capsys, monkeypatch):
     code = main(["compare", "--left", left, "--right", right, "--bound", "3"])
     assert code == EXIT_BUDGET
     assert "budget" in capsys.readouterr().err
+
+
+def test_rank_83_self_compare_is_refused_in_one_line(capsys):
+    # the refusal printed (2 bound + 1)^(rank^2) in full, and from rank 83 str()
+    # raised ValueError past its 4,300-digit limit: a traceback and exit 1
+    side = str(Path(__file__).parent / "golden" / "inputs" / "cp2_80cp2bar_z1.json")
+    assert main(["compare", "--left", side, "--right", side]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: search space 7^6889 exceeds step budget 1000000000\n"
+
+
+def test_main_caps_explicit_system_rank(tmp_path, capsys):
+    # an explicit system may have the rank of a transition side over a rank-256 base
+    cap = serialize.MAX_FORM_RANK + 2
+    assert cap == 258
+    small = write_system_file(tmp_path, "small.json", {"projectivize": {"base": "CP2"}})
+
+    def explicit(rank):
+        zero = {"rank": rank, "mu": [], "p1": [0] * rank, "w2": [0] * rank, "b3": 0}
+        return write_system_file(tmp_path, f"rank{rank}.json", {"system": zero})
+
+    code, report, _ = json_report(capsys, ["compare", "--left", explicit(cap), "--right", small])
+    assert code == EXIT_OK and report["result"]["certificate"]["detail"] == [cap, 2]
+    for rank in (cap + 1, 3000):
+        assert_input_error_naming(capsys, ["compare", "--left", explicit(rank), "--right", small], "rank")
 
 
 def test_step_budget_env_override(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,8 @@ from conitop import (
     standard,
     transport_system,
     trivial_bundle,
+    twist,
+    twist_witness,
     verify_witness,
 )
 from conitop import equiv
@@ -194,6 +196,20 @@ def test_search_budget_guard():
     assert find_isomorphism(exp_system(), exp_system(), bound=1, step_budget=10**6)
 
 
+def test_search_budget_message_names_the_space_as_a_power():
+    # (2 bound + 1)^(rank^2) was built as an int and printed: from rank 83 it has
+    # more than the 4,300 digits str() allows, so the refusal raised ValueError
+    for rank, bound, text in ((4, 3, "7^16"), (83, 3, "7^6889"), (258, 1, "3^66564")):
+        zero = make_system(rank, {}, p1=(0,) * rank, w2=(0,) * rank)
+        with pytest.raises(SearchBudgetError) as exc:
+            find_isomorphism(zero, zero, bound=bound)
+        assert str(exc.value) == f"search space {text} exceeds step budget {10**9}"
+    # the refusal is decided as before: 3^(2^2) = 81 fits a budget of 81 and not of 80
+    assert find_isomorphism(exp_system(), exp_system(), bound=1, step_budget=81)
+    with pytest.raises(SearchBudgetError, match="3\\^4 exceeds step budget 80"):
+        find_isomorphism(exp_system(), exp_system(), bound=1, step_budget=80)
+
+
 def test_bad_bound():
     with pytest.raises(ValidationError):
         find_isomorphism(exp_system(), exp_system(), bound=0)
@@ -263,6 +279,25 @@ def test_fingerprint_invariant_under_transport():
         assert verify_witness(s, moved, a, check_c1=s.c1_class is not None)
         for p in (2, 3, 5):
             assert fingerprint(s, p) == fingerprint(moved, p)
+
+
+def invariants(s):
+    return s.mu, s.p1, s.w2, s.c1_class, s.b3
+
+
+@pytest.mark.parametrize("k", (20, 80, 255))
+def test_twist_witness_round_trip_at_high_rank(k):
+    # ranks 22, 82 and 257; at rank 257 an inverse from r^2 minors ran over 5 minutes
+    base = parse_sum_expression(f"CP2 # {k} CP2bar")
+    rng = random.Random(k)
+    e = RankTwoBundle(base, tuple(rng.randint(-2, 2) for _ in range(base.rank)), 3)
+    l = tuple(rng.randint(-2, 2) for _ in range(base.rank))
+    s, twisted = projectivize(base, e), projectivize(base, twist(e, l))
+    w = twist_witness(base, e, l)
+    assert verify_witness(s, twisted, w, check_c1=True)
+    moved = transport_system(s, w)
+    assert invariants(moved) == invariants(twisted)
+    assert invariants(transport_system(moved, inverse_unimodular(w))) == invariants(s)
 
 
 def test_transported_system_admits_the_witness():

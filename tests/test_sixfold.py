@@ -21,8 +21,8 @@ from conitop import (
 from conitop.sixfold import triple_indices
 
 from oracles import (
-    mu_contract_dense,
     mu_eval_dense,
+    pull_back_dense,
     random_bundle,
     random_catalog_sum,
     random_system,
@@ -301,7 +301,30 @@ def test_mu_eval_and_contraction_match_dense_reference():
                         tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)
                     )
                     assert t.mu_eval(x, y, z) == mu_eval_dense(t, x, y, z)
-                    assert t.mu_contract(x) == mu_contract_dense(t, x)
+
+
+def test_pull_back_matches_dense_triple_loop():
+    rng = random.Random(43)
+    for rank in range(7):
+        for _ in range(12):
+            s = random_system(rng, rank, fill=rng.choice((0.1, 0.4, 1.0)))
+            unimodular = random_unimodular(rng, rank, max_entry=rng.choice((1, 2, 3)))
+            arbitrary = tuple(
+                tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(rank)) for _ in range(rank)
+            )
+            for rows in (unimodular, arbitrary):
+                pulled = s.pull_back(rows)
+                assert pulled == pull_back_dense(s, rows), (s, rows)
+                # the canonical form of mu, so it builds a system as it stands
+                assert make_system(rank, pulled, s.p1, s.w2).mu == pulled
+
+
+def test_pull_back_refuses_a_matrix_of_another_shape():
+    s = make_system(2, {(0, 0, 1): 1}, p1=(0, 0), w2=(0, 0))
+    assert s.pull_back(((1, 0), (0, 1))) == s.mu
+    for rows in (((1,),), ((1, 0), (0, 1), (0, 0)), ((1, 0), (0,)), ((1, 0.5), (0, 1))):
+        with pytest.raises(ValidationError):
+            s.pull_back(rows)
 
 
 def test_twist_sign_determined_once():
