@@ -194,39 +194,30 @@ def verification_suite(step_budget: int | None = None) -> list[dict]:
         )
     )
 
-    # 3. Local model 1 matches the bundle side over CP2bar.
-    bar = standard("CP2bar")
-    side1 = projectivize(bar, RankTwoBundle(bar, (-1,), -1))
-    named1 = ((1, 0), (0, -1))  # x -> a, z -> -y
-    found1 = find_isomorphism(m1, side1, bound=3, step_budget=step_budget)
-    passed = found1 is not None and verify_witness(m1, side1, named1, check_c1=True)
-    checks.append(
-        _check(
+    # 3./4. Local model 1 matches the bundle side over CP2bar, and local
+    # model 2 the blowup side over S4, by search and by a named witness.
+    bar, s4 = standard("CP2bar"), standard("S4")
+    for name, model, side, named in (
+        (
             "local model 1 matches bundle side",
-            passed,
-            {
-                "found": None if found1 is None else serialize.witness_to_obj(found1),
-                "named_witness": [list(r) for r in named1],
-            },
-        )
-    )
-
-    # 4. Local model 2 matches the blowup side over S4.
-    s4 = standard("S4")
-    side2 = blowup_point(projectivize(s4, RankTwoBundle(s4, (), -1)))
-    named2 = ((1, 0), (1, -1))  # x -> a + z', z -> -z'
-    found2 = find_isomorphism(m2, side2, bound=3, step_budget=step_budget)
-    passed = found2 is not None and verify_witness(m2, side2, named2, check_c1=True)
-    checks.append(
-        _check(
+            m1,
+            projectivize(bar, RankTwoBundle(bar, (-1,), -1)),
+            ((1, 0), (0, -1)),  # x -> a, z -> -y
+        ),
+        (
             "local model 2 matches blowup side",
-            passed,
-            {
-                "found": None if found2 is None else serialize.witness_to_obj(found2),
-                "named_witness": [list(r) for r in named2],
-            },
-        )
-    )
+            m2,
+            blowup_point(projectivize(s4, RankTwoBundle(s4, (), -1))),
+            ((1, 0), (1, -1)),  # x -> a + z', z -> -z'
+        ),
+    ):
+        found = find_isomorphism(model, side, bound=3, step_budget=step_budget)
+        passed = found is not None and verify_witness(model, side, named, check_c1=True)
+        detail = {
+            "found": None if found is None else serialize.witness_to_obj(found),
+            "named_witness": [list(r) for r in named],
+        }
+        checks.append(_check(name, passed, detail))
 
     # 5./6. The two transition sides are distinct (trivial bundle over S4, CP2).
     for base in (s4, cp2):
@@ -366,8 +357,12 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return serialize.loads(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(f"{path!r} is not UTF-8 text") from exc
+    return serialize.loads(text)
 
 
 def _load_base(arg: str) -> FourManifold:

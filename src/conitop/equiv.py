@@ -22,7 +22,7 @@ basis to coordinates in the second's, column ``i`` being the image of the
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count, product
+from itertools import product, tee
 from operator import mul
 
 from .errors import SearchBudgetError, ValidationError, Value
@@ -37,7 +37,7 @@ from .intmat import (
     transpose,
     vec_mod2,
 )
-from .sixfold import InvariantSystem, make_system
+from .sixfold import InvariantSystem
 
 DEFAULT_BOUND = 3
 DEFAULT_PRIMES = (2, 3, 5)
@@ -116,8 +116,9 @@ class SearchStats(Value):
     candidate is pruned for the first reason it fails, in the order the
     search checks them (``table``, ``mod2``, ``triple``; see
     :class:`_WitnessSearch`), or becomes a node, so that
-    column_tests = table + mod2 + triple + nodes - searches.  Unlike the
-    other value types it is mutable, and so not hashable.
+    column_tests = table + mod2 + triple + nodes - searches.  This holds at
+    rank 0 too, where the empty matrix is the one node and nothing is
+    tested.  Unlike the other value types it is mutable, and so not hashable.
     """
 
     fields = ("nodes", "column_tests", "pruned_table", "pruned_mod2", "pruned_triple")
@@ -155,7 +156,8 @@ class _WitnessSearch:
     * table: p1_2 . v = p1_1[c] and mu2(v, v, v) = mu1(c, c, c).  Both depend
       on c alone, so each column's survivors are listed once, and only as
       far as the search reads them (columns with equal p1 and cubic values
-      share a list), each with w_v = mu2(v, v, .) and its mod-2 bitmask;
+      share one list, see :meth:`table`), each with w_v = mu2(v, v, .) and
+      its mod-2 bitmask;
     * mod2: v is independent mod 2 of the columns already chosen, checked
       against an XOR basis of them;
     * triple: w_v . col_i = mu1(i, c, c) for i < c, and
@@ -207,27 +209,15 @@ class _WitnessSearch:
     def table(self, c: int):
         """Column c's survivors in raw order, as (raw place, v, w_v, v mod 2 as a bitmask).
 
-        Columns with equal p1 and cubic values share one list.  It is filled
-        only as far as the search has read it, so a witness found early in a
-        column pays for little of it.
+        Columns with equal p1 and cubic values share one :func:`itertools.tee`
+        of one :meth:`survivors` generator, kept unread; each call returns a
+        copy of it.  So the generator runs only as far as the furthest copy
+        has read, and a witness found early in a column pays for little of it.
         """
         key = (self.s1.p1[c], self.s1.mu_value(c, c, c))
         if key not in self.tables:
-            self.tables[key] = ([], self.survivors(*key))
-        done, source = self.tables[key]
-        return done if source is None else self.reading(key)
-
-    def reading(self, key):
-        """Iterate a shared list, filling it from its source as needed."""
-        done, source = self.tables[key]
-        for i in count():
-            if i == len(done):
-                item = next(source, None)
-                if item is None:
-                    self.tables[key] = (done, None)
-                    return
-                done.append(item)
-            yield done[i]
+            self.tables[key] = tee(self.survivors(*key), 1)[0]
+        return self.tables[key].__copy__()
 
     def survivors(self, p1: int, cubic: int):
         # the last entry is the least significant: given the others, the p1
@@ -323,10 +313,6 @@ def find_isomorphism(
     if check_c1 and (s1.c1_class is None or s2.c1_class is None):
         raise ValidationError("c1 transport requested but a system lacks c1_class")
     r = s1.rank
-    if r == 0:
-        return IsomorphismWitness(
-            (), preserves_c1=s1.c1_class is not None and s2.c1_class is not None
-        )
     budget = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
     # (2 bound + 1)^(r^2) is never built past the budget: at rank 83 it has
     # more digits than str() will print
@@ -511,16 +497,12 @@ def _fingerprint_walk(s: InvariantSystem, p: int, d: tuple[int, ...]) -> Counter
     and each key is counted once per lambda in ``scales`` (see
     :func:`fingerprint`): (1,) and F_p^* when d = 0, else 1..p-1 and (1,).
     """
-    r = s.rank
-    # slices[k][i][j] = mu(e_i, e_j, e_k) mod p
-    slices = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for (i, j, k), v in s.mu_terms.items():
-        slices[k][i][j] = v % p
+    r, mu = s.rank, s.mu_value
     # for each k: mu(e_k,e_k,e_k), mu(e_k,e_k,e_j) for j > k, mu(e_k,e_i,e_j) for k < i <= j
-    parts = [
-        (m[k][k], m[k][k + 1:], [m[i][j] for i in range(k + 1, r) for j in range(i, r)])
-        for k, m in enumerate(slices)
-    ]
+    parts = []
+    for k in range(r):
+        tri = [mu(k, i, j) % p for i in range(k + 1, r) for j in range(i, r)]
+        parts.append((mu(k, k, k) % p, [mu(k, k, j) % p for j in range(k + 1, r)], tri))
     starts, scales = (range(1, p), (1,)) if any(d) else ((1,), range(1, p))
     last = r - 1
     leaves = []
@@ -606,6 +588,7 @@ def transport_system(s: InvariantSystem, matrix) -> InvariantSystem:
 
     Produces the unique system for which ``matrix`` is a witness from ``s``:
     mu and p1 are pulled back through the inverse, w2 and c1 pushed forward.
+    The pulled-back entries are already canonical, so they are not sorted again.
     """
     rows = as_matrix(matrix, "transport matrix")
     if len(rows) != s.rank or any(len(row) != s.rank for row in rows):
@@ -614,4 +597,4 @@ def transport_system(s: InvariantSystem, matrix) -> InvariantSystem:
     p1 = matvec(transpose(inv), s.p1)
     w2 = vec_mod2(matvec(rows, s.w2))
     c1 = matvec(rows, s.c1_class) if s.c1_class is not None else None
-    return make_system(s.rank, s.pull_back(inv), p1, w2, s.b3, c1, classifiable=s.classifiable)
+    return InvariantSystem(s.rank, s.pull_back(inv), p1, w2, s.b3, c1, classifiable=s.classifiable)

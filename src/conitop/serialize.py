@@ -26,6 +26,10 @@ REPORT_SCHEMA = "conitop-report/2"
 # projectivization has rank at most MAX_FORM_RANK + 1 and a transition side
 # (over base # CP2bar) at most MAX_FORM_RANK + 2, the cap on explicit systems.
 MAX_FORM_RANK = 256
+# Descriptor integers have at most this many digits, so that every value built
+# from a few of them stays within the 4,300 digits that str() and json print.
+MAX_INT_DIGITS = 1000
+_INT_LIMIT = 10**MAX_INT_DIGITS
 
 
 def json_canonical(obj) -> str:
@@ -38,6 +42,12 @@ def loads(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # an integer past the digit limit of int()
+        raise DescriptorError(
+            f"invalid JSON: an integer of more than {MAX_INT_DIGITS} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise DescriptorError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DescriptorError("descriptor document must be a JSON object")
     schema = doc.get("schema")
@@ -54,6 +64,8 @@ _JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false", list: 
 def _json_value(value, kind: type, field: str):
     if type(value) is not kind:
         raise DescriptorError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if kind is int and not -_INT_LIMIT < value < _INT_LIMIT:
+        raise DescriptorError(f"{field} has an integer of more than {MAX_INT_DIGITS} digits")
     return value
 
 
@@ -168,11 +180,6 @@ def placed_bundle_to_obj(e: RankTwoBundle) -> dict:
     return {"base": manifold_to_obj(e.base), "c1": list(e.c1), "c2": e.c2}
 
 
-def placed_bundle_from_obj(obj: dict) -> RankTwoBundle:
-    base = manifold_from_descriptor(obj["base"])
-    return bundle_from_obj(base, obj)
-
-
 # -- invariant systems ------------------------------------------------------
 
 
@@ -192,6 +199,8 @@ def system_to_obj(s: InvariantSystem) -> dict:
 def system_from_obj(obj: dict) -> InvariantSystem:
     _require(obj, ("rank", "mu", "p1", "w2", "b3"), "invariant system")
     rank = _json_value(obj["rank"], int, "rank")
+    if rank < 0:
+        raise DescriptorError(f"system rank {rank} is negative")
     if rank > MAX_FORM_RANK + 2:
         raise DescriptorError(f"system rank {rank} is above the limit of {MAX_FORM_RANK + 2}")
     if not isinstance(obj["mu"], (list, tuple)):
@@ -204,7 +213,7 @@ def system_from_obj(obj: dict) -> InvariantSystem:
             and all(type(v) is int for v in item)
         ):
             raise DescriptorError(f"mu entries must be [i, j, k, value] integers, got {item!r}")
-        entries.append((item[:3], item[3]))
+        entries.append((item[:3], _json_value(item[3], int, "mu")))
     labels = obj.get("basis_labels")
     try:
         return make_system(
@@ -250,7 +259,8 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
         return system_from_obj(doc["system"])
     if "projectivize" in doc:
         inner = doc["projectivize"]
-        base = manifold_from_descriptor(inner.get("base"))
+        _require(inner, ("base",), "projectivize")
+        base = manifold_from_descriptor(inner["base"])
         e = bundle_from_obj(base, inner)
         return blown_up_projectivization(
             base, e, _json_value(doc.get("blowups", 0), int, "blowups")
@@ -259,7 +269,8 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
         return local_model_system(_json_value(doc["local_model"], int, "local_model"))
     if "transition" in doc:
         inner = doc["transition"]
-        base = manifold_from_descriptor(inner.get("base"))
+        _require(inner, ("base",), "transition")
+        base = manifold_from_descriptor(inner["base"])
         e = bundle_from_obj(base, inner)
         swap = _json_value(inner.get("swap", False), bool, "swap")
         result = conifold_transition(base, e, swap=swap)

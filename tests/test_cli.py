@@ -313,8 +313,8 @@ def test_main_transition_json_round_trip(capsys):
     expected = conifold_transition(s4, trivial_bundle(s4))
     assert serialize.system_from_obj(report["result"]["z1"]) == expected.z1
     assert serialize.system_from_obj(report["result"]["z2"]) == expected.z2
-    assert serialize.placed_bundle_from_obj(report["result"]["e1"]) == expected.e1
-    assert serialize.placed_bundle_from_obj(report["result"]["e2"]) == expected.e2
+    assert report["result"]["e1"] == serialize.placed_bundle_to_obj(expected.e1)
+    assert report["result"]["e2"] == serialize.placed_bundle_to_obj(expected.e2)
 
 
 def test_main_invariants_report_round_trip(capsys):
@@ -465,6 +465,57 @@ def test_compare_stats_pin_the_s2xs2_sides_search(tmp_path, capsys, monkeypatch)
     assert main(["compare", "--left", left, "--right", right, "--stats"]) == EXIT_OK
     stats = json.loads(capsys.readouterr().err)["search"]
     assert stats["nodes"] == stats["column_tests"] == 0
+
+
+def test_compare_stats_at_rank_zero_count_one_node(tmp_path, capsys):
+    # the empty matrix is the one node; nothing is tested or pruned
+    zero = {"rank": 0, "mu": [], "p1": [], "w2": [], "b3": 0}
+    side = write_system_file(tmp_path, "zero.json", {"system": zero})
+    assert main(["compare", "--left", side, "--right", side, "--stats"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "ISOMORPHIC" in captured.out
+    assert json.loads(captured.err) == {
+        "search": {"nodes": 1, "column_tests": 0, "pruned": {"table": 0, "mod2": 0, "triple": 0}}
+    }
+
+
+MALFORMED_DESCRIPTORS = {
+    "not UTF-8": (b"\xff\xfe", "UTF-8"),
+    "5,000-digit integer": (b'{"local_model": ' + b"1" * 5000 + b"}", "digits"),
+    "100,000 nested lists": (b"[" * 100000, "nested"),
+    "projectivize not an object": (b'{"projectivize": 5}', "projectivize"),
+    "transition not an object": (b'{"transition": []}', "transition"),
+    "4,300-digit c2": (
+        b'{"projectivize": {"base": "CP2", "c1": [1], "c2": ' + b"9" * 4300 + b"}}",
+        "c2",
+    ),
+    "2,000-digit mu value": (
+        b'{"system": {"rank": 1, "mu": [[0, 0, 0, ' + b"7" * 2000 + b']], "p1": [0], "w2": [0],'
+        b' "b3": 0}}',
+        "mu has",
+    ),
+    "negative rank": (b'{"system": {"rank": -1, "mu": [], "p1": [], "w2": [], "b3": 0}}', "rank -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DESCRIPTORS))
+def test_malformed_descriptor_exits_1_in_one_line(tmp_path, capsys, case):
+    payload, field = MALFORMED_DESCRIPTORS[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    argv = ["compare", "--left", str(path), "--right", str(path), "--format", "json"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert field in captured.err and "Traceback" not in captured.err
+
+
+def test_base_file_that_is_not_utf8_exits_1_in_one_line(tmp_path, capsys):
+    path = tmp_path / "base.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["invariants", "--base", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "UTF-8" in captured.err
 
 
 def test_verify_paper_passes(capsys):

@@ -739,7 +739,14 @@ def test_search_stats_account_for_every_raw_column():
     # on hits (which stop at the witness's place) and misses alike
     m1 = local_model_system(1)
     t = s4_transition()
-    cases = [(m1, bundle_side_system(), 3, True), (m1, m1, 2, False), (t.z1, t.z2, 3, False)]
+    # at rank 0 the empty matrix is the one node, and no column is tested
+    z0 = make_system(0, {}, (), ())
+    cases = [
+        (m1, bundle_side_system(), 3, True),
+        (m1, m1, 2, False),
+        (t.z1, t.z2, 3, False),
+        (z0, z0, 1, False),
+    ]
     total = SearchStats()
     for s1, s2, bound, check_c1 in cases:
         stats = SearchStats()
@@ -752,3 +759,28 @@ def test_search_stats_account_for_every_raw_column():
         total.pruned_table + total.pruned_mod2 + total.pruned_triple + total.nodes - len(cases)
     )
     assert total.pruned_table and total.pruned_mod2 and total.pruned_triple
+
+
+def test_columns_with_equal_keys_share_one_lazy_table(monkeypatch):
+    # one survivors generator per (p1, cubic) key, read only as far as needed
+    calls, read, exhausted = [], [], []
+    survivors = equiv._WitnessSearch.survivors
+
+    def counted(self, p1, cubic):
+        calls.append((p1, cubic))
+        for item in survivors(self, p1, cubic):
+            read.append(item)
+            yield item
+        exhausted.append((p1, cubic))
+
+    monkeypatch.setattr(equiv._WitnessSearch, "survivors", counted)
+    zero = make_system(3, {}, (0, 0, 0), (0, 0, 0))
+    # every one of the 27 raw columns passes the table test of the zero system
+    found = find_isomorphism(zero, zero, 1)
+    assert found == find_isomorphism_reference(zero, zero, 1)
+    assert calls == [(0, 0)] and exhausted == [] and len(read) < 27
+    calls.clear()
+    shifted = make_system(3, {}, (0, 0, 2), (0, 0, 0))
+    found = find_isomorphism(shifted, shifted, 1)
+    assert found == find_isomorphism_reference(shifted, shifted, 1)
+    assert calls == [(0, 0), (2, 0)] and exhausted == []
