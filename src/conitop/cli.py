@@ -351,9 +351,10 @@ def render_report(report: dict, fmt: str) -> str:
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        values = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
         raise DescriptorError(f"{flag} must be comma-separated integers, got {text!r}") from exc
+    return tuple(serialize.capped_int(v, flag) for v in values)
 
 
 def _read_json(path: str) -> dict:
@@ -384,7 +385,7 @@ def _load_base(arg: str) -> FourManifold:
 def _base_and_bundle(args) -> tuple[FourManifold, RankTwoBundle]:
     base = _load_base(args.base)
     c1 = (0,) * base.rank if args.c1 is None else _parse_int_list(args.c1, "--c1")
-    return base, RankTwoBundle(base, c1, args.c2)
+    return base, RankTwoBundle(base, c1, serialize.capped_int(args.c2, "--c2"))
 
 
 def _env_step_budget() -> int | None:
@@ -441,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
-    step_budget = _env_step_budget()
     if args.command == "invariants":
         return _run_invariants(*_base_and_bundle(args), args.blowups)
     if args.command == "transition":
@@ -450,8 +450,9 @@ def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
         left = serialize.system_from_descriptor(_read_json(args.left))
         right = serialize.system_from_descriptor(_read_json(args.right))
         primes = _parse_int_list(args.primes, "--primes")
-        return _run_compare(left, right, args.bound, primes, args.check_c1, step_budget, stats)
-    return _run_verify(step_budget)
+        bound = serialize.capped_int(args.bound, "--bound")
+        return _run_compare(left, right, bound, primes, args.check_c1, _env_step_budget(), stats)
+    return _run_verify(_env_step_budget())
 
 
 def main(argv=None) -> int:

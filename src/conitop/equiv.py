@@ -184,8 +184,8 @@ class _WitnessSearch:
         self.s2 = s2
         self.r = s1.rank
         self.check_c1 = check_c1
-        self.entries = spiral_entries(bound)
-        self.raw = len(self.entries) ** self.r
+        self.bound = bound
+        self.raw = (2 * bound + 1) ** self.r
         self.stats = stats
         self.tables = {}
         # mu2(e_p, e_q, .) as (k, value) pairs for each nonzero (p, q)
@@ -220,16 +220,19 @@ class _WitnessSearch:
         return self.tables[key].__copy__()
 
     def survivors(self, p1: int, cubic: int):
-        # the last entry is the least significant: given the others, the p1
-        # test leaves only the entries whose p1 term makes up the rest
+        # the last entry t is the least significant: given the others, the p1 test
+        # leaves the t with last_p1 t = rest (all t if both are 0), at spiral place
+        # 2t - 1 (t > 0) or -2t (t <= 0); only head entries are listed, none at rank 1
         *head_p1, last_p1 = self.s2.p1
-        n = len(self.entries)
-        lasts = {}
-        for place, t in enumerate(self.entries):
-            lasts.setdefault(last_p1 * t, []).append((place, t))
-        for h, head in enumerate(product(self.entries, repeat=self.r - 1)):
-            for place, t in lasts.get(p1 - dot(head_p1, head), ()):
-                v = head + (t,)
+        bound, n = self.bound, 2 * self.bound + 1
+        pool = spiral_entries(bound) if self.r > 1 else ()
+        for h, head in enumerate(product(pool, repeat=self.r - 1)):
+            rest = p1 - dot(head_p1, head)
+            t = rest // last_p1 if last_p1 else 0
+            if last_p1 * t != rest or abs(t) > bound:
+                continue
+            for place in (2 * t - 1 if t > 0 else -2 * t,) if last_p1 else range(n):
+                v = head + ((place + 1) // 2 if place & 1 else -(place // 2),)
                 w = self.contract(v, v)
                 if dot(w, v) == cubic:
                     yield h * n + place, v, w, sum(1 << i for i, x in enumerate(v) if x & 1)
@@ -346,7 +349,8 @@ def has_even_w2_cubic(s: InvariantSystem) -> bool:
 
     True for every system arising from a closed oriented 6-manifold (a Wu
     formula consequence) and for everything this package constructs.  By
-    :func:`_w2_square_parities` the rank-many diagonal values decide it.
+    :func:`_w2_square_parities` the rank-many diagonal values decide it.  No
+    verdict depends on it: :func:`fingerprint` keeps a w2 key only at p = 2.
     """
     return not any(_w2_square_parities(s))
 
@@ -357,31 +361,26 @@ def _check_prime(p) -> None:
 
 
 def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Histogram of (cubic, p1 pairing, w2 pairing mod 2) over F_p points.
+    """Histogram of (cubic, p1 pairing, w2 key) over F_p points.
 
     Counts, over the canonical representatives x in {0..p-1}^rank, the keys
-    (mu(x,x,x) mod p, p1.x mod p, mu(w,x,x) mod 2) with w the 0/1 lift of
-    w2; the last only depends on x mod 2, so it is lift-independent, and it
-    is the linear form d.x with d = :func:`_w2_square_parities`.  Returns the
-    sorted rows (cubic, p1, w2, count): at most 2 p^2, counts summing to
-    p^rank.  Each prime has its own method, all giving these same rows:
+    (mu(x,x,x) mod p, p1.x mod p, w).  At p = 2, w = mu(W,x,x) mod 2 with W
+    the 0/1 lift of w2: the linear form d.x, d = :func:`_w2_square_parities`.
+    At odd p, w = 0, since that parity on a representative is no invariant.
+    Returns the sorted rows (cubic, p1, w, count): at most 2 p^2, counts
+    summing to p^rank.  Each prime has its own method, all giving these rows:
 
     * p = 2 (:func:`_fingerprint_mod2`): the cubic is a quadratic function on
       F_2^r, and the 8 counts follow from 8 character sums, O(r^2) work;
     * p = 3 (:func:`_fingerprint_mod3`): the cubic is the linear form
       sum_i mu_iii x_i, so the histogram is a convolution of r tables, O(r);
-    * p = 5, 7 (:func:`_fingerprint_walk`): a depth-first walk over the points,
-      O(r^2) work per node.  When d = 0 it visits only the points whose first
-      nonzero coordinate is 1, (p^r - 1)/(p - 1) of them, and scales their
-      keys: lambda x has the key (lambda^3 c, lambda pi, 0).  When some d_i
-      is 1, the parity of the representative of lambda x_i is not that of
-      x_i, so the w2 key does not scale, and the walk visits every point.
+    * p = 5, 7 (:func:`_fingerprint_walk`): a depth-first walk over the
+      (p^r - 1)/(p - 1) points whose first nonzero coordinate is 1, O(r^2)
+      work per node; lambda x has the key (lambda^3 c, lambda pi, 0).
 
-    Any witness maps points to points with equal keys, so isomorphic systems
-    have equal histograms.  For odd p that argument additionally needs the
-    mod-2 component to vanish identically (see :func:`has_even_w2_cubic`),
-    which holds for all genuinely geometric systems; :func:`certify_distinct`
-    only trusts odd-p mismatches after checking it.
+    Each key depends only on x mod p (and w2), and a witness maps F_p^rank
+    bijectively to points with equal keys, so isomorphic systems have equal
+    histograms at every prime, whatever :func:`has_even_w2_cubic` says.
     """
     _check_prime(p)
     if s.rank > MAX_FINGERPRINT_RANK:
@@ -390,13 +389,12 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
         )
     if s.rank == 0:
         return ((0, 0, 0, 1),)
-    d = _w2_square_parities(s)
     if p == 2:
-        hist = _fingerprint_mod2(s, d)
+        hist = _fingerprint_mod2(s, _w2_square_parities(s))
     elif p == 3:
-        hist = _fingerprint_mod3(s, d)
+        hist = _fingerprint_mod3(s)
     else:
-        hist = _fingerprint_walk(s, p, d)
+        hist = _fingerprint_walk(s, p)
     return tuple(key + (n,) for key, n in sorted(hist.items()))
 
 
@@ -464,38 +462,36 @@ def _fingerprint_mod2(s: InvariantSystem, d: tuple[int, ...]) -> Counter:
     return +hist
 
 
-def _fingerprint_mod3(s: InvariantSystem, d: tuple[int, ...]) -> Counter:
+def _fingerprint_mod3(s: InvariantSystem) -> Counter:
     """p = 3: mu(x,x,x) = sum_i mu_iii x_i (mod 3), since the cross terms carry 3 or 6.
 
-    With t^3 = t mod 3, coordinate i adds (mu_iii t, p1_i t, d_i t) to the
-    key, so the histogram is a convolution of r tables.
+    With t^3 = t mod 3, coordinate i adds (mu_iii t, p1_i t) to the key, so
+    the histogram is a convolution of r tables.
     """
     hist = Counter({(0, 0, 0): 1})
     for i in range(s.rank):
         a, b = s.mu_value(i, i, i), s.p1[i]
         step = Counter()
-        for (c, q, w), n in hist.items():
+        for (c, q, _), n in hist.items():
             for t in range(3):
-                step[(c + a * t) % 3, (q + b * t) % 3, (w + d[i] * t) % 2] += n
+                step[(c + a * t) % 3, (q + b * t) % 3, 0] += n
         hist = step
     return hist
 
 
-def _fingerprint_walk(s: InvariantSystem, p: int, d: tuple[int, ...]) -> Counter:
+def _fingerprint_walk(s: InvariantSystem, p: int) -> Counter:
     """p = 5, 7: a depth-first walk that fixes x_0, x_1, ... in turn.
 
     With the prefix x fixed and the coordinates j, j' >= k still free, a node
     carries mu(x,x,x), the contractions L[j] = mu(x,x,e_j) and Q[j][j'] =
-    mu(x,e_j,e_j'), and the running p1 and w2 sums; fixing x_k = t updates
-    them from the slice mu(e_k,.,.) in O(r^2).  With one coordinate e left
-    free, the cubic is a + 3 L t + 3 Q t^2 + mu(e,e,e) t^3 in x_e = t, so a
-    leaf is the state (a, L, Q, p1 sum, w2 sum) reduced mod p and mod 2.
-    Equal leaves are counted once, and each distinct leaf adds its p points.
+    mu(x,e_j,e_j'), and the running p1 sum; fixing x_k = t updates them from
+    the slice mu(e_k,.,.) in O(r^2).  With one coordinate e left free, the
+    cubic is a + 3 L t + 3 Q t^2 + mu(e,e,e) t^3 in x_e = t, so a leaf is the
+    state (a, L, Q, p1 sum) reduced mod p.  Equal leaves are counted once,
+    and each distinct leaf adds its p points.
 
-    The nonzero points are walked by their first nonzero coordinate, which
-    takes the values ``starts`` while later coordinates take every value,
-    and each key is counted once per lambda in ``scales`` (see
-    :func:`fingerprint`): (1,) and F_p^* when d = 0, else 1..p-1 and (1,).
+    The walk starts each first nonzero coordinate at 1, and each key is
+    counted once per lambda in F_p^* (see :func:`fingerprint`).
     """
     r, mu = s.rank, s.mu_value
     # for each k: mu(e_k,e_k,e_k), mu(e_k,e_k,e_j) for j > k, mu(e_k,e_i,e_j) for k < i <= j
@@ -503,11 +499,10 @@ def _fingerprint_walk(s: InvariantSystem, p: int, d: tuple[int, ...]) -> Counter
     for k in range(r):
         tri = [mu(k, i, j) % p for i in range(k + 1, r) for j in range(i, r)]
         parts.append((mu(k, k, k) % p, [mu(k, k, j) % p for j in range(k + 1, r)], tri))
-    starts, scales = (range(1, p), (1,)) if any(d) else ((1,), range(1, p))
     last = r - 1
     leaves = []
 
-    def walk(k, ts, cubic, lin, quad, p1, w2):
+    def walk(k, ts, cubic, lin, quad, p1):
         # lin and the upper triangle quad (row by row) start at coordinate k:
         # quad[:n] is row k, quad[n:] the rows after it
         n = r - k
@@ -518,27 +513,24 @@ def _fingerprint_walk(s: InvariantSystem, p: int, d: tuple[int, ...]) -> Counter
             lin2 = [a + 2 * t * b + t * t * e for a, b, e in zip(lin, row, cross)]
             quad2 = [a + t * e for a, e in zip(quad, tri)]
             q = p1 + s.p1[k] * t
-            w = w2 + d[k] * t
             if k + 1 < last:
-                walk(k + 1, range(p), c, lin2, quad2, q, w)
+                walk(k + 1, range(p), c, lin2, quad2, q)
             else:
-                leaves.append((c % p, lin2[0] % p, quad2[0] % p, q % p, w % 2))
+                leaves.append((c % p, lin2[0] % p, quad2[0] % p, q % p))
 
     for k in range(last):
         n = r - k
-        walk(k, starts, 0, [0] * n, [0] * (n * (n + 1) // 2), 0, 0)
-    diag, p1_last, w2_last = parts[last][0], s.p1[last], d[last]
-    hist = Counter()
-    for (cubic, l0, q0, p1, w2), n in Counter(leaves).items():
+        walk(k, (1,), 0, [0] * n, [0] * (n * (n + 1) // 2), 0)
+    diag, p1_last = parts[last][0], s.p1[last]
+    hist = Counter({(diag, p1_last % p): 1})  # e_last, the point led by the last coordinate
+    for (cubic, l0, q0, p1), n in Counter(leaves).items():
         for t in range(p):
             c = cubic + 3 * t * l0 + 3 * t * t * q0 + t * t * t * diag
-            hist[c % p, (p1 + p1_last * t) % p, (w2 + w2_last * t) % 2] += n
-    for t in starts:  # the points whose first nonzero coordinate is the last one
-        hist[diag * t**3 % p, p1_last * t % p, w2_last * t % 2] += 1
+            hist[c % p, (p1 + p1_last * t) % p] += n
     out = Counter({(0, 0, 0): 1})
-    for (c, q, w), n in hist.items():
-        for lam in scales:
-            out[c * lam**3 % p, q * lam % p, w] += n
+    for (c, q), n in hist.items():
+        for lam in range(1, p):
+            out[c * lam**3 % p, q * lam % p, 0] += n
     return out
 
 
@@ -548,9 +540,8 @@ def certify_distinct(
     """Certified non-isomorphism via rank, b3, or a fingerprint mismatch.
 
     None means inconclusive, never "isomorphic".  Fingerprints are skipped
-    entirely above rank 6, and odd primes are skipped for systems without
-    the even w2-cubic property (where the odd-p histogram is not a sound
-    invariant).  Every prime is checked to be a supported one first.
+    entirely above rank 6; below it every given prime runs in turn.  Every
+    prime is checked to be a supported one first.
     """
     primes = tuple(primes)
     for p in primes:
@@ -561,10 +552,7 @@ def certify_distinct(
         return DistinctnessCertificate("b3", None, (s1.b3, s2.b3))
     if s1.rank > MAX_FINGERPRINT_RANK:
         return None
-    even = has_even_w2_cubic(s1) and has_even_w2_cubic(s2)
     for p in primes:
-        if p != 2 and not even:
-            continue
         f1 = fingerprint(s1, p)
         f2 = fingerprint(s2, p)
         if f1 != f2:
@@ -577,7 +565,7 @@ def certificate_is_valid(
 ) -> bool:
     """Whether :func:`certify_distinct` at the certificate's prime alone returns it.
 
-    Its prime, rank and even-w2 rules thus decide validity too, kept in one place.
+    Its prime and rank rules thus decide validity too, kept in one place.
     """
     primes = (cert.prime,) if cert.prime in SUPPORTED_PRIMES else ()
     return certify_distinct(s1, s2, primes) == cert

@@ -26,8 +26,9 @@ REPORT_SCHEMA = "conitop-report/2"
 # projectivization has rank at most MAX_FORM_RANK + 1 and a transition side
 # (over base # CP2bar) at most MAX_FORM_RANK + 2, the cap on explicit systems.
 MAX_FORM_RANK = 256
-# Descriptor integers have at most this many digits, so that every value built
-# from a few of them stays within the 4,300 digits that str() and json print.
+# Descriptor integers and integer flags have at most this many digits, so that
+# every value built from a few of them stays within the 4,300 digits that str()
+# and json print.
 MAX_INT_DIGITS = 1000
 _INT_LIMIT = 10**MAX_INT_DIGITS
 
@@ -61,12 +62,17 @@ def loads(text: str) -> dict:
 _JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false", list: "a list"}
 
 
+def capped_int(value: int, field: str) -> int:
+    """``value``, unless it has more than MAX_INT_DIGITS digits; the error names ``field``."""
+    if not -_INT_LIMIT < value < _INT_LIMIT:
+        raise DescriptorError(f"{field} has an integer of more than {MAX_INT_DIGITS} digits")
+    return value
+
+
 def _json_value(value, kind: type, field: str):
     if type(value) is not kind:
         raise DescriptorError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
-    if kind is int and not -_INT_LIMIT < value < _INT_LIMIT:
-        raise DescriptorError(f"{field} has an integer of more than {MAX_INT_DIGITS} digits")
-    return value
+    return capped_int(value, field) if kind is int else value
 
 
 def _json_list(value, kind: type, field: str) -> tuple:

@@ -378,9 +378,12 @@ def has_even_w2_cubic_exhaustive(s) -> bool:
 
 
 def fingerprint_reference(s, p: int):
-    """The fingerprint histogram rows with mu(w2, x, x) mod 2 as a full mu_eval."""
+    """The fingerprint histogram rows, each key a full mu_eval at every point.
+
+    The w2 key is mu(w2, x, x) mod 2 at p = 2 and 0 at odd p.
+    """
     hist = Counter(
-        (s.cubic(x) % p, s.p1_pairing(x) % p, s.mu_eval(s.w2, x, x) % 2)
+        (s.cubic(x) % p, s.p1_pairing(x) % p, s.mu_eval(s.w2, x, x) % 2 if p == 2 else 0)
         for x in product(range(p), repeat=s.rank)
     )
     return tuple(key + (n,) for key, n in sorted(hist.items()))

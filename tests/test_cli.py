@@ -11,6 +11,7 @@ from conitop import (
     trivial_bundle,
 )
 from conitop import serialize
+from conitop.equiv import certificate_is_valid
 from conitop.cli import (
     EXIT_BUDGET,
     EXIT_INCONCLUSIVE,
@@ -130,6 +131,43 @@ def test_compare_refuses_an_unsupported_prime_above_the_fingerprint_rank(tmp_pat
     assert main(["compare", "--left", sides[0], "--right", sides[1], "--primes", "11"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert "prime 11" in captured.err and captured.out == ""
+
+
+def test_compare_separates_odd_w2_cubic_systems_at_an_odd_prime(tmp_path, capsys):
+    # mu(w2, x, x) is odd here, which no closed 6-manifold has; odd primes once
+    # were skipped for such systems and this compare was inconclusive
+    def side(p1):
+        doc = {"rank": 1, "mu": [[0, 0, 0, 1]], "p1": [p1], "w2": [1], "b3": 0}
+        return write_system_file(tmp_path, f"p1_{p1}.json", {"system": doc})
+
+    code, report, _ = json_report(capsys, ["compare", "--left", side(0), "--right", side(2)])
+    assert code == EXIT_OK and report["result"]["verdict"] == "distinct"
+    obj = report["result"]["certificate"]
+    assert obj["kind"] == "fingerprint" and obj["prime"] == 3
+    left, right = (serialize.system_from_obj(report["inputs"][s]) for s in ("left", "right"))
+    assert certificate_is_valid(serialize.certificate_from_obj(obj), left, right)
+
+
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["invariants", "--base", "CP2", "--c2", NINES], "--c2"),
+        (["transition", "--base", "CP2", "--c2", NINES], "--c2"),
+        (["invariants", "--base", "CP2", "--c1", NINES], "--c1"),
+        (["compare", "--left", "{side}", "--right", "{side}", "--bound", NINES], "--bound"),
+    ],
+)
+def test_integer_flags_are_capped_in_digits(tmp_path, capsys, argv, flag):
+    # each ended in a ValueError traceback when a value built from the flag,
+    # with more than 4,300 digits, was printed
+    side = write_system_file(tmp_path, "side.json", {"local_model": 1})
+    assert main([arg.format(side=side) for arg in argv]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert flag in captured.err and "digits" in captured.err
 
 
 def test_main_rejects_non_integer_mu(tmp_path, capsys):
@@ -427,6 +465,13 @@ def test_step_budget_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CONITOP_STEP_BUDGET", "not-a-number")
     code = main(["compare", "--left", left, "--right", right])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["invariants", "transition"])
+def test_step_budget_is_read_only_by_commands_that_search(capsys, monkeypatch, command):
+    monkeypatch.setenv("CONITOP_STEP_BUDGET", "x")
+    assert main([command, "--base", "CP2"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_negative_step_budget_is_an_input_error(capsys, monkeypatch):

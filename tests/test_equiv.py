@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -215,6 +217,30 @@ def test_bad_bound():
         find_isomorphism(exp_system(), exp_system(), bound=0)
 
 
+@pytest.mark.parametrize("rank, bound", [(0, 10**12), (1, 10**8)])
+def test_search_memory_does_not_grow_with_the_bound(rank, bound):
+    # the raw-space gate lets ranks 0 and 1 through at such bounds; the search
+    # once listed 2 bound + 1 entries, 842 MB at rank 1 and bound 3 * 10^6
+    s = make_system(rank, {(0, 0, 0): 1} if rank else {}, (0,) * rank, (1,) * rank)
+    stats = SearchStats()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        found = find_isomorphism(s, s, bound, stats=stats)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1 and peak < 10 * 2**20, (seconds, peak)
+    assert found == IsomorphismWitness(((1,),) if rank else ())
+    # at rank 1 the witness (1) is the second raw column, after (0)
+    assert stats.to_obj() == {
+        "nodes": 1 + rank,
+        "column_tests": 2 * rank,
+        "pruned": {"table": rank, "mod2": 0, "triple": 0},
+    }
+
+
 def test_fingerprint_rank_zero():
     s = make_system(0, {}, p1=(), w2=())
     assert fingerprint(s, 5) == ((0, 0, 0, 1),)
@@ -332,15 +358,16 @@ def test_even_w2_cubic_matches_exhaustive_oracle():
     assert outcomes == {True, False}
 
 
-def test_certificate_rejects_odd_prime_without_even_w2_cubic():
-    # mu(w, a, a) = 1 is odd, so an odd-p fingerprint is no invariant here
+def test_odd_prime_fingerprints_agree_without_even_w2_cubic():
+    # mu(w, a, a) = 1 is odd; its parity on a representative once entered the
+    # odd-p key, and then these isomorphic systems had different fingerprints
     s = make_system(2, {(0, 0, 0): 1, (0, 0, 1): 1, (1, 1, 1): 2}, (0, 1), (1, 0))
     a = ((1, 1), (0, 1))
     t = transport_system(s, a)
     assert verify_witness(s, t, a)
     assert not has_even_w2_cubic(s)
     f_s, f_t = fingerprint(s, 3), fingerprint(t, 3)
-    assert f_s != f_t
+    assert f_s == f_t
     cert = DistinctnessCertificate("fingerprint", 3, (f_s, f_t))
     assert not certificate_is_valid(cert, s, t)
 
@@ -355,14 +382,18 @@ def test_fingerprint_matches_mu_eval_reference():
             for p in (2, 3, 5):
                 assert fingerprint(s, p) == fingerprint_reference(s, p)
     # dense mu with large entries, and unimodular transports, which fill mu
-    # in: ranks up to 4 at every supported prime, ranks 5 and 6 at p = 2, 3, 5
+    # in: ranks up to 4 at every supported prime, ranks 5 and 6 at p = 2, 3, 5.
+    # A transported system has the fingerprint of its source at every prime
     for rank in range(1, 7):
         primes = SUPPORTED_PRIMES if rank <= 4 else (2, 3, 5)
         s = random_system(rng, rank, span=9, fill=0.9)
-        for t in (s, transport_system(s, random_unimodular(rng, rank))):
+        moved = transport_system(s, random_unimodular(rng, rank))
+        for t in (s, moved):
             odd_diagonal += not has_even_w2_cubic(t)
             for p in primes:
                 assert fingerprint(t, p) == fingerprint_reference(t, p), (rank, p)
+        for p in SUPPORTED_PRIMES:
+            assert fingerprint(moved, p) == fingerprint(s, p), (rank, p)
     assert odd_diagonal > 0
 
 
@@ -388,9 +419,9 @@ def test_fingerprint_closed_forms_match_reference():
     assert parities == {True, False}
 
 
-def test_fingerprint_walk_matches_reference_on_both_start_sets():
-    # even systems walk the points with first nonzero coordinate 1 and scale,
-    # the others walk every point
+def test_fingerprint_walk_matches_reference_on_odd_and_even_systems():
+    # the walk visits the points with first nonzero coordinate 1 and scales
+    # their keys, whether or not the w2 cubic is even
     rng = random.Random(42)
     parities = {5: set(), 7: set()}
     for p, top in ((5, 5), (7, 4)):
@@ -402,14 +433,14 @@ def test_fingerprint_walk_matches_reference_on_both_start_sets():
 
 
 def test_even_fingerprint_is_invariant_under_scaling():
-    # on an even system, x -> lambda x maps the key (c, pi, 0) to
+    # at odd p, on any system, x -> lambda x maps the key (c, pi, 0) to
     # (lambda^3 c, lambda pi, 0), so those two keys have equal counts
     rng = random.Random(43)
     base = parse_sum_expression("CP2 # 2 CP2bar")
     systems = [projectivize(base, random_bundle(rng, base)) for _ in range(3)]
-    systems += [s for s in oracle_systems(rng, 4) if has_even_w2_cubic(s)]
+    systems += list(oracle_systems(rng, 4))
+    assert {has_even_w2_cubic(s) for s in systems} == {True, False}
     for s in systems:
-        assert has_even_w2_cubic(s)
         for p in (3, 5, 7):
             counts = {row[:3]: row[3] for row in fingerprint(s, p)}
             assert all(w == 0 for _, _, w in counts)
@@ -552,13 +583,13 @@ def test_certify_distinct_transition_sides():
     assert certificate_is_valid(cert2, t2.z1, t2.z2)
 
 
-def test_certify_skips_odd_primes_without_even_w2_cubic():
-    # artificial non-geometric data: mu(w,x,x) odd for some x
+def test_certify_runs_odd_primes_without_even_w2_cubic():
+    # artificial non-geometric data: mu(w,x,x) odd for some x.  Odd primes
+    # run, and they cannot separate isomorphic systems
     weird1 = make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(1,), c1_class=(1,))
     weird2 = transport_system(weird1, ((-1,),))
     assert not has_even_w2_cubic(weird1)
-    cert = certify_distinct(weird1, weird2, primes=(3, 5))
-    assert cert is None  # odd primes skipped: soundness over separation
+    assert certify_distinct(weird1, weird2, primes=(3, 5)) is None
     assert certify_distinct(weird1, weird2, primes=(2,)) is None
 
 
