@@ -145,6 +145,15 @@ class SearchStats(Value):
         return {"nodes": self.nodes, "column_tests": self.column_tests, "pruned": pruned}
 
 
+def _cube_root(n: int) -> int:
+    """The integer cube root of n, rounded towards 0 (Newton's method from above)."""
+    m = abs(n)
+    t = 1 << -(-m.bit_length() // 3)
+    while t and (u := (2 * t + m // (t * t)) // 3) < t:
+        t = u
+    return t if n >= 0 else -t
+
+
 class _WitnessSearch:
     """Column-by-column depth-first enumeration over per-column candidate tables.
 
@@ -222,16 +231,22 @@ class _WitnessSearch:
     def survivors(self, p1: int, cubic: int):
         # the last entry t is the least significant: given the others, the p1 test
         # leaves the t with last_p1 t = rest (all t if both are 0), at spiral place
-        # 2t - 1 (t > 0) or -2t (t <= 0); only head entries are listed, none at rank 1
+        # 2t - 1 (t > 0) or -2t (t <= 0); only head entries are listed, none at rank 1.
+        # There, if last_p1 = 0, the cubic test a t^3 = cubic with a = mu2_000
+        # leaves at most the integer cube root of cubic / a when a != 0
         *head_p1, last_p1 = self.s2.p1
         bound, n = self.bound, 2 * self.bound + 1
         pool = spiral_entries(bound) if self.r > 1 else ()
+        a = 0 if last_p1 or self.r > 1 else self.s2.mu_value(0, 0, 0)
         for h, head in enumerate(product(pool, repeat=self.r - 1)):
             rest = p1 - dot(head_p1, head)
-            t = rest // last_p1 if last_p1 else 0
+            if last_p1:
+                t = rest // last_p1
+            else:
+                t = _cube_root(cubic // a) if a else 0
             if last_p1 * t != rest or abs(t) > bound:
                 continue
-            for place in (2 * t - 1 if t > 0 else -2 * t,) if last_p1 else range(n):
+            for place in (2 * t - 1 if t > 0 else -2 * t,) if last_p1 or a else range(n):
                 v = head + ((place + 1) // 2 if place & 1 else -(place // 2),)
                 w = self.contract(v, v)
                 if dot(w, v) == cubic:
@@ -374,19 +389,22 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
       F_2^r, and the 8 counts follow from 8 character sums, O(r^2) work;
     * p = 3 (:func:`_fingerprint_mod3`): the cubic is the linear form
       sum_i mu_iii x_i, so the histogram is a convolution of r tables, O(r);
-    * p = 5, 7 (:func:`_fingerprint_walk`): a depth-first walk over the
-      (p^r - 1)/(p - 1) points whose first nonzero coordinate is 1, O(r^2)
-      work per node; lambda x has the key (lambda^3 c, lambda pi, 0).
+    * p = 5, 7 on a block sum of cones (:func:`conitop.cones.histogram`): a
+      congruence diagonalization mod p per block, then convolutions of
+      per-coordinate tables over p^2 keys; O(r p^3) work on a diagonal form,
+      O(r^3) on a dense one;
+    * p = 5, 7 otherwise (:func:`_fingerprint_walk`): a depth-first walk over
+      the (p^r - 1)/(p - 1) points whose first nonzero coordinate is 1, O(r^2)
+      work per node; lambda x has the key (lambda^3 c, lambda pi, 0).  Only
+      this walk has a rank limit: above MAX_FINGERPRINT_RANK a system with a
+      block that is no cone (see :func:`conitop.cones.cone_blocks`) raises
+      ValidationError.
 
     Each key depends only on x mod p (and w2), and a witness maps F_p^rank
     bijectively to points with equal keys, so isomorphic systems have equal
     histograms at every prime, whatever :func:`has_even_w2_cubic` says.
     """
     _check_prime(p)
-    if s.rank > MAX_FINGERPRINT_RANK:
-        raise ValidationError(
-            f"fingerprint enumeration limited to rank {MAX_FINGERPRINT_RANK}"
-        )
     if s.rank == 0:
         return ((0, 0, 0, 1),)
     if p == 2:
@@ -394,7 +412,18 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
     elif p == 3:
         hist = _fingerprint_mod3(s)
     else:
-        hist = _fingerprint_walk(s, p)
+        from . import cones  # imported on first use, so start-up does not compile it
+
+        blocks = cones.cone_blocks(s)
+        if blocks is not None:
+            hist = cones.histogram(s, blocks, p)
+        elif s.rank > MAX_FINGERPRINT_RANK:
+            raise ValidationError(
+                f"fingerprint walk at p = {p} limited to rank {MAX_FINGERPRINT_RANK}"
+                " for a system that is no block sum of cones"
+            )
+        else:
+            hist = _fingerprint_walk(s, p)
     return tuple(key + (n,) for key, n in sorted(hist.items()))
 
 
@@ -539,9 +568,11 @@ def certify_distinct(
 ) -> DistinctnessCertificate | None:
     """Certified non-isomorphism via rank, b3, or a fingerprint mismatch.
 
-    None means inconclusive, never "isomorphic".  Fingerprints are skipped
-    entirely above rank 6; below it every given prime runs in turn.  Every
-    prime is checked to be a supported one first.
+    None means inconclusive, never "isomorphic".  Every given prime runs in
+    turn, at every rank, with one exception: above MAX_FINGERPRINT_RANK,
+    p = 5 and 7 are skipped unless both systems are block sums of cones
+    (see :func:`fingerprint`).  Every prime is checked to be a supported
+    one first.
     """
     primes = tuple(primes)
     for p in primes:
@@ -550,9 +581,15 @@ def certify_distinct(
         return DistinctnessCertificate("rank", None, (s1.rank, s2.rank))
     if s1.b3 != s2.b3:
         return DistinctnessCertificate("b3", None, (s1.b3, s2.b3))
-    if s1.rank > MAX_FINGERPRINT_RANK:
-        return None
+    # above the walk's rank limit, p = 5 and 7 need two block sums of cones
+    skip = s1.rank > MAX_FINGERPRINT_RANK and any(p > 3 for p in primes)
+    if skip:
+        from . import cones
+
+        skip = None in (cones.cone_blocks(s1), cones.cone_blocks(s2))
     for p in primes:
+        if p > 3 and skip:
+            continue
         f1 = fingerprint(s1, p)
         f2 = fingerprint(s2, p)
         if f1 != f2:

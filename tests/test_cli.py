@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -121,8 +122,8 @@ def test_main_rejects_non_integer_list_flags(tmp_path, capsys):
 
 
 def test_compare_refuses_an_unsupported_prime_above_the_fingerprint_rank(tmp_path, capsys):
-    # rank 7 skips the fingerprints, so prime 11 went unchecked and the
-    # search ended in exit 3 (budget exceeded)
+    # rank 7 once skipped the fingerprints, so prime 11 went unchecked and
+    # the search ended in exit 3 (budget exceeded)
     sides = [
         write_system_file(tmp_path, f"c2_{c2}.json", {"projectivize": {
             "base": "CP2 # 5 CP2bar", "c1": [0] * 6, "c2": c2}})
@@ -330,6 +331,20 @@ def test_run_compare_inconclusive(tmp_path, capsys):
     code, report, _ = json_report(capsys, ["compare", "--left", left, "--right", right])
     assert code == EXIT_INCONCLUSIVE
     assert report["result"]["verdict"] == "inconclusive"
+
+
+def test_rank_one_compare_at_a_huge_bound_is_quick(tmp_path, capsys):
+    # mu_000 = 1 and 211 agree at p = 2, 3, 5 and no t has 211 t^3 = 1; the
+    # search solves the cubic for t, where listing all 2 * 10^8 + 1 entries
+    # took about 150 s
+    def side(v):
+        doc = {"rank": 1, "mu": [[0, 0, 0, v]], "p1": [0], "w2": [0], "b3": 0}
+        return write_system_file(tmp_path, f"mu_{v}.json", {"system": doc})
+
+    start = time.perf_counter()
+    code = main(["compare", "--left", side(1), "--right", side(211), "--bound", str(10**8)])
+    assert code == EXIT_INCONCLUSIVE and time.perf_counter() - start < 1
+    assert "INCONCLUSIVE" in capsys.readouterr().out
 
 
 # -- main / exit codes ---------------------------------------------------------

@@ -27,7 +27,7 @@ from conitop import (
     twist_witness,
     verify_witness,
 )
-from conitop import equiv
+from conitop import cones, equiv
 from conitop.equiv import SUPPORTED_PRIMES, SearchStats, spiral_entries
 from conitop.intmat import inverse_unimodular
 from conitop.serialize import certificate_to_obj, json_canonical, parse_sum_expression
@@ -41,6 +41,10 @@ from oracles import (
     random_system,
     random_unimodular,
 )
+
+
+# one block, and no slot lies in every one of its triples
+NON_CONE_MU = {(0, 0, 0): 1, (0, 0, 1): 1, (1, 1, 1): 1}
 
 
 def exp_system():
@@ -275,9 +279,14 @@ def test_fingerprint_guards():
     s = exp_system()
     with pytest.raises(ValidationError):
         fingerprint(s, 4)
-    big = make_system(7, {}, p1=(0,) * 7, w2=(0,) * 7)
-    with pytest.raises(ValidationError):
-        fingerprint(big, 2)
+    # only the walk has a rank limit: a rank-7 block that is no cone (no slot
+    # lies in all of (0,0,0), (0,0,1), (1,1,1)) has no fingerprint at p = 5, 7
+    big = make_system(7, NON_CONE_MU, p1=(0,) * 7, w2=(0,) * 7)
+    for p in (5, 7):
+        with pytest.raises(ValidationError, match="rank 6"):
+            fingerprint(big, p)
+    for p in (2, 3):
+        assert sum(row[3] for row in fingerprint(big, p)) == p**7
 
 
 def test_fingerprint_equal_for_isomorphic_pair():
@@ -432,6 +441,125 @@ def test_fingerprint_walk_matches_reference_on_odd_and_even_systems():
     assert parities == {5: {True, False}, 7: {True, False}}
 
 
+def signed_permutation(rng, rank):
+    perm = list(range(rank))
+    rng.shuffle(perm)
+    return tuple(
+        tuple(rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(rank))
+        for i in range(rank)
+    )
+
+
+def cone_cases(rng):
+    """Block sums of cones of rank 1 to 6, as (name, system) pairs."""
+    cases = [("model 1", local_model_system(1)), ("model 2", local_model_system(2))]
+    for expr in ("S4", "CP2", "S2xS2", "CP2 # CP2bar", "2 S2xS2", "CP2 # 3 CP2bar"):
+        base = parse_sum_expression(expr)
+        for _ in range(2):
+            e = random_bundle(rng, base)
+            s = projectivize(base, e)
+            t = conifold_transition(base, e)
+            cases += [(expr, s), (expr + " blowup", blowup_point(s))]
+            cases += [(expr + " z1", t.z1), (expr + " z2", t.z2)]
+            moved = transport_system(s, signed_permutation(rng, s.rank))
+            cases.append((expr + " permuted", moved))
+    # two cones in one system, vertices 1 and 5; then Q = 0 mod 5 and 7 with
+    # p1 = 0 mod 5 and 7 on the block; then a hyperbolic Q with zero diagonal
+    # and p1 off the vertex
+    two = {(1, 1, 1): 2, (0, 1, 1): 1, (0, 0, 1): -1, (1, 1, 2): 3, (0, 1, 2): 1,
+           (3, 5, 5): 1, (4, 5, 5): 2, (3, 3, 5): -1, (3, 4, 5): 1, (5, 5, 5): 1}
+    cases.append(("two cones", make_system(6, two, (1, 0, 2, 0, 1, 3), (0,) * 6)))
+    flat = {(0, 0, 0): 3, (0, 0, 1): 1, (0, 0, 2): 2, (0, 1, 1): 35, (0, 1, 2): -70}
+    cases.append(("Q = 0 mod p", make_system(4, flat, (35, 70, 0, 1), (0,) * 4)))
+    hyper = {(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 2): 1, (0, 3, 4): 1, (0, 3, 3): 5}
+    cases.append(("hyperbolic", make_system(5, hyper, (2, 1, 0, 3, 1), (0,) * 5)))
+    for rank in range(1, 7):
+        s = random_system(rng, rank)
+        vertex = rng.randrange(rank)
+        mu = {ijk: v for ijk, v in s.mu if vertex in ijk}
+        cases.append(("random cone", make_system(rank, mu, s.p1, s.w2)))
+    return cases
+
+
+def test_cone_method_matches_the_walk_and_the_reference():
+    # fingerprint dispatches every one of these to the cone method; the walk
+    # and a mu_eval at every point must give the same rows
+    rng = random.Random(57)
+    vertices, ranks = set(), set()
+    for name, s in cone_cases(rng):
+        blocks = cones.cone_blocks(s)
+        assert blocks is not None, name
+        vertices.update(v for v, slots, _ in blocks if len(slots) > 1)
+        ranks.add(s.rank)
+        for p in (5, 7):
+            rows = fingerprint(s, p)
+            walk = equiv._fingerprint_walk(s, p)
+            assert rows == tuple(key + (n,) for key, n in sorted(walk.items())), (name, p)
+            if p**s.rank <= 625:
+                assert rows == fingerprint_reference(s, p), (name, p)
+    assert ranks == set(range(1, 7)) and len(vertices) >= 4
+    assert cones.cone_blocks(local_model_system(2))[0][0] == 1
+
+
+def test_walk_still_serves_systems_that_are_no_cone_sum():
+    rng = random.Random(58)
+    seen = 0
+    for rank in (2, 3, 4, 5):
+        base = parse_sum_expression(f"CP2 # {rank - 2} CP2bar")
+        s = projectivize(base, random_bundle(rng, base))
+        moved = transport_system(s, random_unimodular(rng, rank))
+        if cones.cone_blocks(moved) is None:
+            seen += 1
+            for p in (5, 7):
+                assert fingerprint(moved, p) == fingerprint(s, p)
+                if p**rank <= 625:
+                    assert fingerprint(moved, p) == fingerprint_reference(moved, p)
+    assert seen >= 2
+
+
+def test_transition_sides_are_told_apart_up_to_rank_42():
+    # sides over CP2 # k CP2bar, k = 1..40; the cone method at p = 5 and 7
+    # also gives equal rows after a signed permutation moves the vertex
+    rng = random.Random(40)
+    for k in range(1, 41):
+        base = parse_sum_expression(f"CP2 # {k} CP2bar")
+        c1 = tuple(rng.randint(-3, 3) for _ in range(base.rank))
+        t = conifold_transition(base, RankTwoBundle(base, c1, rng.randint(-5, 5)))
+        cert = certify_distinct(t.z1, t.z2, SUPPORTED_PRIMES)
+        assert cert.kind == "fingerprint" and certificate_is_valid(cert, t.z1, t.z2)
+        if k % 10 == 0:
+            moved = transport_system(t.z1, signed_permutation(rng, t.z1.rank))
+            for p in (5, 7):
+                assert fingerprint(moved, p) == fingerprint(t.z1, p)
+
+
+@pytest.mark.parametrize(
+    "expr, c1, c2",
+    [("CP2 # 5 CP2bar", (-1, 1, 1, 1, 1, 3), 5), ("3 S2xS2", (0, 0, 0, 0, 2, 0), -1)],
+)
+def test_rank_eight_sides_differ_only_at_five_and_seven(expr, c1, c2):
+    base = parse_sum_expression(expr)
+    t = conifold_transition(base, RankTwoBundle(base, c1, c2))
+    assert t.z1.rank == t.z2.rank == 8
+    same = [fingerprint(t.z1, p) == fingerprint(t.z2, p) for p in SUPPORTED_PRIMES]
+    assert same == [True, True, False, False]
+    cert = certify_distinct(t.z1, t.z2)
+    assert cert.prime == 5 and certificate_is_valid(cert, t.z1, t.z2)
+
+
+def test_rank_258_sides_fingerprint_within_a_second():
+    base = parse_sum_expression("CP2 # 255 CP2bar")
+    c1 = tuple(i % 3 - 1 for i in range(base.rank))
+    t = conifold_transition(base, RankTwoBundle(base, c1, 3))
+    for s in (t.z1, t.z2):
+        assert s.rank == 258
+        for p in (5, 7):
+            start = time.perf_counter()
+            rows = fingerprint(s, p)
+            assert time.perf_counter() - start < 1
+            assert sum(row[3] for row in rows) == p**258
+
+
 def test_even_fingerprint_is_invariant_under_scaling():
     # at odd p, on any system, x -> lambda x maps the key (c, pi, 0) to
     # (lambda^3 c, lambda pi, 0), so those two keys have equal counts
@@ -511,9 +639,9 @@ def test_certificate_outside_fingerprint_window_is_invalid():
     # a prime the fingerprint does not support is no valid certificate
     foreign = DistinctnessCertificate("fingerprint", 11, cert.detail)
     assert certificate_is_valid(foreign, t.z1, t.z2) is False
-    a = make_system(7, {}, p1=(0,) * 7, w2=(0,) * 7)
-    b = make_system(7, {(0, 0, 0): 1}, p1=(0,) * 7, w2=(0,) * 7)
-    too_big = DistinctnessCertificate("fingerprint", 2, ((), ()))
+    # nor one at p = 5 above rank 6 for systems that are no block sum of cones
+    a, b = (make_system(7, NON_CONE_MU, (x,) + (0,) * 6, (0,) * 7) for x in (0, 6))
+    too_big = DistinctnessCertificate("fingerprint", 5, ((), ()))
     assert certificate_is_valid(too_big, a, b) is False
 
 
@@ -564,10 +692,25 @@ def test_certify_distinct_rank_and_b3():
 
 
 def test_certify_skips_fingerprints_above_rank_limit():
+    # p1 moved by 6 keeps every value mod 2 and 3, so only p = 5 and 7 can
+    # tell these apart.  Above rank 6 they run for block sums of cones only
+    def pair(rank, mu):
+        return [make_system(rank, mu, (x,) + (0,) * (rank - 1), (0,) * rank) for x in (0, 6)]
+
+    cone_mu = {(0, 0, 0): 1, (0, 0, 1): 1, (0, 1, 1): 1}
+    for mu in (NON_CONE_MU, cone_mu):
+        cert = certify_distinct(*pair(6, mu), SUPPORTED_PRIMES)
+        assert cert.prime == 5 and certify_distinct(*pair(6, mu), (2, 3)) is None
+    a, b = pair(7, NON_CONE_MU)
+    assert cones.cone_blocks(a) is None
+    assert certify_distinct(a, b, SUPPORTED_PRIMES) is None
+    a, b = pair(7, cone_mu)
+    cert = certify_distinct(a, b, SUPPORTED_PRIMES)
+    assert cert.prime == 5 and certificate_is_valid(cert, a, b)
+    # p = 2 and 3 run at every rank: mu differs, and p = 2 sees it
     a = make_system(7, {}, p1=(0,) * 7, w2=(0,) * 7)
     b = make_system(7, {(0, 0, 0): 1}, p1=(0,) * 7, w2=(0,) * 7)
-    # mu differs, but rank 7 exceeds the fingerprint window: inconclusive
-    assert certify_distinct(a, b) is None
+    assert certify_distinct(a, b).prime == 2
 
 
 def test_certify_distinct_transition_sides():
@@ -790,6 +933,33 @@ def test_search_stats_account_for_every_raw_column():
         total.pruned_table + total.pruned_mod2 + total.pruned_triple + total.nodes - len(cases)
     )
     assert total.pruned_table and total.pruned_mod2 and total.pruned_triple
+
+
+@pytest.mark.parametrize(
+    "mu1, mu2, witness, counters",
+    [
+        # (nodes, column_tests, table, mod2, triple); with p1 = 0 the rank-1
+        # survivor is the integer root of mu2 t^3 = mu1, or every t when both are 0
+        (1, 1, ((1,),), (2, 2, 1, 0, 0)),
+        (-1, 1, ((-1,),), (2, 3, 2, 0, 0)),
+        (8, 1, None, (1, 7, 6, 1, 0)),
+        (-27, 1, None, (2, 7, 6, 0, 0)),
+        (54, 2, None, (2, 7, 6, 0, 0)),
+        (2, 1, None, (1, 7, 7, 0, 0)),
+        (3, 2, None, (1, 7, 7, 0, 0)),
+        (0, 1, None, (1, 7, 6, 1, 0)),
+        (0, 0, ((1,),), (2, 2, 0, 1, 0)),
+        (1, 0, None, (1, 7, 7, 0, 0)),
+    ],
+)
+def test_rank_one_search_solves_the_cubic(mu1, mu2, witness, counters):
+    s1, s2 = (make_system(1, {(0, 0, 0): v}, (0,), (0,)) for v in (mu1, mu2))
+    stats = SearchStats()
+    found = find_isomorphism(s1, s2, 3, stats=stats)
+    assert (None if found is None else found.matrix) == witness
+    assert found == find_isomorphism_reference(s1, s2, 3)
+    pruned = (stats.pruned_table, stats.pruned_mod2, stats.pruned_triple)
+    assert (stats.nodes, stats.column_tests) + pruned == counters
 
 
 def test_columns_with_equal_keys_share_one_lazy_table(monkeypatch):
