@@ -145,15 +145,6 @@ class SearchStats(Value):
         return {"nodes": self.nodes, "column_tests": self.column_tests, "pruned": pruned}
 
 
-def _cube_root(n: int) -> int:
-    """The integer cube root of n, rounded towards 0 (Newton's method from above)."""
-    m = abs(n)
-    t = 1 << -(-m.bit_length() // 3)
-    while t and (u := (2 * t + m // (t * t)) // 3) < t:
-        t = u
-    return t if n >= 0 else -t
-
-
 class _WitnessSearch:
     """Column-by-column depth-first enumeration over per-column candidate tables.
 
@@ -232,21 +223,16 @@ class _WitnessSearch:
         # the last entry t is the least significant: given the others, the p1 test
         # leaves the t with last_p1 t = rest (all t if both are 0), at spiral place
         # 2t - 1 (t > 0) or -2t (t <= 0); only head entries are listed, none at rank 1.
-        # There, if last_p1 = 0, the cubic test a t^3 = cubic with a = mu2_000
-        # leaves at most the integer cube root of cubic / a when a != 0
+        # A 1 x 1 witness is (1) or (-1), so at rank 1 only |t| <= 1 is listed
         *head_p1, last_p1 = self.s2.p1
-        bound, n = self.bound, 2 * self.bound + 1
-        pool = spiral_entries(bound) if self.r > 1 else ()
-        a = 0 if last_p1 or self.r > 1 else self.s2.mu_value(0, 0, 0)
-        for h, head in enumerate(product(pool, repeat=self.r - 1)):
+        n = 2 * self.bound + 1
+        bound = self.bound if self.r > 1 else 1
+        for h, head in enumerate(product(spiral_entries(bound), repeat=self.r - 1)):
             rest = p1 - dot(head_p1, head)
-            if last_p1:
-                t = rest // last_p1
-            else:
-                t = _cube_root(cubic // a) if a else 0
+            t = rest // last_p1 if last_p1 else 0
             if last_p1 * t != rest or abs(t) > bound:
                 continue
-            for place in (2 * t - 1 if t > 0 else -2 * t,) if last_p1 or a else range(n):
+            for place in (2 * t - 1 if t > 0 else -2 * t,) if last_p1 else range(2 * bound + 1):
                 v = head + ((place + 1) // 2 if place & 1 else -(place // 2),)
                 w = self.contract(v, v)
                 if dot(w, v) == cubic:
@@ -389,24 +375,33 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
       F_2^r, and the 8 counts follow from 8 character sums, O(r^2) work;
     * p = 3 (:func:`_fingerprint_mod3`): the cubic is the linear form
       sum_i mu_iii x_i, so the histogram is a convolution of r tables, O(r);
-    * p = 5, 7 on a block sum of cones (:func:`conitop.cones.histogram`): a
-      congruence diagonalization mod p per block, then convolutions of
-      per-coordinate tables over p^2 keys; O(r p^3) work on a diagonal form,
-      O(r^3) on a dense one;
-    * p = 5, 7 otherwise (:func:`_fingerprint_walk`): a depth-first walk over
-      the (p^r - 1)/(p - 1) points whose first nonzero coordinate is 1, O(r^2)
-      work per node; lambda x has the key (lambda^3 c, lambda pi, 0).  Only
-      this walk has a rank limit: above MAX_FINGERPRINT_RANK a system with a
-      block that is no cone (see :func:`conitop.cones.cone_blocks`) raises
-      ValidationError.
+    * p = 5, 7 (:func:`conitop.cones.histogram`): block by block, the blocks'
+      histograms convolved.  A cone block takes a congruence diagonalization
+      mod p and convolutions of per-coordinate tables over p^2 keys, O(n p^3)
+      work on a diagonal form and O(n^3) on a dense one, n its slots.  Any
+      other block takes a depth-first walk over its (p^n - 1)/(p - 1) points
+      whose first nonzero coordinate is 1, O(n^2) work per node, and only up
+      to MAX_FINGERPRINT_RANK slots: a larger one raises ValidationError.
 
     Each key depends only on x mod p (and w2), and a witness maps F_p^rank
     bijectively to points with equal keys, so isomorphic systems have equal
     histograms at every prime, whatever :func:`has_even_w2_cubic` says.
     """
     _check_prime(p)
-    if s.rank == 0:
-        return ((0, 0, 0, 1),)
+    rows = _rows(s, p)
+    if rows is None:
+        limit = f"limited to rank {MAX_FINGERPRINT_RANK} for a block that is no cone"
+        raise ValidationError(f"fingerprint walk at p = {p} {limit}")
+    return rows
+
+
+def _rows(s: InvariantSystem, p: int):
+    """The rows of :func:`fingerprint` at a supported p, or None outside the rank window.
+
+    The window is the one rule on which systems have fingerprints: at
+    p = 5 and 7, a block that is no cone (:func:`conitop.cones.cone_blocks`)
+    must have at most MAX_FINGERPRINT_RANK slots.
+    """
     if p == 2:
         hist = _fingerprint_mod2(s, _w2_square_parities(s))
     elif p == 3:
@@ -414,17 +409,8 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
     else:
         from . import cones  # imported on first use, so start-up does not compile it
 
-        blocks = cones.cone_blocks(s)
-        if blocks is not None:
-            hist = cones.histogram(s, blocks, p)
-        elif s.rank > MAX_FINGERPRINT_RANK:
-            raise ValidationError(
-                f"fingerprint walk at p = {p} limited to rank {MAX_FINGERPRINT_RANK}"
-                " for a system that is no block sum of cones"
-            )
-        else:
-            hist = _fingerprint_walk(s, p)
-    return tuple(key + (n,) for key, n in sorted(hist.items()))
+        hist = cones.histogram(s, p)
+    return None if hist is None else tuple(key + (n,) for key, n in sorted(hist.items()))
 
 
 def _sign_sum(rows: list[int], lin: int) -> int:
@@ -508,70 +494,15 @@ def _fingerprint_mod3(s: InvariantSystem) -> Counter:
     return hist
 
 
-def _fingerprint_walk(s: InvariantSystem, p: int) -> Counter:
-    """p = 5, 7: a depth-first walk that fixes x_0, x_1, ... in turn.
-
-    With the prefix x fixed and the coordinates j, j' >= k still free, a node
-    carries mu(x,x,x), the contractions L[j] = mu(x,x,e_j) and Q[j][j'] =
-    mu(x,e_j,e_j'), and the running p1 sum; fixing x_k = t updates them from
-    the slice mu(e_k,.,.) in O(r^2).  With one coordinate e left free, the
-    cubic is a + 3 L t + 3 Q t^2 + mu(e,e,e) t^3 in x_e = t, so a leaf is the
-    state (a, L, Q, p1 sum) reduced mod p.  Equal leaves are counted once,
-    and each distinct leaf adds its p points.
-
-    The walk starts each first nonzero coordinate at 1, and each key is
-    counted once per lambda in F_p^* (see :func:`fingerprint`).
-    """
-    r, mu = s.rank, s.mu_value
-    # for each k: mu(e_k,e_k,e_k), mu(e_k,e_k,e_j) for j > k, mu(e_k,e_i,e_j) for k < i <= j
-    parts = []
-    for k in range(r):
-        tri = [mu(k, i, j) % p for i in range(k + 1, r) for j in range(i, r)]
-        parts.append((mu(k, k, k) % p, [mu(k, k, j) % p for j in range(k + 1, r)], tri))
-    last = r - 1
-    leaves = []
-
-    def walk(k, ts, cubic, lin, quad, p1):
-        # lin and the upper triangle quad (row by row) start at coordinate k:
-        # quad[:n] is row k, quad[n:] the rows after it
-        n = r - k
-        diag, cross, tri = parts[k]
-        l0, lin, q0, row, quad = lin[0], lin[1:], quad[0], quad[1:n], quad[n:]
-        for t in ts:
-            c = cubic + 3 * t * l0 + 3 * t * t * q0 + t * t * t * diag
-            lin2 = [a + 2 * t * b + t * t * e for a, b, e in zip(lin, row, cross)]
-            quad2 = [a + t * e for a, e in zip(quad, tri)]
-            q = p1 + s.p1[k] * t
-            if k + 1 < last:
-                walk(k + 1, range(p), c, lin2, quad2, q)
-            else:
-                leaves.append((c % p, lin2[0] % p, quad2[0] % p, q % p))
-
-    for k in range(last):
-        n = r - k
-        walk(k, (1,), 0, [0] * n, [0] * (n * (n + 1) // 2), 0)
-    diag, p1_last = parts[last][0], s.p1[last]
-    hist = Counter({(diag, p1_last % p): 1})  # e_last, the point led by the last coordinate
-    for (cubic, l0, q0, p1), n in Counter(leaves).items():
-        for t in range(p):
-            c = cubic + 3 * t * l0 + 3 * t * t * q0 + t * t * t * diag
-            hist[c % p, (p1 + p1_last * t) % p] += n
-    out = Counter({(0, 0, 0): 1})
-    for (c, q), n in hist.items():
-        for lam in range(1, p):
-            out[c * lam**3 % p, q * lam % p, 0] += n
-    return out
-
-
 def certify_distinct(
     s1: InvariantSystem, s2: InvariantSystem, primes=DEFAULT_PRIMES
 ) -> DistinctnessCertificate | None:
     """Certified non-isomorphism via rank, b3, or a fingerprint mismatch.
 
     None means inconclusive, never "isomorphic".  Every given prime runs in
-    turn, at every rank, with one exception: above MAX_FINGERPRINT_RANK,
-    p = 5 and 7 are skipped unless both systems are block sums of cones
-    (see :func:`fingerprint`).  Every prime is checked to be a supported
+    turn, at every rank, except that p = 5 and 7 are skipped when a system
+    has a block that is no cone and has more than MAX_FINGERPRINT_RANK
+    slots (see :func:`_rows`).  Every prime is checked to be a supported
     one first.
     """
     primes = tuple(primes)
@@ -581,18 +512,9 @@ def certify_distinct(
         return DistinctnessCertificate("rank", None, (s1.rank, s2.rank))
     if s1.b3 != s2.b3:
         return DistinctnessCertificate("b3", None, (s1.b3, s2.b3))
-    # above the walk's rank limit, p = 5 and 7 need two block sums of cones
-    skip = s1.rank > MAX_FINGERPRINT_RANK and any(p > 3 for p in primes)
-    if skip:
-        from . import cones
-
-        skip = None in (cones.cone_blocks(s1), cones.cone_blocks(s2))
     for p in primes:
-        if p > 3 and skip:
-            continue
-        f1 = fingerprint(s1, p)
-        f2 = fingerprint(s2, p)
-        if f1 != f2:
+        f1, f2 = _rows(s1, p), _rows(s2, p)
+        if None not in (f1, f2) and f1 != f2:
             return DistinctnessCertificate("fingerprint", p, (f1, f2))
     return None
 

@@ -334,17 +334,44 @@ def test_run_compare_inconclusive(tmp_path, capsys):
 
 
 def test_rank_one_compare_at_a_huge_bound_is_quick(tmp_path, capsys):
-    # mu_000 = 1 and 211 agree at p = 2, 3, 5 and no t has 211 t^3 = 1; the
-    # search solves the cubic for t, where listing all 2 * 10^8 + 1 entries
-    # took about 150 s
-    def side(v):
-        doc = {"rank": 1, "mu": [[0, 0, 0, v]], "p1": [0], "w2": [0], "b3": 0}
-        return write_system_file(tmp_path, f"mu_{v}.json", {"system": doc})
+    # mu_000 = 1 and 211 agree at p = 2, 3, 5 and no t has 211 t^3 = 1; listing
+    # all 2 * 10^8 + 1 entries took about 150 s.  mu = 0 with w2 = (0) and (1)
+    # agree at every prime, and no t maps w2 = 0 to 1; listing all 2 * 10^6 + 1
+    # entries took about 16 s.  A 1 x 1 witness is (1) or (-1), so only
+    # t in {0, 1, -1} is listed
+    def side(v, w2=0):
+        doc = {"rank": 1, "mu": [[0, 0, 0, v]] if v else [], "p1": [0], "w2": [w2], "b3": 0}
+        return write_system_file(tmp_path, f"mu_{v}_{w2}.json", {"system": doc})
 
-    start = time.perf_counter()
-    code = main(["compare", "--left", side(1), "--right", side(211), "--bound", str(10**8)])
-    assert code == EXIT_INCONCLUSIVE and time.perf_counter() - start < 1
-    assert "INCONCLUSIVE" in capsys.readouterr().out
+    for left, right, bound in ((side(1), side(211), 10**8), (side(0), side(0, 1), 10**6)):
+        start = time.perf_counter()
+        code = main(["compare", "--left", left, "--right", right, "--bound", str(bound)])
+        assert code == EXIT_INCONCLUSIVE and time.perf_counter() - start < 1
+        assert "INCONCLUSIVE" in capsys.readouterr().out
+
+
+def test_recheck_certificate_reads_the_report_alone(tmp_path, capsys):
+    # the rank-6 sides agree at p = 2 and 3; the script behind the CI steps
+    # accepts the p = 5 certificate, and refuses another prime or rank, an
+    # altered certificate and a report without one
+    import recheck_certificate
+
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    code = main(["compare", "--format", "json",
+                 "--left", str(inputs / "cp2_4cp2bar_c2_0.json"),
+                 "--right", str(inputs / "cp2_4cp2bar_c2_6.json")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    path = write_json(tmp_path, "report.json", report)
+    assert recheck_certificate.main([path]) == 0
+    assert recheck_certificate.main([path, "5", "6"]) == 0
+    assert recheck_certificate.main([path, "3"]) == 1
+    assert recheck_certificate.main([path, "5", "7"]) == 1
+    detail = report["result"]["certificate"]["detail"]
+    detail.reverse()
+    assert recheck_certificate.main([write_json(tmp_path, "swapped.json", report)]) == 1
+    report["result"]["certificate"] = None
+    assert recheck_certificate.main([write_json(tmp_path, "none.json", report)]) == 1
 
 
 # -- main / exit codes ---------------------------------------------------------

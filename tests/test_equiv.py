@@ -45,6 +45,13 @@ from oracles import (
 
 # one block, and no slot lies in every one of its triples
 NON_CONE_MU = {(0, 0, 0): 1, (0, 0, 1): 1, (1, 1, 1): 1}
+# one 7-slot block that is no cone: a chain of triples with no common slot
+NON_CONE_CHAIN = {(i, i, i + 1): 1 for i in range(6)}
+
+
+def vertices(s):
+    """The vertex of each block of s, None for a block that is no cone."""
+    return [v for v, _, _ in cones.cone_blocks(s)]
 
 
 def exp_system():
@@ -279,9 +286,10 @@ def test_fingerprint_guards():
     s = exp_system()
     with pytest.raises(ValidationError):
         fingerprint(s, 4)
-    # only the walk has a rank limit: a rank-7 block that is no cone (no slot
-    # lies in all of (0,0,0), (0,0,1), (1,1,1)) has no fingerprint at p = 5, 7
-    big = make_system(7, NON_CONE_MU, p1=(0,) * 7, w2=(0,) * 7)
+    # only the walk has a rank limit: a 7-slot block that is no cone has no
+    # fingerprint at p = 5, 7
+    big = make_system(7, NON_CONE_CHAIN, p1=(0,) * 7, w2=(0,) * 7)
+    assert vertices(big) == [None]
     for p in (5, 7):
         with pytest.raises(ValidationError, match="rank 6"):
             fingerprint(big, p)
@@ -482,22 +490,22 @@ def cone_cases(rng):
 
 
 def test_cone_method_matches_the_walk_and_the_reference():
-    # fingerprint dispatches every one of these to the cone method; the walk
-    # and a mu_eval at every point must give the same rows
+    # fingerprint takes every block of these to the cone method; the walk
+    # over the whole system and a mu_eval at every point must give the same rows
     rng = random.Random(57)
-    vertices, ranks = set(), set()
+    seen, ranks = set(), set()
     for name, s in cone_cases(rng):
         blocks = cones.cone_blocks(s)
-        assert blocks is not None, name
-        vertices.update(v for v, slots, _ in blocks if len(slots) > 1)
+        assert None not in vertices(s), name
+        seen.update(v for v, slots, _ in blocks if len(slots) > 1)
         ranks.add(s.rank)
         for p in (5, 7):
             rows = fingerprint(s, p)
-            walk = equiv._fingerprint_walk(s, p)
-            assert rows == tuple(key + (n,) for key, n in sorted(walk.items())), (name, p)
+            walk = cones._walk(s, range(s.rank), p)
+            assert rows == tuple(key + (0, n) for key, n in sorted(walk.items())), (name, p)
             if p**s.rank <= 625:
                 assert rows == fingerprint_reference(s, p), (name, p)
-    assert ranks == set(range(1, 7)) and len(vertices) >= 4
+    assert ranks == set(range(1, 7)) and len(seen) >= 4
     assert cones.cone_blocks(local_model_system(2))[0][0] == 1
 
 
@@ -508,7 +516,7 @@ def test_walk_still_serves_systems_that_are_no_cone_sum():
         base = parse_sum_expression(f"CP2 # {rank - 2} CP2bar")
         s = projectivize(base, random_bundle(rng, base))
         moved = transport_system(s, random_unimodular(rng, rank))
-        if cones.cone_blocks(moved) is None:
+        if None in vertices(moved):
             seen += 1
             for p in (5, 7):
                 assert fingerprint(moved, p) == fingerprint(s, p)
@@ -627,7 +635,7 @@ def test_certify_distinct_same_certificate_with_reference_fingerprint(monkeypatc
         pairs.append((s, projectivize(base, moved)))
         pairs.append((s, random_system(rng, rank)))
     expected = [certify_distinct(s1, s2, primes=SUPPORTED_PRIMES) for s1, s2 in pairs]
-    monkeypatch.setattr(equiv, "fingerprint", fingerprint_reference)
+    monkeypatch.setattr(equiv, "_rows", fingerprint_reference)
     assert [certify_distinct(s1, s2, primes=SUPPORTED_PRIMES) for s1, s2 in pairs] == expected
     primes = {None if cert is None else cert.prime for cert in expected}
     assert None in primes and 2 in primes and primes & {3, 5, 7}
@@ -639,10 +647,13 @@ def test_certificate_outside_fingerprint_window_is_invalid():
     # a prime the fingerprint does not support is no valid certificate
     foreign = DistinctnessCertificate("fingerprint", 11, cert.detail)
     assert certificate_is_valid(foreign, t.z1, t.z2) is False
-    # nor one at p = 5 above rank 6 for systems that are no block sum of cones
-    a, b = (make_system(7, NON_CONE_MU, (x,) + (0,) * 6, (0,) * 7) for x in (0, 6))
-    too_big = DistinctnessCertificate("fingerprint", 5, ((), ()))
-    assert certificate_is_valid(too_big, a, b) is False
+    # nor one at p = 5 for systems with a 7-slot block that is no cone, even
+    # with the walk's true rows
+    a, b = (make_system(7, NON_CONE_CHAIN, (x,) + (0,) * 6, (0,) * 7) for x in (0, 6))
+    walks = (cones._walk(s, range(7), 5) for s in (a, b))
+    detail = tuple(tuple(key + (0, n) for key, n in sorted(w.items())) for w in walks)
+    too_big = DistinctnessCertificate("fingerprint", 5, detail)
+    assert detail[0] != detail[1] and certificate_is_valid(too_big, a, b) is False
 
 
 def test_certificate_is_valid_refuses_altered_certificates():
@@ -693,24 +704,87 @@ def test_certify_distinct_rank_and_b3():
 
 def test_certify_skips_fingerprints_above_rank_limit():
     # p1 moved by 6 keeps every value mod 2 and 3, so only p = 5 and 7 can
-    # tell these apart.  Above rank 6 they run for block sums of cones only
+    # tell these apart.  They run unless a block that is no cone has more
+    # than 6 slots: the 2-slot NON_CONE_MU block runs at rank 7, the 7-slot
+    # chain does not
     def pair(rank, mu):
         return [make_system(rank, mu, (x,) + (0,) * (rank - 1), (0,) * rank) for x in (0, 6)]
 
     cone_mu = {(0, 0, 0): 1, (0, 0, 1): 1, (0, 1, 1): 1}
+    for mu in (NON_CONE_MU, cone_mu, NON_CONE_CHAIN):
+        cert = certify_distinct(*pair(7, mu), SUPPORTED_PRIMES)
+        assert certify_distinct(*pair(7, mu), (2, 3)) is None
+        if mu is NON_CONE_CHAIN:
+            assert cert is None
+        else:
+            assert cert.prime == 5 and certificate_is_valid(cert, *pair(7, mu))
     for mu in (NON_CONE_MU, cone_mu):
-        cert = certify_distinct(*pair(6, mu), SUPPORTED_PRIMES)
-        assert cert.prime == 5 and certify_distinct(*pair(6, mu), (2, 3)) is None
-    a, b = pair(7, NON_CONE_MU)
-    assert cones.cone_blocks(a) is None
-    assert certify_distinct(a, b, SUPPORTED_PRIMES) is None
-    a, b = pair(7, cone_mu)
-    cert = certify_distinct(a, b, SUPPORTED_PRIMES)
-    assert cert.prime == 5 and certificate_is_valid(cert, a, b)
+        assert certify_distinct(*pair(6, mu), SUPPORTED_PRIMES).prime == 5
+    # the chain's p = 5 walk, run outside the window, tells the pair apart
+    a, b = pair(7, NON_CONE_CHAIN)
+    assert cones._walk(a, range(7), 5) != cones._walk(b, range(7), 5)
+    # a prime is skipped when one side alone is outside the window: a rank-7
+    # P(E) and a transport of it that is one 7-slot block with no cone
+    rng = random.Random(60)
+    base = parse_sum_expression("CP2 # 5 CP2bar")
+    s = projectivize(base, random_bundle(rng, base))
+    moved = s
+    while vertices(moved) != [None]:
+        moved = transport_system(s, random_unimodular(rng, 7))
+    assert certify_distinct(s, moved, SUPPORTED_PRIMES) is None
     # p = 2 and 3 run at every rank: mu differs, and p = 2 sees it
     a = make_system(7, {}, p1=(0,) * 7, w2=(0,) * 7)
     b = make_system(7, {(0, 0, 0): 1}, p1=(0,) * 7, w2=(0,) * 7)
     assert certify_distinct(a, b).prime == 2
+
+
+def test_a_small_block_that_is_no_cone_fingerprints_at_any_rank():
+    # NON_CONE_MU's block has 2 slots: at rank 7 its p = 5 rows equal a mu_eval
+    # at every point, and with 7 blowup slots (rank 9) p = 5 tells p1 moved by
+    # 6 apart, where the search space 7^81 is refused
+    s = make_system(7, NON_CONE_MU, (1, 2) + (0,) * 5, (0,) * 7)
+    assert fingerprint(s, 5) == fingerprint_reference(s, 5)
+    a, b = (make_system(2, NON_CONE_MU, (x, 0), (0, 0)) for x in (0, 6))
+    for _ in range(7):
+        a, b = blowup_point(a), blowup_point(b)
+    cert = certify_distinct(a, b)
+    assert a.rank == 9 and cert.prime == 5 and certificate_is_valid(cert, a, b)
+
+
+def test_transports_with_blowups_match_the_reference_at_rank_seven():
+    # a P(E) transported until a block is no cone, then blown up: the blowup
+    # slots are cones of one slot each, so at rank 7 only the blocks that are
+    # no cone count toward the walk's limit of 6 slots
+    rng = random.Random(59)
+    for expr, blowups in (("CP2 # 2 CP2bar", 3), ("CP2 # 4 CP2bar", 1)):
+        base = parse_sum_expression(expr)
+        s = projectivize(base, random_bundle(rng, base))
+        moved = s
+        while None not in vertices(moved):
+            moved = transport_system(s, random_unimodular(rng, s.rank))
+        for _ in range(blowups):
+            moved = blowup_point(moved)
+        assert moved.rank == 7
+        assert fingerprint(moved, 5) == fingerprint_reference(moved, 5), expr
+
+
+def test_certify_finds_the_blocks_once_per_system_and_odd_prime(monkeypatch):
+    calls = []
+    cone_blocks = cones.cone_blocks
+
+    def counted(s):
+        calls.append(s)
+        return cone_blocks(s)
+
+    monkeypatch.setattr(cones, "cone_blocks", counted)
+    base = parse_sum_expression("CP2 # 5 CP2bar")
+    t = conifold_transition(base, RankTwoBundle(base, (-1, 1, 1, 1, 1, 3), 5))
+    chain = make_system(7, NON_CONE_CHAIN, (0,) * 7, (0,) * 7)
+    # z1 and z2 agree at p = 2 and 3 and differ at p = 5, so p = 7 does not run
+    for s1, s2, odd in ((t.z1, t.z2, 1), (t.z1, t.z1, 2), (chain, chain, 2)):
+        calls.clear()
+        certify_distinct(s1, s2, SUPPORTED_PRIMES)
+        assert len(calls) == 2 * odd and {id(s) for s in calls} == {id(s1), id(s2)}
 
 
 def test_certify_distinct_transition_sides():
@@ -938,13 +1012,14 @@ def test_search_stats_account_for_every_raw_column():
 @pytest.mark.parametrize(
     "mu1, mu2, witness, counters",
     [
-        # (nodes, column_tests, table, mod2, triple); with p1 = 0 the rank-1
-        # survivor is the integer root of mu2 t^3 = mu1, or every t when both are 0
+        # (nodes, column_tests, table, mod2, triple); a 1 x 1 witness is (1) or
+        # (-1), so with p1 = 0 the rank-1 survivors are the t in {0, 1, -1} with
+        # mu2 t^3 = mu1
         (1, 1, ((1,),), (2, 2, 1, 0, 0)),
         (-1, 1, ((-1,),), (2, 3, 2, 0, 0)),
-        (8, 1, None, (1, 7, 6, 1, 0)),
-        (-27, 1, None, (2, 7, 6, 0, 0)),
-        (54, 2, None, (2, 7, 6, 0, 0)),
+        (8, 1, None, (1, 7, 7, 0, 0)),
+        (-27, 1, None, (1, 7, 7, 0, 0)),
+        (54, 2, None, (1, 7, 7, 0, 0)),
         (2, 1, None, (1, 7, 7, 0, 0)),
         (3, 2, None, (1, 7, 7, 0, 0)),
         (0, 1, None, (1, 7, 6, 1, 0)),
