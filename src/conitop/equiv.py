@@ -21,7 +21,6 @@ basis to coordinates in the second's, column ``i`` being the image of the
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import product, tee
 from operator import mul
 
@@ -372,9 +371,11 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
     summing to p^rank.  Each prime has its own method, all giving these rows:
 
     * p = 2 (:func:`_fingerprint_mod2`): the cubic is a quadratic function on
-      F_2^r, and the 8 counts follow from 8 character sums, O(r^2) work;
-    * p = 3 (:func:`_fingerprint_mod3`): the cubic is the linear form
-      sum_i mu_iii x_i, so the histogram is a convolution of r tables, O(r);
+      F_2^r; 8 character sums, 4 of them over linear forms alone, give the
+      8 counts by one fixed table of signs, O(r^2) work;
+    * p = 3 (:func:`_fingerprint_mod3`): the key is a linear map F_3^r ->
+      F_3^2, so the rows are its image of 3^d points, d <= 2, each counted
+      3^(r - d) times, O(r) work;
     * p = 5, 7 (:func:`conitop.cones.histogram`): block by block, the blocks'
       histograms convolved.  A cone block takes a congruence diagonalization
       mod p and convolutions of per-coordinate tables over p^2 keys, O(n p^3)
@@ -446,14 +447,22 @@ def _sign_sum(rows: list[int], lin: int) -> int:
     return -total if sign else total
 
 
-def _fingerprint_mod2(s: InvariantSystem, d: tuple[int, ...]) -> Counter:
+# (c, pi, w) and its signs (-1)^(ac + b pi + gw) on S(a, b, g), listed at 4a + 2b + g
+_MOD2_SIGNS = tuple(
+    ((k >> 2, k >> 1 & 1, k & 1), tuple(1 - 2 * (bin(k & m).count("1") & 1) for m in range(8)))
+    for k in range(8)
+)
+
+
+def _fingerprint_mod2(s: InvariantSystem, d: tuple[int, ...]) -> dict:
     """p = 2: mu(x,x,x) = sum_i mu_iii x_i + sum_{i<j} (mu_iij + mu_ijj) x_i x_j.
 
     That is a quadratic function q on F_2^r; P = p1 . x and D = d . x are
     linear.  The count of (c, pi, w) is 1/8 of the sum over a, b, g in F_2
     of (-1)^(ac + b pi + gw) S(a, b, g), where S(a, b, g) is the sum of
     (-1)^(a q + b P + g D) over F_2^r: 2^r or 0 when a = 0, and
-    :func:`_sign_sum` when a = 1.
+    :func:`_sign_sum` when a = 1, once per distinct form bP + gD (D = 0 on
+    every system with an even w2 cubic, so there are two).
     """
     r = s.rank
     rows, lin = [0] * r, 0
@@ -466,32 +475,32 @@ def _fingerprint_mod2(s: InvariantSystem, d: tuple[int, ...]) -> Counter:
                 rows[k] ^= 1 << i
     p1 = sum((v & 1) << i for i, v in enumerate(s.p1))
     w2 = sum(v << i for i, v in enumerate(d))
-    hist = Counter()
-    for b, g in product((0, 1), repeat=2):
-        form = (p1 if b else 0) ^ (w2 if g else 0)
-        flat, signed = 0 if form else 1 << r, _sign_sum(rows, lin ^ form)
-        for c, pi, w in product((0, 1), repeat=3):
-            hist[c, pi, w] += (-1) ** (b * pi + g * w) * (flat - signed if c else flat + signed)
-    for key in hist:
-        hist[key] >>= 3
-    return +hist
+    forms = (0, w2, p1, p1 ^ w2)
+    signed = {form: _sign_sum(rows, lin ^ form) for form in set(forms)}
+    sums = [0 if form else 1 << r for form in forms] + [signed[form] for form in forms]
+    return {key: n for key, signs in _MOD2_SIGNS if (n := sum(map(mul, signs, sums)) >> 3)}
 
 
-def _fingerprint_mod3(s: InvariantSystem) -> Counter:
+def _fingerprint_mod3(s: InvariantSystem) -> dict:
     """p = 3: mu(x,x,x) = sum_i mu_iii x_i (mod 3), since the cross terms carry 3 or 6.
 
-    With t^3 = t mod 3, coordinate i adds (mu_iii t, p1_i t) to the key, so
-    the histogram is a convolution of r tables.
+    So the key x -> (sum_i mu_iii x_i, p1 . x) is a linear map F_3^r -> F_3^2
+    with generators (mu_iii, p1_i), and the histogram is uniform on its
+    image: 3^(r - d) points over each of the 3^d image points, d its dimension.
     """
-    hist = Counter({(0, 0, 0): 1})
-    for i in range(s.rank):
-        a, b = s.mu_value(i, i, i), s.p1[i]
-        step = Counter()
-        for (c, q, _), n in hist.items():
-            for t in range(3):
-                step[(c + a * t) % 3, (q + b * t) % 3, 0] += n
-        hist = step
-    return hist
+    cubic = {i: v for (i, _, k), v in s.mu if i == k}
+    basis = []
+    for i, b in enumerate(s.p1):
+        a, b = cubic.get(i, 0) % 3, b % 3
+        if (a or b) and (not basis or (basis[0][0] * b - basis[0][1] * a) % 3):
+            basis.append((a, b))
+            if len(basis) == 2:
+                break
+    points = [(0, 0)]
+    for x, y in basis:
+        points = [((c + t * x) % 3, (q + t * y) % 3) for c, q in points for t in range(3)]
+    n = 3 ** (s.rank - len(basis))
+    return {(c, q, 0): n for c, q in points}
 
 
 def certify_distinct(

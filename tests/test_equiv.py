@@ -436,6 +436,60 @@ def test_fingerprint_closed_forms_match_reference():
     assert parities == {True, False}
 
 
+def test_mod3_fingerprint_is_uniform_on_the_image_of_a_linear_map():
+    # mod 3 the key is linear in x, so the rows are the 3^d points of its
+    # image, each counted 3^(rank - d) times
+    rng = random.Random(44)
+    systems = [random_system(rng, rank, fill=0.2) for rank in range(9)]
+    # every generator (mu_iii, p1_i) is 0 mod 3, though mu and p1 are not 0
+    zero = {(0, 0, 0): 3, (0, 1, 2): 1, (1, 1, 3): 2, (3, 3, 3): -6}
+    systems.append(make_system(4, zero, (3, 0, -6, 0), (1, 0, 0, 1)))
+    # the generators (1, 2) and (2, 1) span one line
+    line = {(0, 0, 0): 1, (0, 1, 2): 1, (1, 1, 1): 2}
+    systems.append(make_system(3, line, (2, 1, 0), (1, 0, 1)))
+    dims = []
+    for s in systems:
+        rows = fingerprint(s, 3)
+        assert rows == fingerprint_reference(s, 3), s
+        d = {1: 0, 3: 1, 9: 2}[len(rows)]
+        assert {row[3] for row in rows} == {3 ** (s.rank - d)}
+        dims.append(d)
+    assert set(dims) == {0, 1, 2}
+    assert dims[-2:] == [0, 1]
+
+
+def test_mod2_fingerprint_with_p1_zero_equal_to_the_w2_form_or_independent():
+    # the p1 form P and the w2 form D give the sums S(a, b, g); P = 0 or P = D
+    # makes some of the forms bP + gD coincide, so more a = 0 sums are 2^r
+    rng = random.Random(45)
+    assert fingerprint(make_system(0, {}, (), ()), 2) == ((0, 0, 0, 1),)
+    kinds = set()
+    for rank in range(1, 7):
+        for _ in range(6):
+            s = random_system(rng, rank)
+            d = equiv._w2_square_parities(s)
+            other = tuple(rng.randint(0, 1) for _ in range(rank))
+            for form in ((0,) * rank, d, other):
+                p1 = tuple(v + 2 * rng.randint(-2, 2) for v in form)
+                t = make_system(rank, dict(s.mu), p1, s.w2)
+                assert fingerprint(t, 2) == fingerprint_reference(t, 2), (rank, t)
+                if not any(form):
+                    kinds.add("zero")
+                elif any(d):
+                    kinds.add("d" if form == d else "independent")
+    assert kinds == {"zero", "d", "independent"}
+
+
+def test_certify_at_two_and_three_leaves_mu_terms_unbuilt():
+    # mu_terms holds every ordering of every entry; p = 2 and 3 read s.mu
+    base = parse_sum_expression("CP2 # 5 CP2bar # 125 S2xS2")
+    c1 = (-1, 1, 1, 1, 1, 3) + (0,) * 250
+    t = conifold_transition(base, RankTwoBundle(base, c1, 5))
+    assert t.z1.rank == t.z2.rank == 258
+    assert certify_distinct(t.z1, t.z2, (2, 3)) is None
+    assert "mu_terms" not in vars(t.z1) and "mu_terms" not in vars(t.z2)
+
+
 def test_fingerprint_walk_matches_reference_on_odd_and_even_systems():
     # the walk visits the points with first nonzero coordinate 1 and scales
     # their keys, whether or not the w2 cubic is even
