@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .equiv import MAX_FINGERPRINT_RANK
+from .equiv import MAX_WALK_POINTS
 from .sixfold import InvariantSystem
 
 
@@ -210,20 +210,21 @@ def _walk(s: InvariantSystem, slots, p: int) -> dict:
 
 
 def histogram(s: InvariantSystem, p: int) -> dict | None:
-    """p = 5, 7: the blocks' histograms, convolved; None outside the rank window.
+    """p = 5, 7: the blocks' histograms, convolved; None outside the walk's window.
 
     Each block of :func:`cone_blocks` is a sum of its own coordinates, so
     the histogram over F_p^rank convolves the blocks' histograms over their
     slots.  A cone block takes :func:`_cone`, any other block :func:`_walk`,
-    which serves at most MAX_FINGERPRINT_RANK slots; a larger block that is
-    no cone gives None.  Both count the same keys over the same points:
+    which walks (p^n - 1)/(p - 1) points for n slots and serves a block only
+    when that is at most MAX_WALK_POINTS; a block that is no cone and has
+    more points gives None.  Both count the same keys over the same points:
     a change of basis over F_p permutes F_p^slots.
     """
     hist = None
     for v0, slots, entries in cone_blocks(s):
         if v0 is not None:
             block = _cone(s, v0, slots, entries, p)
-        elif len(slots) <= MAX_FINGERPRINT_RANK:
+        elif (p ** len(slots) - 1) // (p - 1) <= MAX_WALK_POINTS:
             block = _walk(s, slots, p)
         else:
             return None

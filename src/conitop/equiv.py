@@ -42,6 +42,9 @@ DEFAULT_BOUND = 3
 DEFAULT_PRIMES = (2, 3, 5)
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 MAX_FINGERPRINT_RANK = 6
+# the points a walk may visit at p = 5, 7: those of MAX_FINGERPRINT_RANK slots
+# at p = 7, so 7 slots at p = 5 (19,531 points) are walked and 8 are not
+MAX_WALK_POINTS = (7**MAX_FINGERPRINT_RANK - 1) // 6
 DEFAULT_STEP_BUDGET = 10**9
 
 
@@ -307,10 +310,16 @@ def find_isomorphism(
     (2 bound + 1)^(rank^2) exceeds the step budget.  The search (see
     :class:`_WitnessSearch`) prunes only matrices that are no witness, so
     the result is that of testing every matrix in order.  When ``stats`` is
-    given, the search adds its counters to it.
+    given, the search adds its counters to it.  ``bound`` must be an ``int``
+    of at least 1 and ``step_budget`` None or an ``int`` of at least 0; a
+    ``bool`` is neither.
     """
+    if type(bound) is not int:
+        raise ValidationError(f"search bound {bound!r} is not an integer")
     if bound < 1:
         raise ValidationError("search bound must be at least 1")
+    if step_budget is not None and (type(step_budget) is not int or step_budget < 0):
+        raise ValidationError(f"step budget must be None or an integer >= 0, got {step_budget!r}")
     if s1.rank != s2.rank or s1.b3 != s2.b3:
         return None
     if check_c1 and (s1.c1_class is None or s2.c1_class is None):
@@ -382,7 +391,7 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
       work on a diagonal form and O(n^3) on a dense one, n its slots.  Any
       other block takes a depth-first walk over its (p^n - 1)/(p - 1) points
       whose first nonzero coordinate is 1, O(n^2) work per node, and only up
-      to MAX_FINGERPRINT_RANK slots: a larger one raises ValidationError.
+      to MAX_WALK_POINTS = 19,608 points: a larger one raises ValidationError.
 
     Each key depends only on x mod p (and w2), and a witness maps F_p^rank
     bijectively to points with equal keys, so isomorphic systems have equal
@@ -391,17 +400,17 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
     _check_prime(p)
     rows = _rows(s, p)
     if rows is None:
-        limit = f"limited to rank {MAX_FINGERPRINT_RANK} for a block that is no cone"
-        raise ValidationError(f"fingerprint walk at p = {p} {limit}")
+        limit = f"limited to {MAX_WALK_POINTS} points, (p^n - 1)/(p - 1) for n slots"
+        raise ValidationError(f"fingerprint walk of a block that is no cone at p = {p} {limit}")
     return rows
 
 
 def _rows(s: InvariantSystem, p: int):
-    """The rows of :func:`fingerprint` at a supported p, or None outside the rank window.
+    """The rows of :func:`fingerprint` at a supported p, or None outside the window.
 
     The window is the one rule on which systems have fingerprints: at
     p = 5 and 7, a block that is no cone (:func:`conitop.cones.cone_blocks`)
-    must have at most MAX_FINGERPRINT_RANK slots.
+    of n slots must have (p^n - 1)/(p - 1) <= MAX_WALK_POINTS.
     """
     if p == 2:
         hist = _fingerprint_mod2(s, _w2_square_parities(s))
@@ -509,10 +518,11 @@ def certify_distinct(
     """Certified non-isomorphism via rank, b3, or a fingerprint mismatch.
 
     None means inconclusive, never "isomorphic".  Every given prime runs in
-    turn, at every rank, except that p = 5 and 7 are skipped when a system
-    has a block that is no cone and has more than MAX_FINGERPRINT_RANK
-    slots (see :func:`_rows`).  Every prime is checked to be a supported
-    one first.
+    turn, at every rank, except that p = 5 or 7 is skipped when a system
+    has a block that is no cone whose walk would visit more than
+    MAX_WALK_POINTS points, (p^n - 1)/(p - 1) for n slots (see
+    :func:`_rows`): 7 slots are walked at p = 5, but not at p = 7.  Every
+    prime is checked to be a supported one first.
     """
     primes = tuple(primes)
     for p in primes:

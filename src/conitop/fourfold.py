@@ -36,6 +36,10 @@ class FourManifold(Value):
         c1_tangent: Vec | None = None,
         simply_connected: bool = True,
     ):
+        if type(label) is not str:
+            raise ValidationError(f"label must be a string, got {label!r}")
+        if type(simply_connected) is not bool:
+            raise ValidationError(f"simply_connected must be a bool, got {simply_connected!r}")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "w2", as_vector(w2))

@@ -58,6 +58,11 @@ class InvariantSystem(Value):
         for name, value in (("rank", rank), ("b3", b3)):
             if type(value) is not int:
                 raise ValidationError(f"{name} {value!r} is not an integer")
+        if type(classifiable) is not bool:
+            raise ValidationError(f"classifiable must be a bool, got {classifiable!r}")
+        for label in basis_labels:
+            if type(label) is not str:
+                raise ValidationError(f"basis_labels entry {label!r} is not a string")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "mu", tuple((tuple(ijk), v) for ijk, v in mu))
         object.__setattr__(self, "p1", as_vector(p1, "p1"))

@@ -45,6 +45,8 @@ class TransitionResult(Value):
         bundle: RankTwoBundle,
         swapped: bool = False,
     ):
+        if type(swapped) is not bool:
+            raise ValidationError(f"swapped must be a bool, got {swapped!r}")
         object.__setattr__(self, "z1", z1)
         object.__setattr__(self, "z2", z2)
         object.__setattr__(self, "e1", e1)

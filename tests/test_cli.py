@@ -21,6 +21,8 @@ from conitop.cli import (
     main,
 )
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
 
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
@@ -132,21 +134,6 @@ def test_compare_refuses_an_unsupported_prime_above_the_fingerprint_rank(tmp_pat
     assert main(["compare", "--left", sides[0], "--right", sides[1], "--primes", "11"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert "prime 11" in captured.err and captured.out == ""
-
-
-def test_compare_separates_odd_w2_cubic_systems_at_an_odd_prime(tmp_path, capsys):
-    # mu(w2, x, x) is odd here, which no closed 6-manifold has; odd primes once
-    # were skipped for such systems and this compare was inconclusive
-    def side(p1):
-        doc = {"rank": 1, "mu": [[0, 0, 0, 1]], "p1": [p1], "w2": [1], "b3": 0}
-        return write_system_file(tmp_path, f"p1_{p1}.json", {"system": doc})
-
-    code, report, _ = json_report(capsys, ["compare", "--left", side(0), "--right", side(2)])
-    assert code == EXIT_OK and report["result"]["verdict"] == "distinct"
-    obj = report["result"]["certificate"]
-    assert obj["kind"] == "fingerprint" and obj["prime"] == 3
-    left, right = (serialize.system_from_obj(report["inputs"][s]) for s in ("left", "right"))
-    assert certificate_is_valid(serialize.certificate_from_obj(obj), left, right)
 
 
 NINES = "9" * 4300
@@ -350,28 +337,99 @@ def test_rank_one_compare_at_a_huge_bound_is_quick(tmp_path, capsys):
         assert "INCONCLUSIVE" in capsys.readouterr().out
 
 
-def test_recheck_certificate_reads_the_report_alone(tmp_path, capsys):
-    # the rank-6 sides agree at p = 2 and 3; the script behind the CI steps
-    # accepts the p = 5 certificate, and refuses another prime or rank, an
-    # altered certificate and a report without one
-    import recheck_certificate
+C1_RANK_8 = [-1, 1, 1, 1, 1, 3]
+# the 2-slot block mu_000 = mu_001 = mu_111 = 1, which is no cone, and 7 blowup slots
+MU_RANK_9 = [[0, 0, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]] + [[i, i, i, -1] for i in range(2, 9)]
 
-    inputs = Path(__file__).parent / "golden" / "inputs"
-    code = main(["compare", "--format", "json",
-                 "--left", str(inputs / "cp2_4cp2bar_c2_0.json"),
-                 "--right", str(inputs / "cp2_4cp2bar_c2_6.json")])
-    report = json.loads(capsys.readouterr().out)
-    assert code == EXIT_OK
-    path = write_json(tmp_path, "report.json", report)
-    assert recheck_certificate.main([path]) == 0
-    assert recheck_certificate.main([path, "5", "6"]) == 0
-    assert recheck_certificate.main([path, "3"]) == 1
-    assert recheck_certificate.main([path, "5", "7"]) == 1
-    detail = report["result"]["certificate"]["detail"]
-    detail.reverse()
-    assert recheck_certificate.main([write_json(tmp_path, "swapped.json", report)]) == 1
+
+def system_descriptor(rank, mu, p1, w2):
+    return {"system": {"rank": rank, "mu": mu, "p1": p1, "w2": w2, "b3": 0}}
+
+
+def transition_sides(base, c1):
+    transition = {"base": base, "c1": c1, "c2": 5}
+    return tuple({"side": side, "transition": transition} for side in ("z1", "z2"))
+
+
+# compare pairs told apart by a certificate: (left, right, prime, rank), each
+# side a descriptor or the name of a file under golden/inputs
+RECHECK_PAIRS = {
+    "S4 transition sides": ("s4_z1.json", "s4_z2.json", 2, 2),
+    # the rank-6 sides agree at p = 2 and 3; the p = 5 cone method separates them
+    "CP2 and 4 CP2bar, c2 0 against 6": ("cp2_4cp2bar_c2_0.json", "cp2_4cp2bar_c2_6.json", 5, 6),
+    # mu(w2, x, x) is odd, which no closed 6-manifold has; odd primes once were
+    # skipped for such systems and this compare was inconclusive
+    "odd w2 cubic at rank 1": (
+        *(system_descriptor(1, [[0, 0, 0, 1]], [p1], [1]) for p1 in (0, 2)), 3, 1,
+    ),
+    # the sides agree at p = 2 and 3; before the cone method no fingerprint ran
+    # above rank 6 and the search was refused (exit 3)
+    "rank-8 transition sides": (*transition_sides("CP2 # 5 CP2bar", C1_RANK_8), 5, 8),
+    "rank-258 transition sides": (
+        *transition_sides("CP2 # 5 CP2bar # 125 S2xS2", C1_RANK_8 + [0] * 250), 5, 258,
+    ),
+    # the sides agree at p = 2; mod 3 their keys are linear maps with images of
+    # dimension 0 and 1
+    "rank-257 projectivizations": (
+        *({"projectivize": {"base": "CP2 # 255 CP2bar", "c2": c2}} for c2 in (0, 2)), 3, 257,
+    ),
+    # p1 moved by 6 on slot 0 keeps every value mod 2 and 3; when the walk's
+    # window applied to the whole system, the search was refused (exit 3)
+    "rank 9 with a 2-slot block that is no cone": (
+        *(system_descriptor(9, MU_RANK_9, [p1, 0] + [-4] * 7, [0] * 9) for p1 in (0, 6)), 5, 9,
+    ),
+}
+
+
+def recheck(text, prime, rank):
+    """Whether a compare report's certificate holds, read from its JSON text alone.
+
+    Both systems and the certificate are decoded from the report; it holds
+    when its prime is ``prime``, the left system has rank ``rank`` and
+    ``certificate_is_valid`` accepts it.
+    """
+    report = json.loads(text)
+    left, right = (serialize.system_from_obj(report["inputs"][side]) for side in ("left", "right"))
+    obj = report["result"]["certificate"]
+    if obj is None:
+        return False
+    cert = serialize.certificate_from_obj(obj)
+    return cert.prime == prime and left.rank == rank and certificate_is_valid(cert, left, right)
+
+
+@pytest.mark.parametrize("case", list(RECHECK_PAIRS))
+def test_recheck_certificate_reads_the_report_alone(tmp_path, capsys, case):
+    # each compare exits 0 within 30 s; the re-check accepts its certificate
+    # within 30 s, and refuses another prime or rank, the certificate with its
+    # sides swapped and a report without one
+    *sides, prime, rank = RECHECK_PAIRS[case]
+    paths = [
+        str(GOLDEN_INPUTS / doc) if isinstance(doc, str) else write_json(tmp_path, f"{i}.json", doc)
+        for i, doc in enumerate(sides)
+    ]
+    start = time.perf_counter()
+    code = main(["compare", "--format", "json", "--left", paths[0], "--right", paths[1]])
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK and err == "" and time.perf_counter() - start < 30
+    start = time.perf_counter()
+    assert recheck(out, prime, rank) and time.perf_counter() - start < 30
+    assert not recheck(out, 3 if prime == 2 else 2, rank)
+    assert not recheck(out, prime, rank + 1)
+    report = json.loads(out)
+    assert report["result"]["verdict"] == "distinct"
+    report["result"]["certificate"]["detail"].reverse()
+    assert not recheck(json.dumps(report), prime, rank)
     report["result"]["certificate"] = None
-    assert recheck_certificate.main([write_json(tmp_path, "none.json", report)]) == 1
+    assert not recheck(json.dumps(report), prime, rank)
+
+
+def test_rank_200_invariants_within_30_s(capsys):
+    # about 0.06 s; a dense or pairwise-fold form reduction took about a minute
+    start = time.perf_counter()
+    argv = ["invariants", "--base", "100 CP2 # 100 CP2bar", "--c2", "1"]
+    code, report, err = json_report(capsys, argv)
+    assert code == EXIT_OK and err == "" and time.perf_counter() - start < 30
+    assert report["result"]["system"]["rank"] == 201
 
 
 # -- main / exit codes ---------------------------------------------------------
@@ -474,7 +532,7 @@ def test_main_budget_exceeded(tmp_path, capsys, monkeypatch):
 def test_rank_83_self_compare_is_refused_in_one_line(capsys):
     # the refusal printed (2 bound + 1)^(rank^2) in full, and from rank 83 str()
     # raised ValueError past its 4,300-digit limit: a traceback and exit 1
-    side = str(Path(__file__).parent / "golden" / "inputs" / "cp2_80cp2bar_z1.json")
+    side = str(GOLDEN_INPUTS / "cp2_80cp2bar_z1.json")
     assert main(["compare", "--left", side, "--right", side]) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -574,6 +632,10 @@ MALFORMED_DESCRIPTORS = {
     "transition not an object": (b'{"transition": []}', "transition"),
     "4,300-digit c2": (
         b'{"projectivize": {"base": "CP2", "c1": [1], "c2": ' + b"9" * 4300 + b"}}",
+        "c2",
+    ),
+    "4,300-digit c2 without c1": (
+        b'{"projectivize": {"base": "CP2", "c2": ' + b"9" * 4300 + b"}}",
         "c2",
     ),
     "2,000-digit mu value": (

@@ -45,8 +45,12 @@ from oracles import (
 
 # one block, and no slot lies in every one of its triples
 NON_CONE_MU = {(0, 0, 0): 1, (0, 0, 1): 1, (1, 1, 1): 1}
-# one 7-slot block that is no cone: a chain of triples with no common slot
-NON_CONE_CHAIN = {(i, i, i + 1): 1 for i in range(6)}
+
+
+def chain(n, p1_0=0):
+    """One n-slot block that is no cone, a chain of triples with no common slot."""
+    mu = {(i, i, i + 1): 1 for i in range(n - 1)}
+    return make_system(n, mu, (p1_0,) + (0,) * (n - 1), (0,) * n)
 
 
 def vertices(s):
@@ -228,6 +232,19 @@ def test_bad_bound():
         find_isomorphism(exp_system(), exp_system(), bound=0)
 
 
+def test_search_arguments_must_be_integers():
+    # bound=2.5 searched and returned a witness at rank 1, and step_budget=-1,
+    # 2.5 or True refused with "exceeds step budget -1" (or 2.5, or True)
+    s = make_system(1, {(0, 0, 0): 1}, (0,), (0,))
+    for bound in (2.5, True, "3"):
+        with pytest.raises(ValidationError, match="search bound"):
+            find_isomorphism(s, s, bound=bound)
+    for budget in (-1, 2.5, True, "10"):
+        with pytest.raises(ValidationError, match="step budget must be None or an integer"):
+            find_isomorphism(s, s, bound=1, step_budget=budget)
+    assert find_isomorphism(s, s, bound=1, step_budget=3)
+
+
 @pytest.mark.parametrize("rank, bound", [(0, 10**12), (1, 10**8)])
 def test_search_memory_does_not_grow_with_the_bound(rank, bound):
     # the raw-space gate lets ranks 0 and 1 through at such bounds; the search
@@ -286,15 +303,17 @@ def test_fingerprint_guards():
     s = exp_system()
     with pytest.raises(ValidationError):
         fingerprint(s, 4)
-    # only the walk has a rank limit: a 7-slot block that is no cone has no
-    # fingerprint at p = 5, 7
-    big = make_system(7, NON_CONE_CHAIN, p1=(0,) * 7, w2=(0,) * 7)
-    assert vertices(big) == [None]
-    for p in (5, 7):
-        with pytest.raises(ValidationError, match="rank 6"):
-            fingerprint(big, p)
+    # only the walk has a window, (p^n - 1)/(p - 1) <= 19,608 points for n
+    # slots: a 7-slot block that is no cone has a fingerprint at p = 5 but not
+    # at p = 7, and an 8-slot one has none at p = 5
+    seven, eight = chain(7), chain(8)
+    assert vertices(seven) == vertices(eight) == [None]
+    assert sum(row[3] for row in fingerprint(seven, 5)) == 5**7
+    for s, p in ((seven, 7), (eight, 5)):
+        with pytest.raises(ValidationError, match="limited to 19608 points"):
+            fingerprint(s, p)
     for p in (2, 3):
-        assert sum(row[3] for row in fingerprint(big, p)) == p**7
+        assert sum(row[3] for row in fingerprint(seven, p)) == p**7
 
 
 def test_fingerprint_equal_for_isomorphic_pair():
@@ -328,19 +347,34 @@ def invariants(s):
     return s.mu, s.p1, s.w2, s.c1_class, s.b3
 
 
-@pytest.mark.parametrize("k", (20, 80, 255))
-def test_twist_witness_round_trip_at_high_rank(k):
-    # ranks 22, 82 and 257; at rank 257 an inverse from r^2 minors ran over 5 minutes
-    base = parse_sum_expression(f"CP2 # {k} CP2bar")
-    rng = random.Random(k)
-    e = RankTwoBundle(base, tuple(rng.randint(-2, 2) for _ in range(base.rank)), 3)
-    l = tuple(rng.randint(-2, 2) for _ in range(base.rank))
+def assert_twist_round_trip(base, c1, l):
+    """The twist witness verifies with c1, and transports there and back, within 30 s."""
+    start = time.perf_counter()
+    e = RankTwoBundle(base, c1, 3)
     s, twisted = projectivize(base, e), projectivize(base, twist(e, l))
     w = twist_witness(base, e, l)
     assert verify_witness(s, twisted, w, check_c1=True)
     moved = transport_system(s, w)
     assert invariants(moved) == invariants(twisted)
     assert invariants(transport_system(moved, inverse_unimodular(w))) == invariants(s)
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("k", (20, 80, 255))
+def test_twist_witness_round_trip_at_high_rank(k):
+    # ranks 22, 82 and 257; at rank 257 an inverse from r^2 minors ran over 5 minutes
+    base = parse_sum_expression(f"CP2 # {k} CP2bar")
+    rng = random.Random(k)
+    c1 = tuple(rng.randint(-2, 2) for _ in range(base.rank))
+    assert_twist_round_trip(base, c1, tuple(rng.randint(-2, 2) for _ in range(base.rank)))
+
+
+def test_twist_witness_round_trip_at_rank_257_with_cyclic_data():
+    # c1 and l cycle through -1..1 and -2..2, so every entry value occurs
+    base = parse_sum_expression("CP2 # 255 CP2bar")
+    assert base.rank + 1 == 257
+    c1 = tuple(i % 3 - 1 for i in range(base.rank))
+    assert_twist_round_trip(base, c1, tuple(i % 5 - 2 for i in range(base.rank)))
 
 
 def test_transported_system_admits_the_witness():
@@ -701,10 +735,10 @@ def test_certificate_outside_fingerprint_window_is_invalid():
     # a prime the fingerprint does not support is no valid certificate
     foreign = DistinctnessCertificate("fingerprint", 11, cert.detail)
     assert certificate_is_valid(foreign, t.z1, t.z2) is False
-    # nor one at p = 5 for systems with a 7-slot block that is no cone, even
+    # nor one at p = 5 for systems with an 8-slot block that is no cone, even
     # with the walk's true rows
-    a, b = (make_system(7, NON_CONE_CHAIN, (x,) + (0,) * 6, (0,) * 7) for x in (0, 6))
-    walks = (cones._walk(s, range(7), 5) for s in (a, b))
+    a, b = chain(8), chain(8, 6)
+    walks = (cones._walk(s, range(8), 5) for s in (a, b))
     detail = tuple(tuple(key + (0, n) for key, n in sorted(w.items())) for w in walks)
     too_big = DistinctnessCertificate("fingerprint", 5, detail)
     assert detail[0] != detail[1] and certificate_is_valid(too_big, a, b) is False
@@ -758,27 +792,27 @@ def test_certify_distinct_rank_and_b3():
 
 def test_certify_skips_fingerprints_above_rank_limit():
     # p1 moved by 6 keeps every value mod 2 and 3, so only p = 5 and 7 can
-    # tell these apart.  They run unless a block that is no cone has more
-    # than 6 slots: the 2-slot NON_CONE_MU block runs at rank 7, the 7-slot
-    # chain does not
+    # tell these apart.  They run unless a block that is no cone takes a walk
+    # of more than 19,608 points: the 2-slot NON_CONE_MU block and the 7-slot
+    # chain run at p = 5 (19,531 points), the 8-slot chain does not
     def pair(rank, mu):
         return [make_system(rank, mu, (x,) + (0,) * (rank - 1), (0,) * rank) for x in (0, 6)]
 
     cone_mu = {(0, 0, 0): 1, (0, 0, 1): 1, (0, 1, 1): 1}
-    for mu in (NON_CONE_MU, cone_mu, NON_CONE_CHAIN):
-        cert = certify_distinct(*pair(7, mu), SUPPORTED_PRIMES)
-        assert certify_distinct(*pair(7, mu), (2, 3)) is None
-        if mu is NON_CONE_CHAIN:
-            assert cert is None
-        else:
-            assert cert.prime == 5 and certificate_is_valid(cert, *pair(7, mu))
+    for sides in (pair(7, NON_CONE_MU), pair(7, cone_mu), [chain(7), chain(7, 6)]):
+        cert = certify_distinct(*sides, SUPPORTED_PRIMES)
+        assert certify_distinct(*sides, (2, 3)) is None
+        assert cert.prime == 5 and certificate_is_valid(cert, *sides)
     for mu in (NON_CONE_MU, cone_mu):
         assert certify_distinct(*pair(6, mu), SUPPORTED_PRIMES).prime == 5
-    # the chain's p = 5 walk, run outside the window, tells the pair apart
-    a, b = pair(7, NON_CONE_CHAIN)
-    assert cones._walk(a, range(7), 5) != cones._walk(b, range(7), 5)
+    # the 8-slot chain's p = 5 walk, run outside the window, tells its pair
+    # apart, but certify_distinct skips p = 5 and 7
+    a, b = chain(8), chain(8, 6)
+    assert certify_distinct(a, b, SUPPORTED_PRIMES) is None
+    assert cones._walk(a, range(8), 5) != cones._walk(b, range(8), 5)
     # a prime is skipped when one side alone is outside the window: a rank-7
-    # P(E) and a transport of it that is one 7-slot block with no cone
+    # P(E) and a transport of it that is one 7-slot block with no cone, which
+    # agree at p = 5; the transport has no p = 7 rows
     rng = random.Random(60)
     base = parse_sum_expression("CP2 # 5 CP2bar")
     s = projectivize(base, random_bundle(rng, base))
@@ -808,7 +842,7 @@ def test_a_small_block_that_is_no_cone_fingerprints_at_any_rank():
 def test_transports_with_blowups_match_the_reference_at_rank_seven():
     # a P(E) transported until a block is no cone, then blown up: the blowup
     # slots are cones of one slot each, so at rank 7 only the blocks that are
-    # no cone count toward the walk's limit of 6 slots
+    # no cone count toward the walk's window
     rng = random.Random(59)
     for expr, blowups in (("CP2 # 2 CP2bar", 3), ("CP2 # 4 CP2bar", 1)):
         base = parse_sum_expression(expr)
@@ -833,9 +867,9 @@ def test_certify_finds_the_blocks_once_per_system_and_odd_prime(monkeypatch):
     monkeypatch.setattr(cones, "cone_blocks", counted)
     base = parse_sum_expression("CP2 # 5 CP2bar")
     t = conifold_transition(base, RankTwoBundle(base, (-1, 1, 1, 1, 1, 3), 5))
-    chain = make_system(7, NON_CONE_CHAIN, (0,) * 7, (0,) * 7)
+    seven = chain(7)
     # z1 and z2 agree at p = 2 and 3 and differ at p = 5, so p = 7 does not run
-    for s1, s2, odd in ((t.z1, t.z2, 1), (t.z1, t.z1, 2), (chain, chain, 2)):
+    for s1, s2, odd in ((t.z1, t.z2, 1), (t.z1, t.z1, 2), (seven, seven, 2)):
         calls.clear()
         certify_distinct(s1, s2, SUPPORTED_PRIMES)
         assert len(calls) == 2 * odd and {id(s) for s in calls} == {id(s1), id(s2)}

@@ -23,10 +23,12 @@ from conitop import (
     TransitionResult,
     ValidationError,
     conifold_transition,
+    make_system,
     standard,
     trivial_bundle,
 )
 from conitop.equiv import SearchStats
+from conitop.serialize import system_from_obj, system_to_obj
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -215,6 +217,26 @@ def test_witness_preserves_c1_must_be_a_bool():
         with pytest.raises(ValidationError, match="preserves_c1"):
             IsomorphismWitness(HYPERBOLIC, flag)
     assert IsomorphismWitness(HYPERBOLIC, True).preserves_c1 is True
+
+
+def test_fields_a_report_cannot_re_read_are_refused():
+    # each was stored, and system_from_obj(system_to_obj(s)) then raised
+    # DescriptorError; conifold_transition(..., swap=1) returned swapped == 1
+    form = IntersectionForm(HYPERBOLIC)
+    refused = [
+        (lambda: make_system(1, {}, (0,), (0,), basis_labels=(1,)), "basis_labels"),
+        (lambda: make_system(1, {}, (0,), (0,), classifiable="yes"), "classifiable"),
+        (lambda: InvariantSystem(1, (), (0,), (0,), 0, classifiable=1), "classifiable"),
+        (lambda: FourManifold(5, form, (0, 0)), "label"),
+        (lambda: FourManifold("X", form, (0, 0), simply_connected=1), "simply_connected"),
+        (lambda: conifold_transition(S4, trivial_bundle(S4), swap=1), "swapped"),
+        (lambda: TransitionResult(*TRANSITION_ARGS, swapped="no"), "swapped"),
+    ]
+    for build, field in refused:
+        with pytest.raises(ValidationError, match=f"^{field} "):
+            build()
+    s = make_system(1, {}, (0,), (0,), basis_labels=("a",), classifiable=False)
+    assert system_from_obj(system_to_obj(s)) == s
 
 
 def test_mu_terms_is_cached_on_the_instance():
