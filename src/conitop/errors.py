@@ -48,16 +48,9 @@ class ValidationError(ValueError):
 class DescriptorError(ValidationError):
     """A descriptor document could not be parsed.
 
-    Carries the line/column of the offending location when the underlying
-    JSON decoder provides one.
+    When the JSON decoder gives the offending location, the message ends
+    with "(line L, column C)".
     """
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
 
 
 class SearchBudgetError(RuntimeError):

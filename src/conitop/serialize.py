@@ -42,7 +42,9 @@ def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DescriptorError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+        raise DescriptorError(
+            f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+        ) from exc
     except ValueError as exc:  # an integer past the digit limit of int()
         raise DescriptorError(
             f"invalid JSON: an integer of more than {MAX_INT_DIGITS} digits"
@@ -165,7 +167,7 @@ def manifold_from_descriptor(desc) -> FourManifold:
         return parse_sum_expression(desc)
     if isinstance(desc, dict):
         return manifold_from_obj(desc)
-    raise DescriptorError("manifold descriptor must be a string or object")
+    raise DescriptorError(f"base must be a string or object, got {desc!r}")
 
 
 # -- bundles ----------------------------------------------------------------

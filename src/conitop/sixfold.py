@@ -72,8 +72,8 @@ class InvariantSystem(Value):
             c1_class = as_vector(c1_class, "c1_class")
         object.__setattr__(self, "c1_class", c1_class)
         if not basis_labels:
-            basis_labels = tuple(f"e{i + 1}" for i in range(rank))
-        object.__setattr__(self, "basis_labels", basis_labels)
+            basis_labels = (f"e{i + 1}" for i in range(rank))
+        object.__setattr__(self, "basis_labels", tuple(basis_labels))
         object.__setattr__(self, "classifiable", classifiable)
         r = self.rank
         previous = None

@@ -82,7 +82,7 @@ def local_model_system(k: int) -> InvariantSystem:
     from the surgery-level computation; the reference c1 is 2x on both sides.
     """
     if k not in (1, 2):
-        raise ValidationError("transition index must be 1 or 2")
+        raise ValidationError(f"local_model must be 1 or 2, got {k!r}")
     eps = (-1) ** k
     return make_system(
         2,

@@ -307,6 +307,16 @@ def random_system(rng: random.Random, rank: int, span: int = 3, fill: float = 0.
     return make_system(rank, entries, p1, w2)
 
 
+def chain(n, p1_0=0):
+    """One n-slot block that is no cone, a chain of triples with no common slot."""
+    mu = {(i, i, i + 1): 1 for i in range(n - 1)}
+    return make_system(n, mu, (p1_0,) + (0,) * (n - 1), (0,) * n)
+
+
+def mu_list(s):
+    return [v for _, v in s.mu_items()]
+
+
 # -- dense references for the sparse mu evaluation ----------------------------
 
 

@@ -37,6 +37,7 @@ from conitop.sixfold import triple_indices
 
 from oracles import (
     is_characteristic_exhaustive,
+    mu_list,
     random_bundle,
     random_catalog_sum,
     random_symmetric_rows,
@@ -55,10 +56,6 @@ def _best_time(fn, repeats: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def mu_list(s):
-    return [v for _, v in s.mu_items()]
 
 
 def test_criterion_1_projective_bundle_reproduction():

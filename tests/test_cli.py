@@ -16,7 +16,6 @@ from conitop.equiv import certificate_is_valid
 from conitop.cli import (
     EXIT_BUDGET,
     EXIT_INCONCLUSIVE,
-    EXIT_INPUT,
     EXIT_OK,
     main,
 )
@@ -34,10 +33,6 @@ def write_system_file(tmp_path, name, doc):
     payload = {"schema": serialize.SCHEMA}
     payload.update(doc)
     return write_json(tmp_path, name, payload)
-
-
-def write_manifold_file(tmp_path, name, manifold):
-    return write_json(tmp_path, name, {"schema": serialize.SCHEMA, "manifold": manifold})
 
 
 def json_report(capsys, argv):
@@ -78,184 +73,17 @@ def test_parse_input_sum_expression(capsys):
     assert tuple(row[i] for i, row in enumerate(base.form.matrix)) == (1, -1, -1, -1)
 
 
-def test_parse_input_explicit_manifold_with_bad_w2(tmp_path, capsys):
-    base = write_manifold_file(tmp_path, "bad_w2.json", {"matrix": [[1]], "w2": [0]})
-    assert main(["invariants", "--base", base, "--c1", "0", "--c2", "0"]) == EXIT_INPUT
-    assert "characteristic" in capsys.readouterr().err
+def test_main_caps_the_form_rank(capsys):
+    code, report, _ = json_report(capsys, ["invariants", "--base", "CP2 # 80 CP2bar"])
+    assert code == EXIT_OK and report["result"]["system"]["rank"] == 82
 
 
-def test_parse_input_rejects_nonsymmetric_and_nonunimodular(tmp_path, capsys):
-    for name, matrix, w2, message in (
-        ("nonsymmetric.json", [[0, 1], [2, 0]], [0, 0], "symmetric"),
-        ("nonunimodular.json", [[2]], [0], "unimodular"),
-    ):
-        base = write_manifold_file(tmp_path, name, {"matrix": matrix, "w2": w2})
-        assert main(["invariants", "--base", base]) == EXIT_INPUT
-        assert message in capsys.readouterr().err
-
-
-def test_parse_input_bad_json_reports_position(tmp_path, capsys):
-    bad = write_json(tmp_path, "bad.json", "{not json")
-    assert main(["compare", "--left", bad, "--right", bad]) == EXIT_INPUT
-    assert "line 1" in capsys.readouterr().err
-    assert main(["invariants", "--base", bad]) == EXIT_INPUT
-    assert "line 1" in capsys.readouterr().err
-
-
-def test_parse_input_unknown_command_and_schema(tmp_path, capsys):
+def test_main_rejects_removed_workers_flag(capsys):
+    # argparse's usage errors exit 2, not 1, so they stay out of test_bad_inputs
     with pytest.raises(SystemExit) as exc:
         main(["explode"])
     assert exc.value.code != EXIT_OK
     assert "invalid choice" in capsys.readouterr().err
-    future = write_json(tmp_path, "future.json", {"schema": "conitop/99", "local_model": 1})
-    assert main(["compare", "--left", future, "--right", future]) == EXIT_INPUT
-    assert "unsupported schema" in capsys.readouterr().err
-
-
-def test_main_rejects_non_integer_list_flags(tmp_path, capsys):
-    for command in ("invariants", "transition"):
-        assert main([command, "--base", "CP2", "--c1", "a"]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert "--c1" in captured.err and captured.out == ""
-    side = write_system_file(tmp_path, "side.json", {"local_model": 1})
-    assert main(["compare", "--left", side, "--right", side, "--primes", "2,a"]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert "--primes" in captured.err and captured.out == ""
-
-
-def test_compare_refuses_an_unsupported_prime_above_the_fingerprint_rank(tmp_path, capsys):
-    # rank 7 once skipped the fingerprints, so prime 11 went unchecked and
-    # the search ended in exit 3 (budget exceeded)
-    sides = [
-        write_system_file(tmp_path, f"c2_{c2}.json", {"projectivize": {
-            "base": "CP2 # 5 CP2bar", "c1": [0] * 6, "c2": c2}})
-        for c2 in (0, 1)
-    ]
-    assert main(["compare", "--left", sides[0], "--right", sides[1], "--primes", "11"]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert "prime 11" in captured.err and captured.out == ""
-
-
-NINES = "9" * 4300
-
-
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["invariants", "--base", "CP2", "--c2", NINES], "--c2"),
-        (["transition", "--base", "CP2", "--c2", NINES], "--c2"),
-        (["invariants", "--base", "CP2", "--c1", NINES], "--c1"),
-        (["compare", "--left", "{side}", "--right", "{side}", "--bound", NINES], "--bound"),
-    ],
-)
-def test_integer_flags_are_capped_in_digits(tmp_path, capsys, argv, flag):
-    # each ended in a ValueError traceback when a value built from the flag,
-    # with more than 4,300 digits, was printed
-    side = write_system_file(tmp_path, "side.json", {"local_model": 1})
-    assert main([arg.format(side=side) for arg in argv]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert flag in captured.err and "digits" in captured.err
-
-
-def test_main_rejects_non_integer_mu(tmp_path, capsys):
-    right = write_system_file(tmp_path, "right.json", {"local_model": 1})
-    good = {"rank": 2, "p1": [0, 0], "w2": [0, 0], "b3": 0}
-    for n, mu in enumerate(
-        (
-            [[0, 0, 0, "x"]],
-            [[0, 0, 0, 1.5]],
-            [[0, 0, 0, True]],
-            [[0, 0, 1.0, 1]],
-            5,
-            [7],
-        )
-    ):
-        left = write_system_file(tmp_path, f"left{n}.json", {"system": dict(good, mu=mu)})
-        assert main(["compare", "--left", left, "--right", right]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert "mu" in captured.err and captured.out == ""
-
-
-def assert_input_error_naming(capsys, argv, field):
-    assert main(argv) == EXIT_INPUT, (argv, field)
-    captured = capsys.readouterr()
-    assert field in captured.err and captured.out == "", (field, captured.err)
-
-
-def test_main_rejects_coerced_system_fields(tmp_path, capsys):
-    good = {"rank": 1, "mu": [[0, 0, 0, 1]], "p1": [0], "w2": [0], "b3": 0, "c1_class": [2]}
-    right = write_system_file(tmp_path, "right.json", {"system": good})
-    assert main(["compare", "--left", right, "--right", right]) == EXIT_OK
-    capsys.readouterr()
-    for n, (field, bad) in enumerate(
-        (
-            ("rank", "x"),
-            ("rank", 1.0),
-            ("rank", True),
-            ("p1", [0.5]),
-            ("p1", ["0"]),
-            ("p1", 0),
-            ("w2", [False]),
-            ("w2", [0.0]),
-            ("b3", True),
-            ("b3", 0.0),
-            ("c1_class", [2.0]),
-            ("c1_class", ["2"]),
-            ("classifiable", 1),
-            ("basis_labels", [1]),
-            ("basis_labels", "a"),
-        )
-    ):
-        left = write_system_file(tmp_path, f"left{n}.json", {"system": dict(good, **{field: bad})})
-        assert_input_error_naming(capsys, ["compare", "--left", left, "--right", right], field)
-
-
-def test_main_rejects_coerced_descriptor_fields(tmp_path, capsys):
-    right = write_system_file(tmp_path, "right.json", {"local_model": 1})
-    cp2 = {"matrix": [[1]], "w2": [1]}
-    for n, (field, doc) in enumerate(
-        (
-            ("c2", {"projectivize": {"base": "CP2", "c2": "q"}}),
-            ("c2", {"projectivize": {"base": "CP2", "c2": 0.5}}),
-            ("c2", {"transition": {"base": "CP2", "c2": True}}),
-            ("c1", {"projectivize": {"base": "CP2", "c1": [1.0]}}),
-            ("c1", {"projectivize": {"base": "CP2", "c1": "1"}}),
-            ("c1", {"transition": {"base": "CP2", "c1": [True]}}),
-            ("local_model", {"local_model": "a"}),
-            ("local_model", {"local_model": 1.0}),
-            ("local_model", {"local_model": True}),
-            ("blowups", {"projectivize": {"base": "S4"}, "blowups": "2"}),
-            ("blowups", {"projectivize": {"base": "S4"}, "blowups": 1.5}),
-            ("swap", {"transition": {"base": "S4", "swap": 1}}),
-            ("matrix", {"projectivize": {"base": {"matrix": [[1.5]], "w2": [1]}}}),
-            ("matrix", {"projectivize": {"base": {"matrix": [["x"]], "w2": [1]}}}),
-            ("matrix", {"projectivize": {"base": {"matrix": 1, "w2": [1]}}}),
-            ("w2", {"projectivize": {"base": {"matrix": [[1]], "w2": [1.0]}}}),
-            ("c1_tangent", {"projectivize": {"base": dict(cp2, c1_tangent=[3.0])}}),
-            ("simply_connected", {"projectivize": {"base": dict(cp2, simply_connected=0)}}),
-            ("label", {"projectivize": {"base": dict(cp2, label=5)}}),
-        )
-    ):
-        left = write_system_file(tmp_path, f"left{n}.json", doc)
-        assert_input_error_naming(capsys, ["compare", "--left", left, "--right", right], field)
-    base = write_manifold_file(tmp_path, "base.json", {"matrix": [[1.5]], "w2": [1]})
-    assert_input_error_naming(capsys, ["invariants", "--base", base], "matrix")
-
-
-def test_main_caps_the_form_rank(tmp_path, capsys):
-    code, report, _ = json_report(capsys, ["invariants", "--base", "CP2 # 80 CP2bar"])
-    assert code == EXIT_OK and report["result"]["system"]["rank"] == 82
-    assert_input_error_naming(capsys, ["invariants", "--base", "300 CP2"], "rank")
-    assert_input_error_naming(capsys, ["transition", "--base", "CP2 # 300 CP2bar"], "rank")
-    rows = [[int(i == j) for j in range(300)] for i in range(300)]
-    base = write_manifold_file(tmp_path, "big.json", {"matrix": rows, "w2": [1] * 300})
-    assert_input_error_naming(capsys, ["invariants", "--base", base], "matrix")
-    left = write_system_file(tmp_path, "left.json", {"projectivize": {"base": "300 CP2bar"}})
-    assert_input_error_naming(capsys, ["compare", "--left", left, "--right", left], "rank")
-
-
-def test_main_rejects_removed_workers_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-paper", "--workers", "2"])
     assert exc.value.code != EXIT_OK
@@ -475,49 +303,18 @@ def test_main_compare_files(tmp_path, capsys):
     assert "fingerprint" in out
 
 
-def test_main_compare_missing_file(tmp_path, capsys):
-    code = main(["compare", "--left", str(tmp_path / "nope.json"), "--right", str(tmp_path / "nope.json")])
-    assert code == EXIT_INPUT
-    assert "input error" in capsys.readouterr().err
-
-
-def test_main_invalid_descriptor_exits_1(capsys):
-    code = main(["invariants", "--base", "T4"])
-    assert code == EXIT_INPUT
-    assert "input error" in capsys.readouterr().err
-
-
-def test_main_rejects_negative_blowups(tmp_path, capsys):
-    code = main(["invariants", "--base", "CP2", "--blowups", "-1"])
-    assert code == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert "blowups" in captured.err and captured.out == ""
-    left = write_system_file(
-        tmp_path, "l.json", {"projectivize": {"base": "CP2"}, "blowups": -2}
-    )
-    code = main(["compare", "--left", left, "--right", left])
-    assert code == EXIT_INPUT
-    assert "blowups" in capsys.readouterr().err
-
-
 def test_main_caps_blowups(tmp_path, capsys):
     # base rank + blowups is capped at MAX_FORM_RANK, so a blown-up
     # projectivization stops at rank 257 (a transition side reaches 258)
     cap = serialize.MAX_FORM_RANK - 1
     code, report, _ = json_report(capsys, ["invariants", "--base", "CP2", "--blowups", str(cap)])
     assert code == EXIT_OK and report["result"]["system"]["rank"] == serialize.MAX_FORM_RANK + 1
-    above_argv = ["invariants", "--base", "CP2", "--blowups", str(cap + 1)]
-    assert_input_error_naming(capsys, above_argv, "blowups")
     small = write_system_file(tmp_path, "small.json", {"projectivize": {"base": "CP2"}})
     at_cap = write_system_file(
         tmp_path, "at_cap.json", {"projectivize": {"base": "CP2"}, "blowups": cap}
     )
-    above = write_system_file(
-        tmp_path, "above.json", {"projectivize": {"base": "CP2"}, "blowups": cap + 1}
-    )
     code, report, _ = json_report(capsys, ["compare", "--left", at_cap, "--right", small])
     assert code == EXIT_OK and report["result"]["certificate"]["kind"] == "rank"
-    assert_input_error_naming(capsys, ["compare", "--left", above, "--right", small], "blowups")
 
 
 def test_main_budget_exceeded(tmp_path, capsys, monkeypatch):
@@ -551,8 +348,6 @@ def test_main_caps_explicit_system_rank(tmp_path, capsys):
 
     code, report, _ = json_report(capsys, ["compare", "--left", explicit(cap), "--right", small])
     assert code == EXIT_OK and report["result"]["certificate"]["detail"] == [cap, 2]
-    for rank in (cap + 1, 3000):
-        assert_input_error_naming(capsys, ["compare", "--left", explicit(rank), "--right", small], "rank")
 
 
 def test_step_budget_env_override(tmp_path, capsys, monkeypatch):
@@ -560,11 +355,12 @@ def test_step_budget_env_override(tmp_path, capsys, monkeypatch):
     left = write_system_file(tmp_path, "l.json", doc)
     right = write_system_file(tmp_path, "r.json", doc)
     monkeypatch.setenv("CONITOP_STEP_BUDGET", "10")
-    code = main(["compare", "--left", left, "--right", right])
-    assert code == EXIT_BUDGET
-    monkeypatch.setenv("CONITOP_STEP_BUDGET", "not-a-number")
-    code = main(["compare", "--left", left, "--right", right])
-    assert code == EXIT_INPUT
+    assert main(["compare", "--left", left, "--right", right]) == EXIT_BUDGET
+    capsys.readouterr()
+    # 0 is a valid budget: the first search of the suite is refused
+    monkeypatch.setenv("CONITOP_STEP_BUDGET", "0")
+    assert main(["verify-paper"]) == EXIT_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["invariants", "transition"])
@@ -572,17 +368,6 @@ def test_step_budget_is_read_only_by_commands_that_search(capsys, monkeypatch, c
     monkeypatch.setenv("CONITOP_STEP_BUDGET", "x")
     assert main([command, "--base", "CP2"]) == EXIT_OK
     assert capsys.readouterr().err == ""
-
-
-def test_negative_step_budget_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("CONITOP_STEP_BUDGET", "-5")
-    assert main(["verify-paper"]) == EXIT_INPUT
-    out, err = capsys.readouterr()
-    assert out == "" and "CONITOP_STEP_BUDGET" in err and "budget exceeded" not in err
-    # 0 is a valid budget: the first search of the suite is refused
-    monkeypatch.setenv("CONITOP_STEP_BUDGET", "0")
-    assert main(["verify-paper"]) == EXIT_BUDGET
-    assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_compare_stats_pin_the_s2xs2_sides_search(tmp_path, capsys, monkeypatch):
@@ -622,49 +407,6 @@ def test_compare_stats_at_rank_zero_count_one_node(tmp_path, capsys):
     assert json.loads(captured.err) == {
         "search": {"nodes": 1, "column_tests": 0, "pruned": {"table": 0, "mod2": 0, "triple": 0}}
     }
-
-
-MALFORMED_DESCRIPTORS = {
-    "not UTF-8": (b"\xff\xfe", "UTF-8"),
-    "5,000-digit integer": (b'{"local_model": ' + b"1" * 5000 + b"}", "digits"),
-    "100,000 nested lists": (b"[" * 100000, "nested"),
-    "projectivize not an object": (b'{"projectivize": 5}', "projectivize"),
-    "transition not an object": (b'{"transition": []}', "transition"),
-    "4,300-digit c2": (
-        b'{"projectivize": {"base": "CP2", "c1": [1], "c2": ' + b"9" * 4300 + b"}}",
-        "c2",
-    ),
-    "4,300-digit c2 without c1": (
-        b'{"projectivize": {"base": "CP2", "c2": ' + b"9" * 4300 + b"}}",
-        "c2",
-    ),
-    "2,000-digit mu value": (
-        b'{"system": {"rank": 1, "mu": [[0, 0, 0, ' + b"7" * 2000 + b']], "p1": [0], "w2": [0],'
-        b' "b3": 0}}',
-        "mu has",
-    ),
-    "negative rank": (b'{"system": {"rank": -1, "mu": [], "p1": [], "w2": [], "b3": 0}}', "rank -1"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_DESCRIPTORS))
-def test_malformed_descriptor_exits_1_in_one_line(tmp_path, capsys, case):
-    payload, field = MALFORMED_DESCRIPTORS[case]
-    path = tmp_path / "bad.json"
-    path.write_bytes(payload)
-    argv = ["compare", "--left", str(path), "--right", str(path), "--format", "json"]
-    assert main(argv) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert field in captured.err and "Traceback" not in captured.err
-
-
-def test_base_file_that_is_not_utf8_exits_1_in_one_line(tmp_path, capsys):
-    path = tmp_path / "base.json"
-    path.write_bytes(b"\xff\xfe")
-    assert main(["invariants", "--base", str(path)]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1 and "UTF-8" in captured.err
 
 
 def test_verify_paper_passes(capsys):
@@ -742,7 +484,7 @@ def test_base_name_wins_over_file_of_same_name(tmp_path, monkeypatch, capsys):
 
 
 def test_transition_without_c1_data_omits_reference_class(tmp_path, capsys):
-    base = write_manifold_file(tmp_path, "x.json", {"label": "X", "matrix": [[1]], "w2": [1]})
+    base = write_json(tmp_path, "x.json", {"manifold": {"label": "X", "matrix": [[1]], "w2": [1]}})
     code, report, _ = json_report(capsys, ["transition", "--base", base, "--c1", "0"])
     assert code == EXIT_OK
     assert report["result"]["z1"]["c1_class"] is None

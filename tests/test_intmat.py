@@ -2,9 +2,6 @@
 
 import random
 
-import pytest
-
-from conitop import ValidationError
 from conitop.intmat import determinant, inverse_unimodular
 
 from oracles import determinant_laplace, inverse_adjugate, matmul, random_unimodular
@@ -39,17 +36,3 @@ def test_inverse_needs_row_swaps_and_negative_pivots():
     m = ((2, 1), (1, 1))
     assert inverse_unimodular(m) == inverse_adjugate(m) == ((1, -1), (-1, 2))
 
-
-def test_inverse_refuses_singular_and_determinant_two():
-    for m, d in (
-        (((1, 1), (1, 1)), 0),
-        (((0, 0, 0), (0, 1, 0), (0, 0, 1)), 0),
-        (((2,),), 2),
-        (((1, 1), (-1, 1)), 2),
-        (((1, 0, 0), (0, 2, 0), (0, 0, 1)), 2),
-    ):
-        for inverse in (inverse_unimodular, inverse_adjugate):
-            with pytest.raises(ValidationError, match=f"determinant {d},"):
-                inverse(m)
-    assert inverse_unimodular(()) == inverse_adjugate(()) == ()
-    assert determinant(()) == 1
