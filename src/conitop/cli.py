@@ -357,12 +357,15 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return tuple(serialize.capped_int(v, flag) for v in values)
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str, flag: str) -> dict:
+    """The descriptor document in the file ``path``; a read error names ``flag``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
-        raise DescriptorError(f"{path!r} is not UTF-8 text") from exc
+        raise DescriptorError(f"{flag}: {path!r} is not UTF-8 text") from exc
+    except OSError as exc:
+        raise DescriptorError(f"{flag}: cannot read {path!r}: {exc.strerror or exc}") from exc
     return serialize.loads(text)
 
 
@@ -378,7 +381,7 @@ def _load_base(arg: str) -> FourManifold:
         except DescriptorError:
             if not os.path.exists(arg):
                 raise
-    doc = _read_json(arg)
+    doc = _read_json(arg, "--base")
     return serialize.manifold_from_descriptor(doc.get("manifold", doc))
 
 
@@ -447,8 +450,8 @@ def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
     if args.command == "transition":
         return _run_transition(*_base_and_bundle(args), args.swap)
     if args.command == "compare":
-        left = serialize.system_from_descriptor(_read_json(args.left))
-        right = serialize.system_from_descriptor(_read_json(args.right))
+        left = serialize.system_from_descriptor(_read_json(args.left, "--left"))
+        right = serialize.system_from_descriptor(_read_json(args.right, "--right"))
         primes = _parse_int_list(args.primes, "--primes")
         bound = serialize.capped_int(args.bound, "--bound")
         return _run_compare(left, right, bound, primes, args.check_c1, _env_step_budget(), stats)

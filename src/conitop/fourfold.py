@@ -13,6 +13,7 @@ document them rather than verify them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 from .errors import ValidationError, Value
@@ -68,8 +69,13 @@ class FourManifold(Value):
         return self.form.rank
 
 
+@lru_cache(maxsize=None)
 def standard(name: str) -> FourManifold:
     """Catalog manifolds addressable by name in descriptors.
+
+    Each is built and validated once per process; later calls return the
+    same immutable value.  An unknown name raises every time (exceptions are
+    not cached).
 
     S4 is the rank-0 case.  CP2 carries its genuine tangent data
     (c1 = 3 times the generator).  S2xS2 likewise (c1 = (2,2) in the

@@ -7,14 +7,18 @@ integer matrix ``Q`` with ``Q[i][j]`` the evaluation of the product of the
 part of the data; nothing here canonicalizes it.
 
 All arithmetic is exact.  :func:`signature` and :func:`determinant` (hence
-:func:`is_unimodular`) read one sparse Lagrange reduction, :func:`_reduce`,
-whose entries are Python ints until a quotient needs a
-``fractions.Fraction`` (imported only then, so start-up does not pay for
-it); mod-2 work stays in integers.  Descriptors are capped at rank
-``serialize.MAX_FORM_RANK`` before a form is built.
+:func:`is_unimodular`) read the inertia and determinant of a form, cached on
+the form: a form reduces once, by the sparse Lagrange reduction
+:func:`_reduce`, and a block sum built by :func:`direct_sum` takes them from
+its blocks without any reduction.  The reduction's entries are Python ints
+until a quotient needs a ``fractions.Fraction`` (imported only then, so
+start-up does not pay for it); mod-2 work stays in integers.  Descriptors
+are capped at rank ``serialize.MAX_FORM_RANK`` before a form is built.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import ValidationError, Value
 from .intmat import Mat, Vec, as_matrix, as_vector, dot, matvec
@@ -31,12 +35,18 @@ class IntersectionForm(Value):
         for row in self.matrix:
             if len(row) != n:
                 raise ValidationError("form matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise ValidationError(
-                        f"form matrix is not symmetric at ({i},{j})"
-                    )
+        if self.matrix != tuple(zip(*self.matrix)):
+            i, j = next((i, j) for i in range(n) for j in range(i)
+                        if self.matrix[i][j] != self.matrix[j][i])
+            raise ValidationError(f"form matrix is not symmetric at ({i},{j})")
+
+    @cached_property
+    def _inertia(self) -> tuple[int, int, int]:
+        """(positive squares, negative squares, det), reduced at most once per form.
+
+        Not a field: equality and hashing see the matrix only.
+        """
+        return _reduce(self)
 
     @property
     def rank(self) -> int:
@@ -131,14 +141,14 @@ def _reduce(q: IntersectionForm) -> tuple[int, int, int]:
 
 
 def signature(q: IntersectionForm) -> int:
-    """Positive minus negative inertia index, computed exactly by :func:`_reduce`."""
-    pos, neg, _ = _reduce(q)
+    """Positive minus negative inertia index, exact, from the form's cached reduction."""
+    pos, neg, _ = q._inertia
     return pos - neg
 
 
 def determinant(q: IntersectionForm) -> int:
     """Determinant of the form, from the same reduction as :func:`signature`."""
-    return _reduce(q)[2]
+    return q._inertia[2]
 
 
 def is_unimodular(q: IntersectionForm) -> bool:
@@ -146,14 +156,26 @@ def is_unimodular(q: IntersectionForm) -> bool:
 
 
 def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
-    """Block sum, in order; models the intersection form of a connected sum."""
+    """Block sum, in order; models the intersection form of a connected sum.
+
+    The sum's inertia and determinant are composed from its blocks' (each
+    reduced at most once): the squares add and the determinants multiply,
+    exactly, by Sylvester's law of inertia.  So a sum of validated blocks is
+    never reduced again.
+    """
     n = sum(f.rank for f in forms)
     rows, offset = [], 0
+    pos = neg = 0
+    det = 1
     for f in forms:
         for row in f.matrix:
             rows.append((0,) * offset + row + (0,) * (n - offset - f.rank))
         offset += f.rank
-    return IntersectionForm(tuple(rows))
+        p, m, d = f._inertia
+        pos, neg, det = pos + p, neg + m, det * d
+    total = IntersectionForm(tuple(rows))
+    total.__dict__["_inertia"] = (pos, neg, det)
+    return total
 
 
 def is_characteristic(w, q: IntersectionForm) -> bool:

@@ -9,6 +9,8 @@ layer over the same data (see :mod:`conitop.cli`).
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .bundle import RankTwoBundle
 from .equiv import DistinctnessCertificate, IsomorphismWitness
@@ -34,8 +36,63 @@ _INT_LIMIT = 10**MAX_INT_DIGITS
 
 
 def json_canonical(obj) -> str:
-    """Deterministic rendering used for every machine-readable document."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering used for every machine-readable document.
+
+    Byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, but
+    rendered directly: with ``indent`` set, ``json.dumps`` never uses its C
+    encoder and passes every list element through a Python generator.  Takes
+    ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``bool``
+    and ``None``; anything else (a float, a key that is not a string, a set)
+    raises ``TypeError``.
+    """
+    return _render(obj, "\n") + "\n"
+
+
+def _render(obj, newline: str) -> str:
+    """``obj`` as canonical JSON whose lines after the first start with ``newline``."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == _INT:
+            items = map(int.__repr__, obj)
+        elif kinds == _STR:
+            items = map(encode_basestring_ascii, obj)
+        elif kinds <= _ROW and set(map(type, chain.from_iterable(obj))) <= _INT:
+            # int rows, such as mu entries and matrix rows: one join per row
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = [
+                "[" + deeper + sep.join(map(int.__repr__, row)) + inner + "]" if row else "[]"
+                for row in obj
+            ]
+        else:
+            items = [_render(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != _STR:
+            bad = next(k for k in obj if type(k) is not str)
+            raise TypeError(f"keys must be str, not {type(bad).__name__}: {bad!r}")
+        items = [
+            encode_basestring_ascii(k) + ": " + _render(obj[k], inner) for k in sorted(obj)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+_INT, _STR, _ROW = {int}, {str}, {list, tuple}
 
 
 def loads(text: str) -> dict:
@@ -167,7 +224,15 @@ def manifold_from_descriptor(desc) -> FourManifold:
         return parse_sum_expression(desc)
     if isinstance(desc, dict):
         return manifold_from_obj(desc)
-    raise DescriptorError(f"base must be a string or object, got {desc!r}")
+    raise DescriptorError(f"manifold must be a string or object, got {desc!r}")
+
+
+def _base_from(inner: dict) -> FourManifold:
+    """The manifold of a bundle descriptor's ``base`` field; an error names ``base``."""
+    try:
+        return manifold_from_descriptor(inner["base"])
+    except ValidationError as exc:
+        raise DescriptorError(f"base: {exc}") from exc
 
 
 # -- bundles ----------------------------------------------------------------
@@ -268,7 +333,7 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
     if "projectivize" in doc:
         inner = doc["projectivize"]
         _require(inner, ("base",), "projectivize")
-        base = manifold_from_descriptor(inner["base"])
+        base = _base_from(inner)
         e = bundle_from_obj(base, inner)
         return blown_up_projectivization(
             base, e, _json_value(doc.get("blowups", 0), int, "blowups")
@@ -278,7 +343,7 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
     if "transition" in doc:
         inner = doc["transition"]
         _require(inner, ("base",), "transition")
-        base = manifold_from_descriptor(inner["base"])
+        base = _base_from(inner)
         e = bundle_from_obj(base, inner)
         swap = _json_value(inner.get("swap", False), bool, "swap")
         result = conifold_transition(base, e, swap=swap)

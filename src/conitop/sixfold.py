@@ -60,6 +60,10 @@ class InvariantSystem(Value):
                 raise ValidationError(f"{name} {value!r} is not an integer")
         if type(classifiable) is not bool:
             raise ValidationError(f"classifiable must be a bool, got {classifiable!r}")
+        if isinstance(basis_labels, str):
+            raise ValidationError(
+                f"basis_labels must be a sequence of strings, got {basis_labels!r}"
+            )
         for label in basis_labels:
             if type(label) is not str:
                 raise ValidationError(f"basis_labels entry {label!r} is not a string")

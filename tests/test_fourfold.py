@@ -2,9 +2,12 @@ import random
 from functools import reduce
 from itertools import permutations
 
+import pytest
+
 from conitop import (
     FourManifold,
     IntersectionForm,
+    ValidationError,
     connected_sum,
     p1_number,
     signature,
@@ -141,3 +144,11 @@ def test_every_catalog_manifold_validates():
         n = standard(name)
         assert n.c1_tangent is not None
         assert tuple(v % 2 for v in n.c1_tangent) == n.w2
+
+
+def test_catalog_manifolds_are_built_once():
+    for name in ("S4", "CP2", "CP2bar", "S2xS2"):
+        assert standard(name) is standard(name)
+    for _ in range(2):  # an unknown name raises every time
+        with pytest.raises(ValidationError, match="unknown catalog manifold 'K3'"):
+            standard("K3")

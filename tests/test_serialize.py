@@ -1,3 +1,4 @@
+import json
 import random
 from functools import reduce
 
@@ -116,3 +117,41 @@ def test_swapped_transition_descriptor():
     plain = conifold_transition(s4, trivial_bundle(s4))
     assert serialize.system_from_descriptor(doc) == plain.z2
 
+
+
+def _json_documents(st):
+    """Nested documents of every type ``json_canonical`` takes, int rows among them."""
+    big = 10**1000 - 1
+    ints = st.integers(-3, 3) | st.integers() | st.integers(-big, big)
+    odd = ("", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", '"\\/')
+    strings = st.text() | st.sampled_from(odd)
+    scalars = st.none() | st.booleans() | ints | strings
+    rows = st.lists(st.lists(ints, max_size=5) | st.tuples(ints, ints), max_size=5)
+    return st.recursive(
+        scalars | rows,
+        lambda inner: (
+            st.lists(inner, max_size=5)
+            | st.lists(inner, max_size=5).map(tuple)
+            | st.dictionaries(strings, inner, max_size=5)
+        ),
+        max_leaves=30,
+    )
+
+
+def test_json_canonical_is_json_dumps_byte_for_byte():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_json_documents(hypothesis.strategies))
+    def run(doc):
+        assert serialize.json_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    run()
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, [1, 2.0], [[1], [2.0]], {"a": {1, 2}}, {1: 2}, {"a": 1, 2: 3}, {"a": [{(1,): 0}]}]
+)
+def test_json_canonical_refuses_what_it_does_not_render(doc):
+    with pytest.raises(TypeError):
+        serialize.json_canonical(doc)
