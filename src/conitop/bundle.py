@@ -18,12 +18,10 @@ class RankTwoBundle(Value):
 
     def __init__(self, base: FourManifold, c1: Vec, c2: int):
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "c1", as_vector(c1, "bundle c1"))
+        object.__setattr__(self, "c1", as_vector(c1, "bundle c1", base.rank))
         object.__setattr__(self, "c2", c2)
         if type(self.c2) is not int:
             raise ValidationError(f"bundle c2 {self.c2!r} is not an integer")
-        if len(self.c1) != self.base.rank:
-            raise ValidationError("bundle c1 length does not match base rank")
 
     @property
     def w2(self) -> Vec:
@@ -41,9 +39,7 @@ def twist(e: RankTwoBundle, l) -> RankTwoBundle:
     by l, so c1 goes to c1 + 2l and c2 to c2 + l.c1 + l.l, all products
     evaluated against the base intersection form.
     """
-    l = as_vector(l)
-    if len(l) != e.base.rank:
-        raise ValidationError("twist vector length does not match base rank")
+    l = as_vector(l, "twist l", e.base.rank)
     q = e.base.form
     c1 = tuple(a + 2 * b for a, b in zip(e.c1, l))
     c2 = e.c2 + q.evaluate(l, e.c1) + q.evaluate(l, l)

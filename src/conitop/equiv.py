@@ -91,9 +91,7 @@ def verify_witness(
     """Exact transport check: b3, det, p1, w2 and c1, then mu2 pulled back through the rows."""
     if s1.rank != s2.rank:
         raise ValidationError("systems have different ranks")
-    rows = as_matrix(matrix, "witness matrix")
-    if len(rows) != s1.rank or any(len(row) != s1.rank for row in rows):
-        raise ValidationError("witness matrix shape does not match rank")
+    rows = as_matrix(matrix, "witness matrix", s1.rank)
     if check_c1 and (s1.c1_class is None or s2.c1_class is None):
         raise ValidationError("c1 transport requested but a system lacks c1_class")
     if s1.b3 != s2.b3:
@@ -556,9 +554,7 @@ def transport_system(s: InvariantSystem, matrix) -> InvariantSystem:
     mu and p1 are pulled back through the inverse, w2 and c1 pushed forward.
     The pulled-back entries are already canonical, so they are not sorted again.
     """
-    rows = as_matrix(matrix, "transport matrix")
-    if len(rows) != s.rank or any(len(row) != s.rank for row in rows):
-        raise ValidationError("transport matrix shape does not match rank")
+    rows = as_matrix(matrix, "transport matrix", s.rank)
     inv = inverse_unimodular(rows)
     p1 = matvec(transpose(inv), s.p1)
     w2 = vec_mod2(matvec(rows, s.w2))

@@ -43,9 +43,9 @@ class FourManifold(Value):
             raise ValidationError(f"simply_connected must be a bool, got {simply_connected!r}")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "w2", as_vector(w2))
+        object.__setattr__(self, "w2", as_vector(w2, "w2"))
         if c1_tangent is not None:
-            c1_tangent = as_vector(c1_tangent)
+            c1_tangent = as_vector(c1_tangent, f"{label}: c1_tangent", form.rank)
         object.__setattr__(self, "c1_tangent", c1_tangent)
         object.__setattr__(self, "simply_connected", simply_connected)
         if not is_unimodular(self.form):
@@ -54,15 +54,8 @@ class FourManifold(Value):
             )
         if not is_characteristic(self.w2, self.form):
             raise ValidationError(f"{self.label}: w2 is not characteristic")
-        if self.c1_tangent is not None:
-            if len(self.c1_tangent) != self.form.rank:
-                raise ValidationError(
-                    f"{self.label}: c1_tangent length does not match rank"
-                )
-            if vec_mod2(self.c1_tangent) != self.w2:
-                raise ValidationError(
-                    f"{self.label}: c1_tangent is not an integral lift of w2"
-                )
+        if self.c1_tangent is not None and vec_mod2(self.c1_tangent) != self.w2:
+            raise ValidationError(f"{self.label}: c1_tangent is not an integral lift of w2")
 
     @property
     def rank(self) -> int:

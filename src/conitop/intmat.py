@@ -15,17 +15,35 @@ Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
 
-def as_vector(values, field: str = "vector") -> Vec:
-    """``values`` as a tuple; an entry that is not an ``int`` (a bool, a float) is refused."""
+def as_vector(values, field: str = "vector", size: int | None = None) -> Vec:
+    """``values`` as a tuple of ``int``, checked; every error names ``field``.
+
+    An entry that is not an ``int`` (a bool, a float) is refused, never
+    converted.  With ``size``, so is any other length: the vector is a class
+    in a basis of H^2, and ``size`` is the rank.
+    """
     out = tuple(values)
     if not set(map(type, out)) <= {int}:
         bad = next(v for v in out if type(v) is not int)
         raise ValidationError(f"{field} entry {bad!r} is not an integer")
+    if size is not None and len(out) != size:
+        raise ValidationError(f"{field} length {len(out)} does not match rank {size}")
     return out
 
 
-def as_matrix(rows, field: str = "matrix") -> Mat:
-    return tuple(as_vector(row, field) for row in rows)
+def as_matrix(rows, field: str = "matrix", size: int | None = None) -> Mat:
+    """``rows`` as a square tuple of :func:`as_vector` rows; every error names ``field``.
+
+    Every matrix in the package is square: a form or a basis change on H^2.
+    With ``size`` it must be ``size`` x ``size``, ``size`` being the rank.
+    """
+    out = tuple(as_vector(row, field) for row in rows)
+    n = len(out) if size is None else size
+    if len(out) != n or not set(map(len, out)) <= {n}:
+        if size is None:
+            raise ValidationError(f"{field} is not square")
+        raise ValidationError(f"{field} shape does not match rank {size}")
+    return out
 
 
 def transpose(m: Mat) -> Mat:

@@ -30,12 +30,9 @@ class IntersectionForm(Value):
     fields = ("matrix",)
 
     def __init__(self, matrix: Mat):
-        object.__setattr__(self, "matrix", as_matrix(matrix))
-        n = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != n:
-                raise ValidationError("form matrix is not square")
+        object.__setattr__(self, "matrix", as_matrix(matrix, "form matrix"))
         if self.matrix != tuple(zip(*self.matrix)):
+            n = len(self.matrix)
             i, j = next((i, j) for i in range(n) for j in range(i)
                         if self.matrix[i][j] != self.matrix[j][i])
             raise ValidationError(f"form matrix is not symmetric at ({i},{j})")
@@ -53,14 +50,11 @@ class IntersectionForm(Value):
         return len(self.matrix)
 
     def matvec(self, x: Vec) -> Vec:
-        if len(x) != self.rank:
-            raise ValidationError("vector length does not match form rank")
-        return matvec(self.matrix, x)
+        return matvec(self.matrix, as_vector(x, "x", self.rank))
 
     def evaluate(self, x: Vec, y: Vec) -> int:
         """Pairing x^T Q y."""
-        if len(x) != self.rank or len(y) != self.rank:
-            raise ValidationError("vector length does not match form rank")
+        x, y = as_vector(x, "x", self.rank), as_vector(y, "y", self.rank)
         return dot(x, matvec(self.matrix, y))
 
 
@@ -184,9 +178,7 @@ def is_characteristic(w, q: IntersectionForm) -> bool:
     Uses the closed form diag(Q) = Q.w (mod 2), which is equivalent because
     x.Q.x = sum_i Q[i][i] x_i (mod 2).
     """
-    w = as_vector(w)
-    if len(w) != q.rank:
-        raise ValidationError("w2 length does not match form rank")
+    w = as_vector(w, "w2", q.rank)
     if any(v not in (0, 1) for v in w):
         raise ValidationError("w2 entries must be 0 or 1")
     qw = q.matvec(w)

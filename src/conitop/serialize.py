@@ -369,8 +369,6 @@ def witness_to_obj(w: IsomorphismWitness) -> dict:
 def witness_from_obj(obj: dict) -> IsomorphismWitness:
     _require(obj, ("matrix", "preserves_c1"), "witness")
     matrix = _json_rows(obj["matrix"], "matrix")
-    if any(len(row) != len(matrix) for row in matrix):
-        raise DescriptorError("witness matrix must be square")
     try:
         return IsomorphismWitness(matrix, _json_value(obj["preserves_c1"], bool, "preserves_c1"))
     except ValidationError as exc:

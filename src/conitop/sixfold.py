@@ -15,7 +15,7 @@ classes in base order.  Every formula below is stated in this basis.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, permutations
 
 from .bundle import RankTwoBundle
@@ -69,11 +69,11 @@ class InvariantSystem(Value):
                 raise ValidationError(f"basis_labels entry {label!r} is not a string")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "mu", tuple((tuple(ijk), v) for ijk, v in mu))
-        object.__setattr__(self, "p1", as_vector(p1, "p1"))
-        object.__setattr__(self, "w2", as_vector(w2, "w2"))
+        object.__setattr__(self, "p1", as_vector(p1, "p1", rank))
+        object.__setattr__(self, "w2", as_vector(w2, "w2", rank))
         object.__setattr__(self, "b3", b3)
         if c1_class is not None:
-            c1_class = as_vector(c1_class, "c1_class")
+            c1_class = as_vector(c1_class, "c1_class", rank)
         object.__setattr__(self, "c1_class", c1_class)
         if not basis_labels:
             basis_labels = (f"e{i + 1}" for i in range(rank))
@@ -91,17 +91,15 @@ class InvariantSystem(Value):
             if type(v) is not int or v == 0:
                 raise ValidationError(f"mu value {v!r} at {ijk} is not a nonzero integer")
             previous = ijk
-        if len(self.p1) != r or len(self.w2) != r or len(self.basis_labels) != r:
-            raise ValidationError("p1/w2/basis label length does not match rank")
+        if len(self.basis_labels) != r:
+            n = len(self.basis_labels)
+            raise ValidationError(f"basis_labels length {n} does not match rank {r}")
         if any(v not in (0, 1) for v in self.w2):
             raise ValidationError("w2 entries must be 0 or 1")
         if self.b3 < 0:
             raise ValidationError("b3 must be nonnegative")
-        if self.c1_class is not None:
-            if len(self.c1_class) != r:
-                raise ValidationError("c1_class length does not match rank")
-            if vec_mod2(self.c1_class) != self.w2:
-                raise ValidationError("c1_class is not an integral lift of w2")
+        if self.c1_class is not None and vec_mod2(self.c1_class) != self.w2:
+            raise ValidationError("c1_class is not an integral lift of w2")
 
     # -- trilinear form access ----------------------------------------------
 
@@ -121,14 +119,10 @@ class InvariantSystem(Value):
         terms = self.mu_terms
         return tuple((ijk, terms.get(ijk, 0)) for ijk in triple_indices(self.rank))
 
-    def _check_length(self, *vectors: Vec) -> None:
-        if any(len(v) != self.rank for v in vectors):
-            raise ValidationError("vector length does not match system rank")
-
     def mu_eval(self, x, y, z) -> int:
         """Trilinear evaluation on coordinate vectors."""
-        x, y, z = as_vector(x), as_vector(y), as_vector(z)
-        self._check_length(x, y, z)
+        r = self.rank
+        x, y, z = as_vector(x, "x", r), as_vector(y, "y", r), as_vector(z, "z", r)
         total = 0
         for (i, j, k), v in self.mu_terms.items():
             total += v * x[i] * y[j] * z[k]
@@ -140,9 +134,7 @@ class InvariantSystem(Value):
         A is given by its rows.  Each term mu(e_a, e_b, e_c) is taken through
         the nonzero entries of rows a, b and c only, never all rank^3 triples.
         """
-        rows = as_matrix(matrix)
-        if len(rows) != self.rank or any(len(row) != self.rank for row in rows):
-            raise ValidationError("matrix shape does not match system rank")
+        rows = as_matrix(matrix, "matrix", self.rank)
         support = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
         out = {}
         for (a, b, c), v in self.mu_terms.items():
@@ -158,7 +150,7 @@ class InvariantSystem(Value):
         return self.mu_eval(x, x, x)
 
     def p1_pairing(self, x) -> int:
-        return dot(self.p1, as_vector(x))
+        return dot(self.p1, as_vector(x, "x", self.rank))
 
 
 def make_system(
@@ -177,7 +169,8 @@ def make_system(
     and values must be ``int``: nothing is converted.  Raises
     :class:`ValidationError` for a triple that is not three integers in
     range, for a value that is not an integer, and for two values given for
-    the same triple.
+    the same triple.  The range is checked before zero values are dropped,
+    so a zero entry out of range is refused too.
     """
     pairs = entries.items() if isinstance(entries, dict) else entries
     table: dict[tuple[int, int, int], int] = {}
@@ -245,6 +238,7 @@ def euler_characteristic(s: InvariantSystem) -> int:
     return 2 + 2 * s.rank - s.b3
 
 
+@lru_cache(maxsize=None)
 def cp3bar_system() -> InvariantSystem:
     """Frozen invariants of orientation-reversed complex projective 3-space.
 
@@ -261,6 +255,8 @@ def cp3bar_system() -> InvariantSystem:
     exceptional divisor class on the new summand.  The exceptional divisor
     class cubes to +1, hence equals -z' in this normalization, so the
     restriction is +2.z'; the reference c1 stored here is therefore (2,).
+
+    Built and validated once per process; every call returns the same value.
     """
     return make_system(
         1,
@@ -321,9 +317,7 @@ def twist_witness(base: FourManifold, e: RankTwoBundle, l) -> Mat:
     Returns the matrix (rows, acting on coordinate columns) of the witness
     from projectivize(base, e) to projectivize(base, twist(e, l)).
     """
-    l = as_vector(l)
-    if len(l) != base.rank:
-        raise ValidationError("twist vector length does not match base rank")
+    l = as_vector(l, "twist l", base.rank)
     r = base.rank + 1
     rows = [[0] * r for _ in range(r)]
     rows[0][0] = 1

@@ -81,7 +81,7 @@ def local_model_system(k: int) -> InvariantSystem:
     The cup products, p1 pairings and w2 are frozen reference values derived
     from the surgery-level computation; the reference c1 is 2x on both sides.
     """
-    if k not in (1, 2):
+    if type(k) is not int or k not in (1, 2):
         raise ValidationError(f"local_model must be 1 or 2, got {k!r}")
     eps = (-1) ** k
     return make_system(

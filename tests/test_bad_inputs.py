@@ -213,6 +213,8 @@ LIBRARY_ROWS = [
     ("IntersectionForm(((0, 1, 2), (9, 0, 3), (5, 4, 0)))", r"symmetric at \(1,0\)$"),
     ("IntersectionForm(((1.0,),))", "integer"),
     ("HYPERBOLIC.evaluate((1,), (1, 0))", "length"),
+    ("HYPERBOLIC.evaluate((True, 0), (1, 0))", "is not an integer"),
+    ("HYPERBOLIC.matvec((1.5, 0))", "is not an integer"),
     ("is_characteristic((1, 0), IntersectionForm([[1]]))", "length"),
     ("is_characteristic((2,), IntersectionForm([[1]]))", "0 or 1"),
     ("standard('K3')", "K3"),
@@ -237,6 +239,7 @@ LIBRARY_ROWS = [
     ("conifold_transition(S4, trivial_bundle(S4), swap=1)", "^swapped "),
     ("TransitionResult(*TRANSITION_ARGS, swapped='no')", "^swapped "),
     ("local_model_system(3)", "local_model"),
+    ("local_model_system(True)", "local_model"),
     ("InvariantSystem(2, (((0, 1, 0), 1),), (0, 0), (0, 0), 0)", "sorted"),
     ("InvariantSystem(2, (((0, 0, 1), 1), ((0, 0, 1), 1)), (0, 0), (0, 0), 0)", "duplicated"),
     ("InvariantSystem(2, (((1, 1, 1), 3), ((0, 0, 1), 2)), (0, 0), (0, 0), 0)", "out of order"),
@@ -263,6 +266,8 @@ LIBRARY_ROWS = [
     ("make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(0,), c1_class=(1,))", "lift"),
     ("make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(0,), b3=-1)", "b3"),
     ("make_system(2, {(0, 0, 5): 3, (0, 0, 0): 1}, p1=(0, 0), w2=(0, 0))", r"\(0, 0, 5\)"),
+    ("make_system(2, {(0, 0, 5): 0}, p1=(0, 0), w2=(0, 0))", r"\(0, 0, 5\)"),
+    ("make_system(2, {(-1, 0, 0): 0}, p1=(0, 0), w2=(0, 0))", r"\(-1, 0, 0\)"),
     ("make_system(1, {}, (0,), (0,), basis_labels=(1,))", "^basis_labels "),
     ("make_system(1, {}, (0,), (0,), classifiable='yes')", "^classifiable "),
     ("make_system(1, {(0, 0, 0): 1}, p1=(0.5,), w2=(1,))", "is not an integer"),
@@ -284,6 +289,9 @@ LIBRARY_ROWS = [
     ("TWO.pull_back(((1, 0), (0,)))", "shape"),
     ("TWO.pull_back(((1, 0.5), (0, 1)))", "matrix"),
     ("IsomorphismWitness(((2, 0), (0, 1)))", "determinant"),
+    ("IsomorphismWitness(((1, 0),))", "witness matrix.*square"),
+    ("IsomorphismWitness(((1, 0), (0,)))", "witness matrix.*square"),
+    ("EXP.p1_pairing((1,))", "length"),
     ("IsomorphismWitness(((1.0,),))", "witness matrix.*is not an integer"),
     ("IsomorphismWitness([[1.5]])", "is not an integer"),
     ("IsomorphismWitness([[True]])", "is not an integer"),
@@ -348,6 +356,7 @@ LIBRARY_ROWS = [
     ("serialize.manifold_from_obj({'matrix': [[]] * (MAX_FORM_RANK + 1), 'w2': []})", "matrix"),
     ("serialize.system_from_obj(dict(zero(1)['system'], mu=[[0, 0, 1]]))", "mu"),
     ("serialize.system_from_obj(dict(zero(1)['system'], mu=[[0, 0, 1, 5]]))", "range"),
+    ("serialize.system_from_obj(dict(zero(1)['system'], mu=[[0, 0, 1, 0]]))", "range"),
     ("serialize.system_from_obj({'rank': 1, 'mu': [], 'p1': [0], 'w2': [0]})", "b3"),
     (
         "serialize.system_from_obj(dict(zero(1)['system'], mu=[[0, 0, 0, 1], [0, 0, 0, 2]]))",

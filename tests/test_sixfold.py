@@ -159,6 +159,10 @@ def test_cp3bar_frozen_constants_match_oracle():
     assert s.basis_labels == ("z'",)
 
 
+def test_cp3bar_system_is_built_once():
+    assert cp3bar_system() is cp3bar_system()
+
+
 def test_blowup_point_block_structure():
     s4 = standard("S4")
     s = projectivize(s4, RankTwoBundle(s4, (), -1))
