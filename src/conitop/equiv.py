@@ -36,7 +36,7 @@ from .intmat import (
     transpose,
     vec_mod2,
 )
-from .sixfold import InvariantSystem
+from .sixfold import InvariantSystem, _default_labels
 
 DEFAULT_BOUND = 3
 DEFAULT_PRIMES = (2, 3, 5)
@@ -552,11 +552,14 @@ def transport_system(s: InvariantSystem, matrix) -> InvariantSystem:
 
     Produces the unique system for which ``matrix`` is a witness from ``s``:
     mu and p1 are pulled back through the inverse, w2 and c1 pushed forward.
-    The pulled-back entries are already canonical, so they are not sorted again.
+    The pulled-back entries are already canonical and c1 stays a lift of w2,
+    so the result is stored without a second check.
     """
     rows = as_matrix(matrix, "transport matrix", s.rank)
     inv = inverse_unimodular(rows)
     p1 = matvec(transpose(inv), s.p1)
     w2 = vec_mod2(matvec(rows, s.w2))
     c1 = matvec(rows, s.c1_class) if s.c1_class is not None else None
-    return InvariantSystem(s.rank, s.pull_back(inv), p1, w2, s.b3, c1, classifiable=s.classifiable)
+    return InvariantSystem._unchecked(
+        s.rank, s.pull_back(inv), p1, w2, s.b3, c1, _default_labels(s.rank), s.classifiable
+    )

@@ -6,8 +6,9 @@ from operator import attrgetter
 class Value:
     """Immutable value: equality, hash and repr over the names in ``fields``.
 
-    A subclass lists its fields in order in ``fields`` and sets each one in
-    its own ``__init__`` with ``object.__setattr__``; after that, assignment
+    A subclass lists its fields in order in ``fields`` and sets each one
+    with ``object.__setattr__`` or through the instance ``__dict__``, in
+    ``__init__`` (or ``InvariantSystem._unchecked``); after that, assignment
     and deletion raise ``AttributeError``.  Instances of different classes
     never compare equal.  These are plain classes, not dataclasses: importing
     ``dataclasses`` and generating each class's methods cost every command

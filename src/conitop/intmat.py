@@ -15,14 +15,22 @@ Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
 
+def _items(values, field: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{field} must be a sequence, got {values!r}") from None
+
+
 def as_vector(values, field: str = "vector", size: int | None = None) -> Vec:
     """``values`` as a tuple of ``int``, checked; every error names ``field``.
 
-    An entry that is not an ``int`` (a bool, a float) is refused, never
-    converted.  With ``size``, so is any other length: the vector is a class
-    in a basis of H^2, and ``size`` is the rank.
+    A value that is not iterable, or an entry that is not an ``int`` (a
+    bool, a float), is refused, never converted.  With ``size``, so is any
+    other length: the vector is a class in a basis of H^2, and ``size`` is
+    the rank.
     """
-    out = tuple(values)
+    out = _items(values, field)
     if not set(map(type, out)) <= {int}:
         bad = next(v for v in out if type(v) is not int)
         raise ValidationError(f"{field} entry {bad!r} is not an integer")
@@ -37,7 +45,7 @@ def as_matrix(rows, field: str = "matrix", size: int | None = None) -> Mat:
     Every matrix in the package is square: a form or a basis change on H^2.
     With ``size`` it must be ``size`` x ``size``, ``size`` being the rank.
     """
-    out = tuple(as_vector(row, field) for row in rows)
+    out = tuple(as_vector(row, field) for row in _items(rows, field))
     n = len(out) if size is None else size
     if len(out) != n or not set(map(len, out)) <= {n}:
         if size is None:

@@ -17,7 +17,7 @@ from .equiv import DistinctnessCertificate, IsomorphismWitness
 from .errors import DescriptorError, ValidationError
 from .fourfold import STANDARD_NAMES, FourManifold, connected_sum, standard
 from .lattice import IntersectionForm
-from .sixfold import InvariantSystem, blowup_point, make_system, projectivize
+from .sixfold import InvariantSystem, blowup_point, projectivize
 from .transitions import conifold_transition, local_model_system
 
 SCHEMA = "conitop/1"
@@ -280,16 +280,12 @@ def system_from_obj(obj: dict) -> InvariantSystem:
         raise DescriptorError("mu must be a list of [i, j, k, value] entries")
     entries = []
     for item in obj["mu"]:
-        if not (
-            isinstance(item, (list, tuple))
-            and len(item) == 4
-            and all(type(v) is int for v in item)
-        ):
+        if not (isinstance(item, (list, tuple)) and len(item) == 4):
             raise DescriptorError(f"mu entries must be [i, j, k, value] integers, got {item!r}")
         entries.append((item[:3], _json_value(item[3], int, "mu")))
     labels = obj.get("basis_labels")
     try:
-        return make_system(
+        return InvariantSystem(
             rank,
             entries,
             _json_list(obj["p1"], int, "p1"),

@@ -32,6 +32,41 @@ def triple_indices(rank: int) -> tuple[tuple[int, int, int], ...]:
 MuEntries = tuple[tuple[tuple[int, int, int], int], ...]
 
 
+def _default_labels(rank: int) -> tuple[str, ...]:
+    return tuple(f"e{i + 1}" for i in range(rank))
+
+
+def _canonical_mu(rank: int, entries) -> MuEntries:
+    """The one mu rule: {triple: value} or (triple, value) pairs as ``InvariantSystem.mu``.
+
+    Triples may come in any index order; zeros are dropped, after the range
+    check.  Indices and values must be ``int``, nothing is converted.  Any
+    other entry, and two values for one triple, raise a ``ValidationError``.
+    """
+    try:
+        pairs = entries.items() if isinstance(entries, dict) else iter(entries)
+    except TypeError:
+        raise ValidationError(f"mu must be a dict or a sequence, got {entries!r}") from None
+    table: dict[tuple[int, int, int], int] = {}
+    for entry in pairs:
+        try:
+            ijk, v = entry
+            ijk = tuple(ijk)
+        except (TypeError, ValueError):
+            raise ValidationError(f"mu entry {entry!r} is not a (triple, value) pair") from None
+        if len(ijk) != 3 or any(type(i) is not int for i in ijk):
+            raise ValidationError(f"mu triple {ijk!r} is not three integers")
+        key = tuple(sorted(ijk))
+        if key[0] < 0 or key[2] >= rank:
+            raise ValidationError(f"mu triple {ijk} out of range for rank {rank}")
+        if type(v) is not int:
+            raise ValidationError(f"mu value {v!r} at {ijk} is not an integer")
+        if table.get(key, v) != v:
+            raise ValidationError(f"conflicting mu values for triple {key}")
+        table[key] = v
+    return tuple(sorted((ijk, v) for ijk, v in table.items() if v))
+
+
 class InvariantSystem(Value):
     # classifiable records whether the classification hypotheses (simple
     # connectivity, torsion-free homology) were declared for everything this
@@ -40,17 +75,19 @@ class InvariantSystem(Value):
     #
     # mu holds the nonzero entries ((i, j, k), value) of the cup-product
     # form, with i <= j <= k, sorted by triple; absent triples are zero.  Kept
-    # in this one canonical form so that equality and hashing are structural;
-    # use make_system to build it from arbitrary entries.
+    # in this one canonical form so that equality and hashing are structural.
+    # The constructor checks every field; projectivize, blowup_point and
+    # transport_system derive fields from checked ones and store them with
+    # _unchecked, and a test rebuilds their results through the constructor.
     fields = ("rank", "mu", "p1", "w2", "b3", "c1_class", "basis_labels", "classifiable")
 
     def __init__(
         self,
         rank: int,
-        mu: MuEntries,
+        mu: MuEntries | dict,
         p1: Vec,
         w2: Vec,
-        b3: int,
+        b3: int = 0,
         c1_class: Vec | None = None,
         basis_labels: tuple[str, ...] = (),
         classifiable: bool = True,
@@ -60,46 +97,35 @@ class InvariantSystem(Value):
                 raise ValidationError(f"{name} {value!r} is not an integer")
         if type(classifiable) is not bool:
             raise ValidationError(f"classifiable must be a bool, got {classifiable!r}")
-        if isinstance(basis_labels, str):
-            raise ValidationError(
-                f"basis_labels must be a sequence of strings, got {basis_labels!r}"
-            )
-        for label in basis_labels:
+        if isinstance(basis_labels, str) or not hasattr(basis_labels, "__iter__"):
+            raise ValidationError(f"basis_labels must be a sequence of strings: {basis_labels!r}")
+        labels = tuple(basis_labels)
+        for label in labels:
             if type(label) is not str:
                 raise ValidationError(f"basis_labels entry {label!r} is not a string")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "mu", tuple((tuple(ijk), v) for ijk, v in mu))
-        object.__setattr__(self, "p1", as_vector(p1, "p1", rank))
-        object.__setattr__(self, "w2", as_vector(w2, "w2", rank))
-        object.__setattr__(self, "b3", b3)
+        mu = _canonical_mu(rank, mu)
+        p1 = as_vector(p1, "p1", rank)
+        w2 = as_vector(w2, "w2", rank)
         if c1_class is not None:
             c1_class = as_vector(c1_class, "c1_class", rank)
-        object.__setattr__(self, "c1_class", c1_class)
-        if not basis_labels:
-            basis_labels = (f"e{i + 1}" for i in range(rank))
-        object.__setattr__(self, "basis_labels", tuple(basis_labels))
-        object.__setattr__(self, "classifiable", classifiable)
-        r = self.rank
-        previous = None
-        for ijk, v in self.mu:
-            if len(ijk) != 3 or any(type(i) is not int for i in ijk):
-                raise ValidationError(f"mu triple {ijk!r} is not three integers")
-            if not 0 <= ijk[0] <= ijk[1] <= ijk[2] < r:
-                raise ValidationError(f"mu triple {ijk} is not sorted and in range for rank {r}")
-            if previous is not None and ijk <= previous:
-                raise ValidationError(f"mu triple {ijk} is duplicated or out of order")
-            if type(v) is not int or v == 0:
-                raise ValidationError(f"mu value {v!r} at {ijk} is not a nonzero integer")
-            previous = ijk
-        if len(self.basis_labels) != r:
-            n = len(self.basis_labels)
-            raise ValidationError(f"basis_labels length {n} does not match rank {r}")
-        if any(v not in (0, 1) for v in self.w2):
+        labels = labels or _default_labels(rank)
+        if len(labels) != rank:
+            n = len(labels)
+            raise ValidationError(f"basis_labels length {n} does not match rank {rank}")
+        if any(v not in (0, 1) for v in w2):
             raise ValidationError("w2 entries must be 0 or 1")
-        if self.b3 < 0:
+        if b3 < 0:
             raise ValidationError("b3 must be nonnegative")
-        if self.c1_class is not None and vec_mod2(self.c1_class) != self.w2:
+        if c1_class is not None and vec_mod2(c1_class) != w2:
             raise ValidationError("c1_class is not an integral lift of w2")
+        vars(self).update(zip(self.fields, (rank, mu, p1, w2, b3, c1_class, labels, classifiable)))
+
+    @classmethod
+    def _unchecked(cls, *values) -> InvariantSystem:
+        """``values`` in ``fields`` order, stored without a check: each must obey ``__init__``."""
+        self = object.__new__(cls)
+        vars(self).update(zip(cls.fields, values))
+        return self
 
     # -- trilinear form access ----------------------------------------------
 
@@ -153,43 +179,7 @@ class InvariantSystem(Value):
         return dot(self.p1, as_vector(x, "x", self.rank))
 
 
-def make_system(
-    rank: int,
-    entries,
-    p1,
-    w2,
-    b3: int = 0,
-    c1_class=None,
-    basis_labels=(),
-    classifiable: bool = True,
-) -> InvariantSystem:
-    """Build a system from mu entries given as {triple: value} or (triple, value) pairs.
-
-    Triples may come in any index order; zero values are dropped.  Indices
-    and values must be ``int``: nothing is converted.  Raises
-    :class:`ValidationError` for a triple that is not three integers in
-    range, for a value that is not an integer, and for two values given for
-    the same triple.  The range is checked before zero values are dropped,
-    so a zero entry out of range is refused too.
-    """
-    pairs = entries.items() if isinstance(entries, dict) else entries
-    table: dict[tuple[int, int, int], int] = {}
-    for ijk, v in pairs:
-        ijk = tuple(ijk)
-        if len(ijk) != 3 or any(type(i) is not int for i in ijk):
-            raise ValidationError(f"mu triple {ijk!r} is not three integers")
-        key = tuple(sorted(ijk))
-        if key[0] < 0 or key[2] >= rank:
-            raise ValidationError(f"mu triple {ijk} out of range for rank {rank}")
-        if type(v) is not int:
-            raise ValidationError(f"mu value {v!r} at {ijk} is not an integer")
-        if table.get(key, v) != v:
-            raise ValidationError(f"conflicting mu values for triple {key}")
-        table[key] = v
-    mu = tuple(sorted((ijk, v) for ijk, v in table.items() if v))
-    return InvariantSystem(
-        rank, mu, tuple(p1), tuple(w2), b3, c1_class, tuple(basis_labels), classifiable
-    )
+make_system = InvariantSystem  # one constructor, under both public names
 
 
 def projectivize(base: FourManifold, e: RankTwoBundle) -> InvariantSystem:
@@ -230,7 +220,7 @@ def projectivize(base: FourManifold, e: RankTwoBundle) -> InvariantSystem:
         c1_class = (2,) + tuple(a + b for a, b in zip(base.c1_tangent, e.c1))
     labels = ("a",) + tuple(f"y{i + 1}" for i in range(r))
     mu = tuple(entry for entry in mu if entry[1])
-    return InvariantSystem(r + 1, mu, p1, w2, 0, c1_class, labels, base.simply_connected)
+    return InvariantSystem._unchecked(r + 1, mu, p1, w2, 0, c1_class, labels, base.simply_connected)
 
 
 def euler_characteristic(s: InvariantSystem) -> int:
@@ -258,7 +248,7 @@ def cp3bar_system() -> InvariantSystem:
 
     Built and validated once per process; every call returns the same value.
     """
-    return make_system(
+    return InvariantSystem(
         1,
         {(0, 0, 0): -1},
         p1=(-4,),
@@ -293,15 +283,8 @@ def blowup_point(s: InvariantSystem) -> InvariantSystem:
     if s.c1_class is not None:
         c1_class = s.c1_class + extra.c1_class
     labels = s.basis_labels + (_fresh_label(s.basis_labels, "z'"),)
-    return InvariantSystem(
-        r + 1,
-        mu,
-        s.p1 + extra.p1,
-        s.w2 + extra.w2,
-        s.b3,
-        c1_class,
-        labels,
-        classifiable=s.classifiable,
+    return InvariantSystem._unchecked(
+        r + 1, mu, s.p1 + extra.p1, s.w2 + extra.w2, s.b3, c1_class, labels, s.classifiable
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .bundle import RankTwoBundle
 from .errors import ValidationError, Value
 from .fourfold import FourManifold, connected_sum, standard
-from .sixfold import InvariantSystem, blowup_point, make_system, projectivize
+from .sixfold import InvariantSystem, blowup_point, projectivize
 
 
 class TransitionResult(Value):
@@ -84,7 +84,7 @@ def local_model_system(k: int) -> InvariantSystem:
     if type(k) is not int or k not in (1, 2):
         raise ValidationError(f"local_model must be 1 or 2, got {k!r}")
     eps = (-1) ** k
-    return make_system(
+    return InvariantSystem(
         2,
         {
             (0, 0, 0): 0,

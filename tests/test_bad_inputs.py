@@ -212,6 +212,8 @@ LIBRARY_ROWS = [
     ("IntersectionForm(((0, 1, 2), (1, 0, 3), (5, 3, 0)))", r"symmetric at \(2,0\)$"),
     ("IntersectionForm(((0, 1, 2), (9, 0, 3), (5, 4, 0)))", r"symmetric at \(1,0\)$"),
     ("IntersectionForm(((1.0,),))", "integer"),
+    ("IntersectionForm(5)", "^form matrix "),
+    ("IntersectionForm([5])", "^form matrix "),
     ("HYPERBOLIC.evaluate((1,), (1, 0))", "length"),
     ("HYPERBOLIC.evaluate((True, 0), (1, 0))", "is not an integer"),
     ("HYPERBOLIC.matvec((1.5, 0))", "is not an integer"),
@@ -227,12 +229,15 @@ LIBRARY_ROWS = [
     ("FourManifold('bad', IntersectionForm([[1]]), (1,), (2,))", "lift"),
     ("FourManifold(5, HYPERBOLIC, (0, 0))", "^label "),
     ("FourManifold('X', HYPERBOLIC, (0, 0), simply_connected=1)", "^simply_connected "),
+    ("FourManifold('x', IntersectionForm(((1,),)), 5)", "^w2 "),
     ("RankTwoBundle(CP2, (1,), 0.5)", "c2"),
     ("RankTwoBundle(CP2, (1, 0), 0)", "length"),
     ("RankTwoBundle(CP2, (True,), 0)", "c1.*is not an integer"),
     ("RankTwoBundle(CP2, (1.7,), 0)", "is not an integer"),
     ("RankTwoBundle(CP2, (1,), 0.9)", "is not an integer"),
     ("RankTwoBundle(CP2, (1,), False)", "is not an integer"),
+    ("RankTwoBundle(CP2, 5, 0)", "^bundle c1 "),
+    ("twist(trivial_bundle(CP2), 5)", "^twist l "),
     ("twist(trivial_bundle(CP2), (1, 2))", "length"),
     ("projectivize(CP2, trivial_bundle(S4))", "base"),
     ("conifold_transition(CP2, trivial_bundle(S4))", "base"),
@@ -240,11 +245,12 @@ LIBRARY_ROWS = [
     ("TransitionResult(*TRANSITION_ARGS, swapped='no')", "^swapped "),
     ("local_model_system(3)", "local_model"),
     ("local_model_system(True)", "local_model"),
-    ("InvariantSystem(2, (((0, 1, 0), 1),), (0, 0), (0, 0), 0)", "sorted"),
-    ("InvariantSystem(2, (((0, 0, 1), 1), ((0, 0, 1), 1)), (0, 0), (0, 0), 0)", "duplicated"),
-    ("InvariantSystem(2, (((1, 1, 1), 3), ((0, 0, 1), 2)), (0, 0), (0, 0), 0)", "out of order"),
     ("InvariantSystem(2, (((0, 0, 2), 2),), (0, 0), (0, 0), 0)", "range"),
-    ("InvariantSystem(2, (((0, 0, 1), 0),), (0, 0), (0, 0), 0)", "nonzero"),
+    ("InvariantSystem(2, (((0, 0, 1), 1), ((1, 0, 0), 2)), (0, 0), (0, 0), 0)", "conflicting"),
+    ("InvariantSystem(2, 5, (0, 0), (0, 0), 0)", "^mu "),
+    ("make_system(2, [1], (0, 0), (0, 0))", "^mu "),
+    ("make_system(2, [(5, 1)], (0, 0), (0, 0))", "^mu "),
+    ("make_system('x', {(0, 0, 0): 1}, p1=(0,), w2=(0,))", "^rank "),
     ("InvariantSystem(2, (((0, 0), 1),), (0, 0), (0, 0), 0)", "three integers"),
     ("InvariantSystem(2, (((0, 0, 1.0), 2),), (0, 0), (0, 0), 0)", "three integers"),
     ("InvariantSystem(2, (((0, False, 1), 2),), (0, 0), (0, 0), 0)", "three integers"),
@@ -261,6 +267,7 @@ LIBRARY_ROWS = [
     ("InvariantSystem(1.0, (), (0,), (0,), 0, None, ('a',))", "^rank .* is not an integer"),
     ("InvariantSystem(1, (), (0,), (0,), 0, classifiable=1)", "^classifiable "),
     ("InvariantSystem(2, (), (0, 0), (0, 0), 0, None, 'ab')", "^basis_labels "),
+    ("InvariantSystem(2, (), (0, 0), (0, 0), 0, None, 5)", "^basis_labels "),
     ("make_system(1, {(0, 0, 0): 1}, p1=(0, 0), w2=(0,))", "length"),
     ("make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(2,))", "0 or 1"),
     ("make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(0,), c1_class=(1,))", "lift"),
@@ -270,6 +277,7 @@ LIBRARY_ROWS = [
     ("make_system(2, {(-1, 0, 0): 0}, p1=(0, 0), w2=(0, 0))", r"\(-1, 0, 0\)"),
     ("make_system(1, {}, (0,), (0,), basis_labels=(1,))", "^basis_labels "),
     ("make_system(1, {}, (0,), (0,), classifiable='yes')", "^classifiable "),
+    ("make_system(2, {}, 5, (0, 0))", "^p1 "),
     ("make_system(1, {(0, 0, 0): 1}, p1=(0.5,), w2=(1,))", "is not an integer"),
     ("make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(1.0,))", "is not an integer"),
     ("make_system(1, {(0, 0, 0): 1}, p1=(0,), w2=(True,))", "is not an integer"),
@@ -295,6 +303,9 @@ LIBRARY_ROWS = [
     ("IsomorphismWitness(((1.0,),))", "witness matrix.*is not an integer"),
     ("IsomorphismWitness([[1.5]])", "is not an integer"),
     ("IsomorphismWitness([[True]])", "is not an integer"),
+    ("IsomorphismWitness(5)", "^witness matrix "),
+    ("verify_witness(ONE, ONE, 5)", "^witness matrix "),
+    ("transport_system(ONE, 5)", "^transport matrix "),
     ("verify_witness(ONE, ONE, [[1.5]])", "is not an integer"),
     ("verify_witness(ONE, ONE, [[True]])", "is not an integer"),
     ("verify_witness(ONE, ONE, [[1.0]])", "is not an integer"),

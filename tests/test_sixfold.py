@@ -1,9 +1,12 @@
 import random
 
 from conitop import (
+    FourManifold,
     InvariantSystem,
     RankTwoBundle,
     blowup_point,
+    conifold_transition,
+    connected_sum,
     cp3bar_system,
     euler_characteristic,
     make_system,
@@ -18,6 +21,7 @@ from conitop import (
 from conitop.sixfold import triple_indices
 
 from oracles import (
+    CATALOG,
     mu_eval_dense,
     mu_list,
     pull_back_dense,
@@ -216,6 +220,39 @@ def test_make_system_stores_canonical_nonzero_entries():
     assert (s.p1, s.w2, s.c1_class) == ((4,), (1,), (3,))
     s = InvariantSystem(2, (((0, 0, 1), 2), ((1, 1, 1), 3)), (0, 0), (0, 0), 0)
     assert s.mu_value(1, 0, 0) == 2
+    # the constructor is make_system: entries unsorted, repeated, out of
+    # order or zero are stored in the same canonical form
+    assert make_system is InvariantSystem
+    for entries, mu in (
+        ((((0, 1, 0), 1),), (((0, 0, 1), 1),)),
+        ((((0, 0, 1), 1), ((0, 0, 1), 1)), (((0, 0, 1), 1),)),
+        ((((1, 1, 1), 3), ((0, 0, 1), 2)), (((0, 0, 1), 2), ((1, 1, 1), 3))),
+        ((((0, 0, 1), 0),), ()),
+        ({(0, 0, 1): 1}, (((0, 0, 1), 1),)),
+    ):
+        assert InvariantSystem(2, entries, (0, 0), (0, 0), 0).mu == mu
+
+
+def test_derived_systems_equal_their_rebuild_through_the_constructor():
+    # projectivize, blowup_point and transport_system store what they derive
+    # without a second check; the public constructor must give the same value
+    rng = random.Random(47)
+    derived = []
+    for _ in range(20):
+        base = connected_sum(*(standard(rng.choice(CATALOG)) for _ in range(rng.randint(1, 30))))
+        if rng.random() < 0.3:
+            base = FourManifold(base.label, base.form, base.w2, None, rng.random() < 0.5)
+        e = random_bundle(rng, base)
+        derived.append(projectivize(base, e))
+        for _ in range(rng.randint(1, 3)):
+            derived.append(blowup_point(derived[-1]))
+        derived.append(transport_system(derived[-1], random_unimodular(rng, derived[-1].rank)))
+        sides = conifold_transition(base, e)
+        derived += [sides.z1, sides.z2]
+    assert max(s.rank for s in derived) > 30 and len(derived) > 100
+    for s in derived:
+        rebuilt = InvariantSystem(*(getattr(s, f) for f in s.fields))
+        assert rebuilt == s and hash(rebuilt) == hash(s)
 
 
 def test_mu_eval_and_contraction_match_dense_reference():
