@@ -118,7 +118,10 @@ class SearchStats(Value):
     :class:`_WitnessSearch`), or becomes a node, so that
     column_tests = table + mod2 + triple + nodes - searches.  This holds at
     rank 0 too, where the empty matrix is the one node and nothing is
-    tested.  Unlike the other value types it is mutable, and so not hashable.
+    tested, and so it does for a c1 transport search refused before any
+    column (see :func:`find_isomorphism`).  The c1 conditions on a column
+    count as ``table`` or ``triple`` prunes.  Unlike the other value types
+    it is mutable, and so not hashable.
     """
 
     fields = ("nodes", "column_tests", "pruned_table", "pruned_mod2", "pruned_triple")
@@ -155,21 +158,29 @@ class _WitnessSearch:
 
     * table: p1_2 . v = p1_1[c] and mu2(v, v, v) = mu1(c, c, c).  Both depend
       on c alone, so each column's survivors are listed once, and only as
-      far as the search reads them (columns with equal p1 and cubic values
-      share one list, see :meth:`table`), each with w_v = mu2(v, v, .) and
-      its mod-2 bitmask;
+      far as the search reads them (columns with equal keys share one list,
+      see :meth:`table`), each with w_v = mu2(v, v, .) and its mod-2 bitmask;
     * mod2: v is independent mod 2 of the columns already chosen, checked
       against an XOR basis of them;
     * triple: w_v . col_i = mu1(i, c, c) for i < c, and
       u_ij . v = mu1(i, j, c) for i <= j < c, with u_ij = mu2(col_i, col_j, .)
       computed once, when column j is chosen.
 
+    With ``check_c1``, a witness also has A a = b for a = c1_1 and b = c1_2,
+    so mu2(A x, A y, b) = mu1(x, y, a) and mu2(A x, b, b) = mu1(x, a, a).
+    This adds three conditions on column c, counted by the prune that tests
+    them: mu2(v, b, b) = mu1(c, a, a), tested before w_v is built, and
+    w_v . b = mu1(c, c, a), after the cubic (both table, and part of the
+    table key); and u_i . v = mu1(i, c, a) for i < c, with
+    u_i = mu2(col_i, b, .) computed once, when column i is chosen (triple).
+
     The table and triple tests are the conditions mu2(col_i, col_j, col_c) =
-    mu1(i, j, c) for i <= j <= c and the p1 condition of column c, all of
-    which a witness meets.  A determinant +-1 matrix is invertible over F_2,
-    so its columns are independent mod 2.  No prune removes a witness, and
-    the first witness found is the first in the enumeration order;
-    :meth:`finish` still checks every full matrix with :func:`verify_witness`.
+    mu1(i, j, c) for i <= j <= c and the p1 condition of column c (and with
+    ``check_c1`` the c1 conditions above), all of which a witness meets.  A
+    determinant +-1 matrix is invertible over F_2, so its columns are
+    independent mod 2.  No prune removes a witness, and the first witness
+    found is the first in the enumeration order; :meth:`finish` still checks
+    every full matrix with :func:`verify_witness`.
     """
 
     def __init__(
@@ -182,17 +193,27 @@ class _WitnessSearch:
     ):
         self.s1 = s1
         self.s2 = s2
-        self.r = s1.rank
+        r = self.r = s1.rank
         self.check_c1 = check_c1
         self.bound = bound
-        self.raw = (2 * bound + 1) ** self.r
+        self.raw = (2 * bound + 1) ** r
         self.stats = stats
         self.tables = {}
         # mu2(e_p, e_q, .) as (k, value) pairs for each nonzero (p, q)
         slices = {}
         for (p, q, k), v in s2.mu_terms.items():
             slices.setdefault(p, {}).setdefault(q, []).append((k, v))
-        self.slices = tuple(tuple(slices.get(p, {}).items()) for p in range(self.r))
+        self.slices = tuple(tuple(slices.get(p, {}).items()) for p in range(r))
+        # mu1(e_i, e_j, .) as a list over the last index, for each (i, j)
+        rows = [[[0] * r for _ in range(r)] for _ in range(r)]
+        for (i, j, k), v in s1.mu_terms.items():
+            rows[i][j][k] = v
+        self.rows1 = rows
+        if check_c1:
+            a = s1.c1_class
+            self.c1 = s2.c1_class
+            self.c1_square = self.contract(self.c1, self.c1)  # mu2(b, b, .)
+            self.c1_rows1 = [[dot(a, t) for t in zip(*row)] for row in rows]  # mu1(e_i, a, .)
 
     def contract(self, x: Vec, y: Vec) -> list[int]:
         """The vector u with u[k] = mu2(x, y, e_k)."""
@@ -209,21 +230,27 @@ class _WitnessSearch:
     def table(self, c: int):
         """Column c's survivors in raw order, as (raw place, v, w_v, v mod 2 as a bitmask).
 
-        Columns with equal p1 and cubic values share one :func:`itertools.tee`
-        of one :meth:`survivors` generator, kept unread; each call returns a
-        copy of it.  So the generator runs only as far as the furthest copy
-        has read, and a witness found early in a column pays for little of it.
+        The key is (p1_1[c], mu1(c, c, c)), and with ``check_c1`` also
+        (mu1(c, a, a), mu1(c, c, a)).  Columns with equal keys share one
+        :func:`itertools.tee` of one :meth:`survivors` generator, kept unread;
+        each call returns a copy of it.  So the generator runs only as far as
+        the furthest copy has read, and a witness found early in a column pays
+        for little of it.
         """
-        key = (self.s1.p1[c], self.s1.mu_value(c, c, c))
+        key = (self.s1.p1[c], self.rows1[c][c][c])
+        if self.check_c1:
+            t = self.c1_rows1[c]
+            key += (dot(self.s1.c1_class, t), t[c])
         if key not in self.tables:
             self.tables[key] = tee(self.survivors(*key), 1)[0]
         return self.tables[key].__copy__()
 
-    def survivors(self, p1: int, cubic: int):
+    def survivors(self, p1: int, cubic: int, *c1: int):
         # the last entry t is the least significant: given the others, the p1 test
         # leaves the t with last_p1 t = rest (all t if both are 0), at spiral place
         # 2t - 1 (t > 0) or -2t (t <= 0); only head entries are listed, none at rank 1.
-        # A 1 x 1 witness is (1) or (-1), so at rank 1 only |t| <= 1 is listed
+        # A 1 x 1 witness is (1) or (-1), so at rank 1 only |t| <= 1 is listed.
+        # c1 is () or the targets of mu2(v, b, b) and w_v . b
         *head_p1, last_p1 = self.s2.p1
         n = 2 * self.bound + 1
         bound = self.bound if self.r > 1 else 1
@@ -234,8 +261,10 @@ class _WitnessSearch:
                 continue
             for place in (2 * t - 1 if t > 0 else -2 * t,) if last_p1 else range(2 * bound + 1):
                 v = head + ((place + 1) // 2 if place & 1 else -(place // 2),)
+                if c1 and dot(self.c1_square, v) != c1[0]:
+                    continue
                 w = self.contract(v, v)
-                if dot(w, v) == cubic:
+                if dot(w, v) == cubic and (not c1 or dot(w, self.c1) == c1[1]):
                     yield h * n + place, v, w, sum(1 << i for i, x in enumerate(v) if x & 1)
 
     def finish(self, cols: list[Vec]) -> IsomorphismWitness | None:
@@ -250,18 +279,20 @@ class _WitnessSearch:
     ) -> IsomorphismWitness | None:
         """Depth-first completion of a partial column assignment.
 
-        ``pairs`` holds (i, j, u_ij) for i <= j < len(cols), and ``basis`` the
-        chosen columns mod 2 as (pivot bit, bitmask) pairs, each bitmask clear
-        at the pivots before it.
+        ``pairs`` holds (u_ij, mu1(i, j, .)) for i <= j < len(cols), and with
+        ``check_c1`` (u_i, mu1(i, a, .)) for i < len(cols): a column v must
+        have u . v equal to the target list's entry at its place.  ``basis``
+        holds the chosen columns mod 2 as (pivot bit, bitmask) pairs, each
+        bitmask clear at the pivots before it.
         """
         stats = self.stats
         stats.nodes += 1
         c = len(cols)
         if c == self.r:
             return self.finish(cols)
-        mu1 = self.s1.mu_value
-        quad = [(col, mu1(i, c, c)) for i, col in enumerate(cols)]
-        lin = [(u, mu1(i, j, c)) for i, j, u in pairs]
+        rows1 = self.rows1
+        quad = list(zip(cols, rows1[c][c]))
+        lin = [(u, t[c]) for u, t in pairs]
         tested = self.raw
         mod2 = triple = children = 0
         found = None
@@ -278,10 +309,11 @@ class _WitnessSearch:
                 triple += 1
                 continue
             children += 1
-            new = [(i, c, self.contract(col, v)) for i, col in enumerate(cols)]
-            found = self.complete_from(
-                cols + [v], pairs + new + [(c, c, w)], basis + [(m & -m, m)]
-            )
+            new = [(self.contract(col, v), rows1[i][c]) for i, col in enumerate(cols)]
+            new.append((w, rows1[c][c]))
+            if self.check_c1:
+                new.append((self.contract(v, self.c1), self.c1_rows1[c]))
+            found = self.complete_from(cols + [v], pairs + new, basis + [(m & -m, m)])
             if found is not None:
                 tested = place + 1
                 break
@@ -307,7 +339,11 @@ def find_isomorphism(
     numbers already disagree).  Refuses to start when the raw candidate count
     (2 bound + 1)^(rank^2) exceeds the step budget.  The search (see
     :class:`_WitnessSearch`) prunes only matrices that are no witness, so
-    the result is that of testing every matrix in order.  When ``stats`` is
+    the result is that of testing every matrix in order.  With
+    ``check_c1``, a witness has A c1_1 = c1_2, so it needs
+    mu1(c1_1, c1_1, c1_1) = mu2(c1_2, c1_2, c1_2) and p1_1 . c1_1 =
+    p1_2 . c1_2; when either fails, None is returned after the raw-space
+    gate, counting one node and no column tests.  When ``stats`` is
     given, the search adds its counters to it.  ``bound`` must be an ``int``
     of at least 1 and ``step_budget`` None or an ``int`` of at least 0; a
     ``bool`` is neither.
@@ -333,8 +369,13 @@ def find_isomorphism(
             raise SearchBudgetError(
                 f"search space {base}^{r * r} exceeds step budget {budget}"
             )
-    search = _WitnessSearch(s1, s2, bound, check_c1, SearchStats() if stats is None else stats)
-    return search.complete_from([], [], [])
+    stats = SearchStats() if stats is None else stats
+    if check_c1:
+        a, b = s1.c1_class, s2.c1_class
+        if s1.cubic(a) != s2.cubic(b) or s1.p1_pairing(a) != s2.p1_pairing(b):
+            stats.nodes += 1  # the empty matrix, as at rank 0; no column is tested
+            return None
+    return _WitnessSearch(s1, s2, bound, check_c1, stats).complete_from([], [], [])
 
 
 def _w2_square_parities(s: InvariantSystem) -> tuple[int, ...]:

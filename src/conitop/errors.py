@@ -8,8 +8,8 @@ class Value:
 
     A subclass lists its fields in order in ``fields`` and sets each one
     with ``object.__setattr__`` or through the instance ``__dict__``, in
-    ``__init__`` (or ``InvariantSystem._unchecked``); after that, assignment
-    and deletion raise ``AttributeError``.  Instances of different classes
+    ``__init__`` (or :meth:`_unchecked`); after that, assignment and
+    deletion raise ``AttributeError``.  Instances of different classes
     never compare equal.  These are plain classes, not dataclasses: importing
     ``dataclasses`` and generating each class's methods cost every command
     more start-up time than the command itself takes.
@@ -17,6 +17,18 @@ class Value:
 
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls.fields)
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """``values`` in ``fields`` order, stored without a check: each must obey ``__init__``.
+
+        For values derived from already checked ones, such as block sums
+        and derived invariant systems; tests rebuild them through the
+        constructor.
+        """
+        self = object.__new__(cls)
+        vars(self).update(zip(cls.fields, values))
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

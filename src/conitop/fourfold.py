@@ -98,9 +98,11 @@ def standard(name: str) -> FourManifold:
 def connected_sum(first: FourManifold, *rest: FourManifold) -> FourManifold:
     """Connected sum, in order: block-sum form, concatenated w2 and c1 data.
 
-    Equal to the left fold of pairwise sums, but validated once: an ``S4``
-    summand after the first leaves the label unchanged, and the c1 lift
-    survives only when every summand carries one.
+    Equal to the left fold of pairwise sums: an ``S4`` summand after the
+    first leaves the label unchanged, and the c1 lift survives only when
+    every summand carries one.  Block sums of valid summands are valid (the
+    determinants multiply, w2 and c1 are characteristic and a lift block by
+    block), so the sum is stored without a second check.
     """
     pieces = (first,) + rest
     label = first.label
@@ -110,7 +112,7 @@ def connected_sum(first: FourManifold, *rest: FourManifold) -> FourManifold:
     c1 = None
     if all(n.c1_tangent is not None for n in pieces):
         c1 = tuple(chain.from_iterable(n.c1_tangent for n in pieces))
-    return FourManifold(
+    return FourManifold._unchecked(
         label,
         direct_sum(*(n.form for n in pieces)),
         tuple(chain.from_iterable(n.w2 for n in pieces)),

@@ -154,7 +154,8 @@ def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
 
     The sum's inertia and determinant are composed from its blocks' (each
     reduced at most once): the squares add and the determinants multiply,
-    exactly, by Sylvester's law of inertia.  So a sum of validated blocks is
+    exactly, by Sylvester's law of inertia.  A block sum of symmetric
+    matrices is symmetric, so the sum is stored without a second check and
     never reduced again.
     """
     n = sum(f.rank for f in forms)
@@ -167,7 +168,7 @@ def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
         offset += f.rank
         p, m, d = f._inertia
         pos, neg, det = pos + p, neg + m, det * d
-    total = IntersectionForm(tuple(rows))
+    total = IntersectionForm._unchecked(tuple(rows))
     total.__dict__["_inertia"] = (pos, neg, det)
     return total
 

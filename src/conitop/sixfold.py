@@ -120,13 +120,6 @@ class InvariantSystem(Value):
             raise ValidationError("c1_class is not an integral lift of w2")
         vars(self).update(zip(self.fields, (rank, mu, p1, w2, b3, c1_class, labels, classifiable)))
 
-    @classmethod
-    def _unchecked(cls, *values) -> InvariantSystem:
-        """``values`` in ``fields`` order, stored without a check: each must obey ``__init__``."""
-        self = object.__new__(cls)
-        vars(self).update(zip(cls.fields, values))
-        return self
-
     # -- trilinear form access ----------------------------------------------
 
     @cached_property

@@ -397,6 +397,30 @@ def test_compare_stats_pin_the_s2xs2_sides_search(tmp_path, capsys, monkeypatch)
     assert stats["nodes"] == stats["column_tests"] == 0
 
 
+def test_compare_stats_of_a_c1_miss_caught_up_front(tmp_path, capsys):
+    # equal but for the c1 lift: mu(c1, c1, c1) = 0 on both sides, p1 . c1 is 0
+    # against 4, so --check-c1 refuses before any column is tested
+    system = {"rank": 2, "mu": [[0, 0, 1, 1]], "p1": [2, 0], "w2": [0, 0], "b3": 0}
+    left, right = (
+        write_system_file(tmp_path, f"{i}.json", {"system": {**system, "c1_class": c1}})
+        for i, c1 in enumerate(([0, 0], [2, 0]))
+    )
+    plain_argv = ["compare", "--left", left, "--right", right, "--primes", ""]
+    argv = plain_argv + ["--check-c1"]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(argv + ["--stats"]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert json.loads(captured.err) == {
+        "search": {"nodes": 1, "column_tests": 0, "pruned": {"table": 0, "mod2": 0, "triple": 0}}
+    }
+    # without c1 transport the identity is a witness
+    assert main(plain_argv) == EXIT_OK
+    assert "ISOMORPHIC" in capsys.readouterr().out
+
+
 def test_compare_stats_at_rank_zero_count_one_node(tmp_path, capsys):
     # the empty matrix is the one node; nothing is tested or pruned
     zero = {"rank": 0, "mu": [], "p1": [], "w2": [], "b3": 0}

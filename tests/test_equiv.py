@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -942,6 +943,18 @@ def _moved_c1(rng, s):
             return t
 
 
+def _kept_c1(rng, s):
+    """``s`` with its c1 lift moved so that mu(c1, c1, c1) and p1 . c1 stay, or None."""
+    moves = [d for d in product((-1, 0, 1), repeat=s.rank) if any(d)]
+    rng.shuffle(moves)
+    for d in moves:
+        c1 = tuple(a + 2 * x for a, x in zip(s.c1_class, d))
+        t = make_system(s.rank, dict(s.mu), s.p1, s.w2, s.b3, c1)
+        if t.cubic(c1) == s.cubic(s.c1_class) and t.p1_pairing(c1) == s.p1_pairing(s.c1_class):
+            return t
+    return None
+
+
 def test_find_isomorphism_matches_reference_search():
     # the pruned search returns what testing every raw column returned:
     # hits made by a transport, misses made by a moved c1 lift, self-compares
@@ -960,6 +973,28 @@ def test_find_isomorphism_matches_reference_search():
     assert outcomes == {(False, False), (True, False), (True, True)}
 
 
+def test_c1_column_conditions_match_reference_search():
+    # moved c1 lifts that keep mu(c1, c1, c1) and p1 . c1 get past the up-front
+    # check, so the c1 conditions on each column decide them: misses with a
+    # witness that ignores c1, and hits by another witness
+    rng = random.Random(2211)
+    outcomes = set()
+    for rank, bounds in {2: (1, 2, 3), 3: (1, 2), 4: (1,)}.items():
+        for bound in bounds:
+            for _ in range(12):
+                s = _search_source(rng, rank)
+                kept = _kept_c1(rng, transport_system(s, random_unimodular(rng, rank, bound)))
+                if kept is None:
+                    continue
+                expected = find_isomorphism_reference(s, kept, bound, True)
+                assert find_isomorphism(s, kept, bound, True) == expected
+                plain = find_isomorphism(s, kept, bound)
+                assert plain == find_isomorphism_reference(s, kept, bound)
+                outcomes.add((rank, plain is not None, expected is not None))
+    assert {(r, True, False) for r in (2, 3, 4)} <= outcomes
+    assert {(r, True, True) for r in (2, 3)} <= outcomes
+
+
 def test_find_isomorphism_matches_reference_on_s2xs2_sides():
     base = standard("S2xS2")
     t = conifold_transition(base, trivial_bundle(base))
@@ -971,23 +1006,38 @@ def test_search_stats_account_for_every_raw_column():
     # each raw column at a node is pruned for one reason or becomes a node,
     # on hits (which stop at the witness's place) and misses alike
     m1 = local_model_system(1)
+    side = bundle_side_system()
     t = s4_transition()
     # at rank 0 the empty matrix is the one node, and no column is tested
     z0 = make_system(0, {}, (), ())
+    # c1 misses: p1 . c1 is 0 against 4 (mu(c1, c1, c1) is 0 on both), or
+    # mu(c1, c1, c1) moves (p1 is 0), so the up-front check counts one node,
+    # as at rank 0; a lift that keeps both values gets past it and is searched
+    lifted = make_system(2, {(0, 0, 1): 1}, (2, 0), (0, 0), 0, (0, 0))
+    moved = make_system(2, {(0, 0, 1): 1}, (2, 0), (0, 0), 0, (2, 0))
+    cubic_moved, kept = (
+        make_system(2, dict(side.mu), side.p1, side.w2, 0, c1) for c1 in ((2, 2), (-4, 0))
+    )
     cases = [
-        (m1, bundle_side_system(), 3, True),
-        (m1, m1, 2, False),
-        (t.z1, t.z2, 3, False),
-        (z0, z0, 1, False),
+        (m1, side, 3, True, None),
+        (m1, m1, 2, False, None),
+        (t.z1, t.z2, 3, False, None),
+        (z0, z0, 1, False, None),
+        (lifted, moved, 3, True, (1, 0, 0, 0, 0)),
+        (m1, cubic_moved, 3, True, (1, 0, 0, 0, 0)),
+        (m1, kept, 3, True, (5, 245, 238, 3, 0)),
     ]
     total = SearchStats()
-    for s1, s2, bound, check_c1 in cases:
+    for s1, s2, bound, check_c1, counters in cases:
         stats = SearchStats()
         found = find_isomorphism(s1, s2, bound, check_c1, stats=stats)
         assert found == find_isomorphism(s1, s2, bound, check_c1)
         find_isomorphism(s1, s2, bound, check_c1, stats=total)
-        pruned = stats.pruned_table + stats.pruned_mod2 + stats.pruned_triple
-        assert stats.column_tests == pruned + stats.nodes - 1
+        pruned = (stats.pruned_table, stats.pruned_mod2, stats.pruned_triple)
+        assert stats.column_tests == sum(pruned) + stats.nodes - 1
+        if counters is not None:  # a c1 miss, with a witness that ignores c1
+            assert found is None and find_isomorphism(s1, s2, bound) is not None
+            assert (stats.nodes, stats.column_tests) + pruned == counters
     assert total.column_tests == (
         total.pruned_table + total.pruned_mod2 + total.pruned_triple + total.nodes - len(cases)
     )

@@ -9,12 +9,18 @@ from conitop import (
     IntersectionForm,
     ValidationError,
     connected_sum,
+    direct_sum,
     p1_number,
     signature,
     standard,
 )
 
-from oracles import connected_sum_pair_reference, manifold_fields, random_catalog_sum
+from oracles import (
+    connected_sum_pair_reference,
+    manifold_fields,
+    random_catalog_sum,
+    random_symmetric_rows,
+)
 
 
 def test_catalog_s4():
@@ -137,6 +143,29 @@ def test_n_ary_connected_sum_equals_pairwise_fold():
         assert manifold_fields(connected_sum(*pieces)) == manifold_fields(expected), labels
         seen_none |= expected.c1_tangent is None
     assert seen_none
+
+
+def test_sums_equal_their_rebuild_through_the_constructors():
+    # direct_sum and connected_sum store block sums of checked summands without
+    # a second check; the public constructors must give the same values
+    no_c1 = FourManifold("E", IntersectionForm([[1]]), (1,))
+    not_sc = FourManifold("X", IntersectionForm([[0, 1], [1, 0]]), (0, 0), (2, 2), False)
+    pool = [standard(name) for name in ("S4", "CP2", "CP2bar", "S2xS2")] + [no_c1, not_sc]
+    rng = random.Random(2210)
+    ranks = set()
+    for _ in range(100):
+        total = connected_sum(*(rng.choice(pool) for _ in range(rng.randint(1, 30))))
+        form = IntersectionForm(total.form.matrix)
+        rebuilt = FourManifold(total.label, form, total.w2, total.c1_tangent, total.simply_connected)
+        assert rebuilt == total and hash(rebuilt) == hash(total), total.label
+        assert signature(form) == signature(total.form)
+        ranks.add(total.rank)
+        # forms that are no manifold's: degenerate and not unimodular ones too
+        blocks = [IntersectionForm(random_symmetric_rows(rng, rng.randint(0, 4))) for _ in range(3)]
+        summed = direct_sum(*blocks)
+        fresh = IntersectionForm(summed.matrix)
+        assert fresh == summed and hash(fresh) == hash(summed)
+    assert max(ranks) > 30
 
 
 def test_every_catalog_manifold_validates():
