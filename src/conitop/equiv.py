@@ -420,17 +420,20 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
 
     * p = 2 (:func:`_fingerprint_mod2`): the cubic is a quadratic function on
       F_2^r; 8 character sums, 4 of them over linear forms alone, give the
-      8 counts by one fixed table of signs, O(r^2) work;
+      8 counts by a Walsh-Hadamard butterfly, O(r^2) work;
     * p = 3 (:func:`_fingerprint_mod3`): the key is a linear map F_3^r ->
       F_3^2, so the rows are its image of 3^d points, d <= 2, each counted
       3^(r - d) times, O(r) work;
     * p = 5, 7 (:func:`conitop.cones.histogram`): block by block, the blocks'
       histograms convolved.  A cone block takes a congruence diagonalization
-      mod p and convolutions of per-coordinate tables over p^2 keys, O(n p^3)
-      work on a diagonal form and O(n^3) on a dense one, n its slots.  Any
-      other block takes a depth-first walk over its (p^n - 1)/(p - 1) points
-      whose first nonzero coordinate is 1, O(n^2) work per node, and only up
-      to MAX_WALK_POINTS = 19,608 points: a larger one raises ValidationError.
+      mod p, O(n) work on a diagonal form and O(n^3) on a dense one, n its
+      slots.  When p1 is 0 mod p off its vertex (P(E), a transition side, a
+      blowup slot) the diagonal quadric's point counts then give its
+      histogram in O(n); otherwise per-coordinate tables over p^2 keys are
+      convolved, O(n p^3).  Any other block takes a depth-first walk over its
+      (p^n - 1)/(p - 1) points whose first nonzero coordinate is 1, O(n^2)
+      work per node, and only up to MAX_WALK_POINTS = 19,608 points: a
+      larger one raises ValidationError.
 
     Each key depends only on x mod p (and w2), and a witness maps F_p^rank
     bijectively to points with equal keys, so isomorphic systems have equal
@@ -442,6 +445,9 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
         limit = f"limited to {MAX_WALK_POINTS} points, (p^n - 1)/(p - 1) for n slots"
         raise ValidationError(f"fingerprint walk of a block that is no cone at p = {p} {limit}")
     return rows
+
+
+_cones = None  # conitop.cones, after the first fingerprint at p = 5 or 7
 
 
 def _rows(s: InvariantSystem, p: int):
@@ -456,10 +462,14 @@ def _rows(s: InvariantSystem, p: int):
     elif p == 3:
         hist = _fingerprint_mod3(s)
     else:
-        from . import cones  # imported on first use, so start-up does not compile it
-
-        hist = cones.histogram(s, p)
-    return None if hist is None else tuple(key + (n,) for key, n in sorted(hist.items()))
+        global _cones
+        if _cones is None:
+            # imported once, on first use: start-up does not compile it, and
+            # later calls do not go through the import machinery again
+            from . import cones as _cones
+        hist = _cones.histogram(s, p)
+        return None if hist is None else tuple((c, q, 0, n) for (c, q), n in sorted(hist.items()))
+    return tuple(key + (n,) for key, n in sorted(hist.items()))
 
 
 def _sign_sum(rows: list[int], lin: int) -> int:
@@ -495,11 +505,8 @@ def _sign_sum(rows: list[int], lin: int) -> int:
     return -total if sign else total
 
 
-# (c, pi, w) and its signs (-1)^(ac + b pi + gw) on S(a, b, g), listed at 4a + 2b + g
-_MOD2_SIGNS = tuple(
-    ((k >> 2, k >> 1 & 1, k & 1), tuple(1 - 2 * (bin(k & m).count("1") & 1) for m in range(8)))
-    for k in range(8)
-)
+# the Walsh-Hadamard butterfly on 8 values: three rounds of four (sum, difference) pairs
+_BUTTERFLY = tuple((k - h, k) for h in (4, 2, 1) for k in range(8) if k & h)
 
 
 def _fingerprint_mod2(s: InvariantSystem, d: tuple[int, ...]) -> dict:
@@ -510,7 +517,10 @@ def _fingerprint_mod2(s: InvariantSystem, d: tuple[int, ...]) -> dict:
     of (-1)^(ac + b pi + gw) S(a, b, g), where S(a, b, g) is the sum of
     (-1)^(a q + b P + g D) over F_2^r: 2^r or 0 when a = 0, and
     :func:`_sign_sum` when a = 1, once per distinct form bP + gD (D = 0 on
-    every system with an even w2 cubic, so there are two).
+    every system with an even w2 cubic, so there are two).  Listed at
+    4a + 2b + g, the 8 sums go through an in-place Walsh-Hadamard butterfly,
+    three rounds of four sum and difference pairs, which leaves 8 times the
+    count of (c, pi, w) at 4c + 2 pi + w.
     """
     r = s.rank
     rows, lin = [0] * r, 0
@@ -526,7 +536,9 @@ def _fingerprint_mod2(s: InvariantSystem, d: tuple[int, ...]) -> dict:
     forms = (0, w2, p1, p1 ^ w2)
     signed = {form: _sign_sum(rows, lin ^ form) for form in set(forms)}
     sums = [0 if form else 1 << r for form in forms] + [signed[form] for form in forms]
-    return {key: n for key, signs in _MOD2_SIGNS if (n := sum(map(mul, signs, sums)) >> 3)}
+    for i, j in _BUTTERFLY:  # sums[k] becomes 8 times the count of k
+        sums[i], sums[j] = sums[i] + sums[j], sums[i] - sums[j]
+    return {(k >> 2, k >> 1 & 1, k & 1): n >> 3 for k, n in enumerate(sums) if n}
 
 
 def _fingerprint_mod3(s: InvariantSystem) -> dict:

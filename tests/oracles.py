@@ -26,6 +26,7 @@ from conitop import (
     standard,
     verify_witness,
 )
+from conitop.cones import _diagonal_terms
 from conitop.equiv import spiral_entries
 from conitop.intmat import determinant, dot, matvec, transpose
 from conitop.sixfold import triple_indices
@@ -397,6 +398,48 @@ def fingerprint_reference(s, p: int):
         for x in product(range(p), repeat=s.rank)
     )
     return tuple(key + (n,) for key, n in sorted(hist.items()))
+
+
+def cone_convolution_reference(s, v0, slots, entries, p: int) -> dict:
+    """A cone block's (cubic, p1) histogram over F_p^slots, one convolution per coordinate.
+
+    ``cones._cone`` as it was before the closed form for flat blocks.  With
+    x = t e_v0 + y, after ``cones._diagonal_terms`` the t = 1 key is
+    (mu_sss, p1_s) plus a term (3 beta z + 3 d z^2, gamma z) per coordinate,
+    and each coordinate's table of p values is convolved in.  t = lambda != 0
+    takes the keys (lambda^3 c, lambda pi), and t = 0 the keys (0, g.y).
+    """
+    m, rows = 0, {i: {} for i in slots if i != v0}
+    lin = {i: [0, s.p1[i] % p] for i in rows}
+    for ijk, v in entries:
+        pair = list(ijk)
+        pair.remove(v0)
+        i, j = pair
+        if i == j == v0:
+            m = v
+        elif v0 in pair:
+            lin[i + j - v0][0] = v % p
+        elif v % p:
+            rows[i][j] = rows[j][i] = v % p
+    t1 = Counter({(m % p, s.p1[v0] % p): 1})
+    for (d, b, g), n in _diagonal_terms(rows, lin, p).items():
+        table = Counter(((3 * b * z + 3 * d * z * z) % p, g * z % p) for z in range(p))
+        for _ in range(n):
+            out = Counter()
+            for (c, q), x in t1.items():
+                for (u, w), y in table.items():
+                    out[(c + u) % p, (q + w) % p] += x * y
+            t1 = out
+    # t = 0: y runs over F_p^n, and g.y is 0 or uniform over F_p
+    n = len(slots) - 1
+    if any(s.p1[i] % p for i in slots if i != v0):
+        block = Counter({(0, q): p ** (n - 1) for q in range(p)})
+    else:
+        block = Counter({(0, 0): p**n})
+    for (c, q), x in t1.items():
+        for lam in range(1, p):
+            block[c * lam**3 % p, q * lam % p] += x
+    return dict(block)
 
 
 # -- the witness search before per-column candidate tables --------------------

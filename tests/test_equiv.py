@@ -31,9 +31,11 @@ from conitop import cones, equiv
 from conitop.equiv import SUPPORTED_PRIMES, SearchStats, spiral_entries
 from conitop.intmat import inverse_unimodular
 from conitop.serialize import certificate_to_obj, json_canonical, parse_sum_expression
+from conitop.sixfold import triple_indices
 
 from oracles import (
     chain,
+    cone_convolution_reference,
     find_isomorphism_reference,
     fingerprint_reference,
     has_even_w2_cubic_exhaustive,
@@ -522,6 +524,121 @@ def test_cone_method_matches_the_walk_and_the_reference():
                 assert rows == fingerprint_reference(s, p), (name, p)
     assert ranks == set(range(1, 7)) and len(seen) >= 4
     assert cones.cone_blocks(local_model_system(2))[0][0] == 1
+
+
+def flat_cone_blocks(s, p):
+    """The blocks of s, each checked to be a cone with p1 = 0 mod p off its vertex."""
+    blocks = cones.cone_blocks(s)
+    assert None not in (v for v, _, _ in blocks)
+    assert not any(s.p1[i] % p for v, slots, _ in blocks for i in slots if i != v)
+    return blocks
+
+
+def test_quadric_counts_equal_the_convolution_on_flat_cones_up_to_rank_258():
+    # P(E), both transition sides and a double blowup, some with the vertex
+    # moved, each block counted in closed form against one convolution per
+    # coordinate
+    rng = random.Random(61)
+    systems = []
+    for expr in ("CP2", "S2xS2 # CP2bar", "CP2 # 5 CP2bar", "3 S2xS2 # 2 CP2",
+                 "CP2 # 40 CP2bar", "CP2 # 5 CP2bar # 125 S2xS2"):
+        base = parse_sum_expression(expr)
+        e = random_bundle(rng, base)
+        s, t = projectivize(base, e), conifold_transition(base, e)
+        systems += [s, t.z1, t.z2]
+        if base.rank < 10:
+            systems.append(blowup_point(blowup_point(s)))
+            systems.append(transport_system(t.z1, signed_permutation(rng, t.z1.rank)))
+    assert max(s.rank for s in systems) == 258
+    for s in systems:
+        for p in (5, 7):
+            for v0, slots, entries in flat_cone_blocks(s, p):
+                got = cones._cone(s, v0, slots, entries, p)
+                assert got == cone_convolution_reference(s, v0, slots, entries, p), (s.rank, p)
+
+
+def quadric_branches(terms, n, p):
+    """The branches of ``cones._quadric_slice`` that its terms take."""
+    if any(d == 0 and b for d, b, _ in terms):
+        return {"uniform"}
+    out = {"rank 1"} if n == 0 else set()
+    if any(d == b == 0 for d, b, _ in terms):
+        out.add("zero terms")
+    k = sum(count for (d, _, _), count in terms.items() if d)
+    if k:
+        delta = 1
+        for (d, _, _), count in terms.items():
+            delta *= (3 * d) ** count if d else 1
+        # every value c is taken, so u = c - s0 = 0 is met on each of these
+        square = pow(delta, (p - 1) // 2, p) == 1
+        out.add(("k odd" if k % 2 else "k even", "square" if square else "non-square"))
+    return out
+
+
+def test_quadric_counts_match_every_point_on_each_branch(monkeypatch):
+    # flat cones on slots 0..n, vertex 0: mu_000 = m, mu_00i = b_i, mu_0ii = d_i
+    # and a few mu_0ij; p1 is 35 (0 mod 5 and 7) on every other slot, so the
+    # blocks stay flat though p1 is not 0 there; 35 in mu makes a term 0 mod p
+    # without disconnecting its slot
+    seen = {5: set(), 7: set()}
+    quadric_slice = cones._quadric_slice
+
+    def recorded(m, terms, n, p):
+        seen[p].update(quadric_branches(terms, n, p))
+        return quadric_slice(m, terms, n, p)
+
+    monkeypatch.setattr(cones, "_quadric_slice", recorded)
+    rng = random.Random(63)
+    systems = [make_system(1, {(0, 0, 0): 3}, (2,), (0,)), make_system(1, {}, (1,), (1,))]
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        mu = {(0, 0, 0): rng.randint(-3, 3)}
+        for i in range(1, n + 1):
+            d, b = rng.choice(((0, 1), (35, 0), (35, 35), (1, 0), (2, 0), (3, 1), (-1, 2), (6, 4)))
+            mu[(0, i, i)], mu[(0, 0, i)] = d, b
+        if n > 1 and rng.random() < 0.3:
+            mu[(0, 1, 2)] = rng.randint(1, 4)
+        p1 = (rng.randint(-4, 4),) + (35,) * n
+        systems.append(make_system(n + 1, mu, p1, (0,) * (n + 1)))
+    cp2 = standard("CP2")
+    twice = blowup_point(blowup_point(projectivize(cp2, RankTwoBundle(cp2, (1,), 2))))
+    assert len(cones.cone_blocks(twice)) == 3
+    systems.append(twice)
+    for s in systems:
+        for p in (5, 7):
+            flat_cone_blocks(s, p)
+            assert fingerprint(s, p) == fingerprint_reference(s, p), (s, p)
+    branches = {"uniform", "zero terms", "rank 1"} | {
+        (k, sq) for k in ("k odd", "k even") for sq in ("square", "non-square")
+    }
+    assert seen == {5: branches, 7: branches}
+
+
+def test_flat_cones_never_convolve_per_coordinate(monkeypatch):
+    calls = []
+    convolve = cones._convolve_coordinates
+
+    def counted(t1, terms, p):
+        calls.append(p)
+        return convolve(t1, terms, p)
+
+    monkeypatch.setattr(cones, "_convolve_coordinates", counted)
+    base = parse_sum_expression("CP2 # 5 CP2bar")
+    e = RankTwoBundle(base, (-1, 1, 1, 1, 1, 3), 5)
+    t = conifold_transition(base, e)
+    for s in (projectivize(base, e), t.z1, t.z2):
+        for p in (5, 7):
+            flat_cone_blocks(s, p)
+            fingerprint(s, p)
+    assert calls == []
+    # a random cone on 4 slots, vertex 0, with p1 = 1 on slot 1: not flat
+    rng = random.Random(64)
+    mu = {ijk: rng.choice((-3, -2, -1, 1, 2, 3)) for ijk in triple_indices(4) if 0 in ijk}
+    s = make_system(4, mu, (rng.randint(-3, 3), 1, rng.randint(-3, 3), 0), (0,) * 4)
+    assert [v for v, _, _ in cones.cone_blocks(s)] == [0]
+    for p in (5, 7):
+        assert fingerprint(s, p) == fingerprint_reference(s, p)
+    assert calls == [5, 7]
 
 
 def test_walk_still_serves_systems_that_are_no_cone_sum():
