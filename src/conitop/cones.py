@@ -286,7 +286,7 @@ def _walk(s: InvariantSystem, slots, p: int) -> dict:
     return _scaled(t1, p, {(0, 0): 1})
 
 
-def histogram(s: InvariantSystem, p: int) -> dict | None:
+def histogram(s: InvariantSystem, p: int, blocks=None) -> dict | None:
     """p = 5, 7: the blocks' histograms, convolved; None outside the walk's window.
 
     Keys are (mu(x,x,x) mod p, p1.x mod p); :func:`conitop.equiv.fingerprint`
@@ -297,10 +297,11 @@ def histogram(s: InvariantSystem, p: int) -> dict | None:
     (p^n - 1)/(p - 1) points for n slots and serves a block only when that
     is at most MAX_WALK_POINTS; a block that is no cone and has more points
     gives None.  Both count the same keys over the same points:
-    a change of basis over F_p permutes F_p^slots.
+    a change of basis over F_p permutes F_p^slots.  ``blocks``, when given,
+    is ``cone_blocks(s)``, found once for every prime a caller runs.
     """
     hist = None
-    for v0, slots, entries in cone_blocks(s):
+    for v0, slots, entries in cone_blocks(s) if blocks is None else blocks:
         if v0 is not None:
             block = _cone(s, v0, slots, entries, p)
         elif (p ** len(slots) - 1) // (p - 1) <= MAX_WALK_POINTS:

@@ -450,24 +450,29 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
 _cones = None  # conitop.cones, after the first fingerprint at p = 5 or 7
 
 
-def _rows(s: InvariantSystem, p: int):
+def _cones_module():
+    global _cones
+    if _cones is None:
+        # imported once, on first use: start-up does not compile it, and
+        # later calls do not go through the import machinery again
+        from . import cones as _cones
+    return _cones
+
+
+def _rows(s: InvariantSystem, p: int, blocks=None):
     """The rows of :func:`fingerprint` at a supported p, or None outside the window.
 
     The window is the one rule on which systems have fingerprints: at
     p = 5 and 7, a block that is no cone (:func:`conitop.cones.cone_blocks`)
-    of n slots must have (p^n - 1)/(p - 1) <= MAX_WALK_POINTS.
+    of n slots must have (p^n - 1)/(p - 1) <= MAX_WALK_POINTS.  ``blocks``
+    is passed on to :func:`conitop.cones.histogram`.
     """
     if p == 2:
         hist = _fingerprint_mod2(s, _w2_square_parities(s))
     elif p == 3:
         hist = _fingerprint_mod3(s)
     else:
-        global _cones
-        if _cones is None:
-            # imported once, on first use: start-up does not compile it, and
-            # later calls do not go through the import machinery again
-            from . import cones as _cones
-        hist = _cones.histogram(s, p)
+        hist = _cones_module().histogram(s, p, blocks)
         return None if hist is None else tuple((c, q, 0, n) for (c, q), n in sorted(hist.items()))
     return tuple(key + (n,) for key, n in sorted(hist.items()))
 
@@ -573,7 +578,9 @@ def certify_distinct(
     has a block that is no cone whose walk would visit more than
     MAX_WALK_POINTS points, (p^n - 1)/(p - 1) for n slots (see
     :func:`_rows`): 7 slots are walked at p = 5, but not at p = 7.  Every
-    prime is checked to be a supported one first.
+    prime is checked to be a supported one first.  Each system's blocks
+    (:func:`conitop.cones.cone_blocks`) are found once, when p = 5 or 7
+    first runs, and serve both primes.
     """
     primes = tuple(primes)
     for p in primes:
@@ -582,8 +589,11 @@ def certify_distinct(
         return DistinctnessCertificate("rank", None, (s1.rank, s2.rank))
     if s1.b3 != s2.b3:
         return DistinctnessCertificate("b3", None, (s1.b3, s2.b3))
+    blocks = (None, None)
     for p in primes:
-        f1, f2 = _rows(s1, p), _rows(s2, p)
+        if p > 3 and blocks[0] is None:
+            blocks = tuple(map(_cones_module().cone_blocks, (s1, s2)))
+        f1, f2 = _rows(s1, p, blocks[0]), _rows(s2, p, blocks[1])
         if None not in (f1, f2) and f1 != f2:
             return DistinctnessCertificate("fingerprint", p, (f1, f2))
     return None

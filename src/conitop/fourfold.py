@@ -107,7 +107,7 @@ def connected_sum(first: FourManifold, *rest: FourManifold) -> FourManifold:
     pieces = (first,) + rest
     label = first.label
     for n in rest:
-        if not (n.rank == 0 and n.label == "S4"):
+        if not (n.label == "S4" and n.rank == 0):
             label = f"{label} # {n.label}"
     c1 = None
     if all(n.c1_tangent is not None for n in pieces):

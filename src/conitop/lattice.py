@@ -12,8 +12,16 @@ the form: a form reduces once, by the sparse Lagrange reduction
 :func:`_reduce`, and a block sum built by :func:`direct_sum` takes them from
 its blocks without any reduction.  The reduction's entries are Python ints
 until a quotient needs a ``fractions.Fraction`` (imported only then, so
-start-up does not pay for it); mod-2 work stays in integers.  Descriptors
-are capped at rank ``serialize.MAX_FORM_RANK`` before a form is built.
+start-up does not pay for it); mod-2 work stays in integers.
+
+A form also caches its nonzero upper-triangle entries (i, j, Q_ij), i <= j,
+in row order.  A checked form derives them once from its matrix; a block sum
+built by :func:`direct_sum` concatenates its blocks' entries, each shifted by
+the block's offset, so it never scans its r^2 cells for them.  Products with
+the form (:meth:`IntersectionForm.matvec`, :meth:`IntersectionForm.evaluate`)
+and ``sixfold.projectivize`` read the entries, so over a catalog sum their
+work is O(r), not O(r^2).  Descriptors are capped at rank
+``serialize.MAX_FORM_RANK`` before a form is built.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import ValidationError, Value
-from .intmat import Mat, Vec, as_matrix, as_vector, dot, matvec
+from .intmat import Mat, Vec, as_matrix, as_vector, dot
 
 
 class IntersectionForm(Value):
@@ -45,17 +53,36 @@ class IntersectionForm(Value):
         """
         return _reduce(self)
 
+    @cached_property
+    def _entries(self) -> tuple[tuple[int, int, int], ...]:
+        """The nonzero (i, j, Q_ij) with i <= j, in row order; not a field, like ``_inertia``."""
+        return _nonzero_entries(self.matrix)
+
     @property
     def rank(self) -> int:
         return len(self.matrix)
 
     def matvec(self, x: Vec) -> Vec:
-        return matvec(self.matrix, as_vector(x, "x", self.rank))
+        return self._apply(as_vector(x, "x", self.rank))
 
     def evaluate(self, x: Vec, y: Vec) -> int:
         """Pairing x^T Q y."""
         x, y = as_vector(x, "x", self.rank), as_vector(y, "y", self.rank)
-        return dot(x, matvec(self.matrix, y))
+        return dot(x, self._apply(y))
+
+    def _apply(self, x: Vec) -> Vec:
+        """Q x for a checked vector, from the entries alone."""
+        out = [0] * len(x)
+        for i, j, v in self._entries:
+            out[i] += v * x[j]
+            if i != j:
+                out[j] += v * x[i]
+        return tuple(out)
+
+
+def _nonzero_entries(matrix: Mat) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero upper-triangle entries of a dense symmetric matrix, in row order."""
+    return tuple((i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row[i:], i) if v)
 
 
 def _quotient(x, num, den):
@@ -154,22 +181,24 @@ def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
 
     The sum's inertia and determinant are composed from its blocks' (each
     reduced at most once): the squares add and the determinants multiply,
-    exactly, by Sylvester's law of inertia.  A block sum of symmetric
-    matrices is symmetric, so the sum is stored without a second check and
-    never reduced again.
+    exactly, by Sylvester's law of inertia.  Its nonzero entries are its
+    blocks' entries, shifted by each block's offset.  A block sum of
+    symmetric matrices is symmetric, so the sum is stored without a second
+    check and never reduced or scanned again.
     """
-    n = sum(f.rank for f in forms)
-    rows, offset = [], 0
+    zeros = (0,) * sum(len(f.matrix) for f in forms)
+    rows, entries, offset = [], [], 0
     pos = neg = 0
     det = 1
     for f in forms:
-        for row in f.matrix:
-            rows.append((0,) * offset + row + (0,) * (n - offset - f.rank))
-        offset += f.rank
+        end = offset + len(f.matrix)
+        rows += [zeros[:offset] + row + zeros[end:] for row in f.matrix]
+        entries += [(i + offset, j + offset, v) for i, j, v in f._entries]
+        offset = end
         p, m, d = f._inertia
         pos, neg, det = pos + p, neg + m, det * d
     total = IntersectionForm._unchecked(tuple(rows))
-    total.__dict__["_inertia"] = (pos, neg, det)
+    vars(total).update(_inertia=(pos, neg, det), _entries=tuple(entries))
     return total
 
 

@@ -40,7 +40,11 @@ def json_canonical(obj) -> str:
 
     Byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, but
     rendered directly: with ``indent`` set, ``json.dumps`` never uses its C
-    encoder and passes every list element through a Python generator.  Takes
+    encoder and passes every list element through a Python generator.  A
+    list of int rows of one nonzero length (mu entries, certificate rows,
+    matrix rows) fills one ``%d`` template, a row's lines once per row, with
+    all its ints in one step; ``%d`` prints an exact ``int`` as ``repr``
+    does and refuses one past the interpreter's digit limit the same way.  Takes
     ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``bool``
     and ``None``; anything else (a float, a key that is not a string, a set)
     raises ``TypeError``.
@@ -68,10 +72,15 @@ def _render(obj, newline: str) -> str:
             items = map(int.__repr__, obj)
         elif kinds == _STR:
             items = map(encode_basestring_ascii, obj)
-        elif kinds <= _ROW and set(map(type, chain.from_iterable(obj))) <= _INT:
-            # int rows, such as mu entries and matrix rows: one join per row
+        elif kinds <= _ROW and set(map(type, ints := tuple(chain.from_iterable(obj)))) <= _INT:
+            # int rows, such as mu entries and matrix rows
             deeper = inner + "  "
             sep = "," + deeper
+            lengths = set(map(len, obj))
+            if len(lengths) == 1 and 0 not in lengths:
+                # one length: every row fills one %d template, in one step
+                row = "[" + deeper + sep.join(["%d"] * lengths.pop()) + inner + "]"
+                return "[" + inner + ("," + inner).join([row] * len(obj)) % ints + newline + "]"
             items = [
                 "[" + deeper + sep.join(map(int.__repr__, row)) + inner + "]" if row else "[]"
                 for row in obj

@@ -245,6 +245,12 @@ def ring_oracle_system(base: FourManifold, e: RankTwoBundle):
 # -- random instances ---------------------------------------------------------
 
 
+def nonzero_entries_reference(rows) -> tuple:
+    """The nonzero (i, j, Q_ij), i <= j, of a dense matrix, read cell by cell in row order."""
+    n = len(rows)
+    return tuple((i, j, rows[i][j]) for i in range(n) for j in range(i, n) if rows[i][j] != 0)
+
+
 def random_symmetric_rows(rng: random.Random, rank: int, span: int = 3):
     rows = [[0] * rank for _ in range(rank)]
     for i in range(rank):

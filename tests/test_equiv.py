@@ -738,7 +738,8 @@ def test_certify_distinct_same_certificate_with_reference_fingerprint(monkeypatc
         pairs.append((s, projectivize(base, moved)))
         pairs.append((s, random_system(rng, rank)))
     expected = [certify_distinct(s1, s2, primes=SUPPORTED_PRIMES) for s1, s2 in pairs]
-    monkeypatch.setattr(equiv, "_rows", fingerprint_reference)
+    # certify passes each system's cone blocks along; the reference needs none
+    monkeypatch.setattr(equiv, "_rows", lambda s, p, blocks=None: fingerprint_reference(s, p))
     assert [certify_distinct(s1, s2, primes=SUPPORTED_PRIMES) for s1, s2 in pairs] == expected
     primes = {None if cert is None else cert.prime for cert in expected}
     assert None in primes and 2 in primes and primes & {3, 5, 7}
@@ -871,7 +872,7 @@ def test_transports_with_blowups_match_the_reference_at_rank_seven():
         assert fingerprint(moved, 5) == fingerprint_reference(moved, 5), expr
 
 
-def test_certify_finds_the_blocks_once_per_system_and_odd_prime(monkeypatch):
+def test_certify_finds_the_blocks_once_per_system(monkeypatch):
     calls = []
     cone_blocks = cones.cone_blocks
 
@@ -883,11 +884,15 @@ def test_certify_finds_the_blocks_once_per_system_and_odd_prime(monkeypatch):
     base = parse_sum_expression("CP2 # 5 CP2bar")
     t = conifold_transition(base, RankTwoBundle(base, (-1, 1, 1, 1, 1, 3), 5))
     seven = chain(7)
-    # z1 and z2 agree at p = 2 and 3 and differ at p = 5, so p = 7 does not run
-    for s1, s2, odd in ((t.z1, t.z2, 1), (t.z1, t.z1, 2), (seven, seven, 2)):
+    # z1 and z2 agree at p = 2 and 3 and differ at p = 5, so p = 7 does not run;
+    # the other pairs run both p = 5 and 7 on blocks found once per system
+    for s1, s2 in ((t.z1, t.z2), (t.z1, t.z1), (seven, seven)):
         calls.clear()
         certify_distinct(s1, s2, SUPPORTED_PRIMES)
-        assert len(calls) == 2 * odd and {id(s) for s in calls} == {id(s1), id(s2)}
+        assert len(calls) == 2 and {id(s) for s in calls} == {id(s1), id(s2)}
+    calls.clear()
+    certify_distinct(t.z1, t.z1, (2, 3))
+    assert calls == []
 
 
 def test_certify_distinct_transition_sides():

@@ -18,6 +18,7 @@ from conitop import (
 from oracles import (
     connected_sum_pair_reference,
     manifold_fields,
+    nonzero_entries_reference,
     random_catalog_sum,
     random_symmetric_rows,
 )
@@ -165,6 +166,8 @@ def test_sums_equal_their_rebuild_through_the_constructors():
         summed = direct_sum(*blocks)
         fresh = IntersectionForm(summed.matrix)
         assert fresh == summed and hash(fresh) == hash(summed)
+        for built in (total.form, summed):
+            assert built._entries == nonzero_entries_reference(built.matrix), total.label
     assert max(ranks) > 30
 
 

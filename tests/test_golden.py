@@ -25,6 +25,13 @@ CASES = {
     "invariants_cp2_c1.json": ["invariants", "--base", "CP2", "--c1", "1", "--c2", "0"],
     "transition_s4_trivial.json": ["transition", "--base", "S4"],
     "transition_cp2_trivial.json": ["transition", "--base", "CP2"],
+    "transition_mixed_sum.json": [
+        "transition", "--base", "CP2 # 3 CP2bar # 2 S2xS2", "--c1=1,-1,0,1,2,0,1,1", "--c2", "2",
+    ],
+    "invariants_mixed_sum_blowup.json": [
+        "invariants", "--base", "CP2 # 3 CP2bar # 2 S2xS2", "--c1=1,-1,0,1,2,0,1,1", "--c2", "2",
+        "--blowups", "1",
+    ],
     "verify_paper.json": ["verify-paper"],
     "compare_s4_sides.json": [
         "compare",

@@ -14,6 +14,7 @@ from conitop.lattice import _quotient, _reduce, determinant
 from oracles import (
     is_characteristic_exhaustive,
     matmul,
+    nonzero_entries_reference,
     random_symmetric_rows,
     random_unimodular,
     signature_oracle_small,
@@ -184,8 +185,23 @@ def test_direct_sum_composes_the_reduction_of_its_blocks():
         ]
         total = direct_sum(*blocks)
         assert total._inertia == _reduce(total), total.matrix
+        # the entries composed from the blocks are those of the sum's matrix
+        assert total._entries == nonzero_entries_reference(total.matrix), total.matrix
         dets.add(total._inertia[2])
     assert 0 in dets and {1, -1} <= dets and len(dets) > 10
+
+
+def test_matvec_and_evaluate_from_the_entries_equal_dense_products():
+    rng = random.Random(20261020)
+    families = (random_symmetric_rows, _zero_diagonal, _low_rank, _hyperbolic_only)
+    for _ in range(300):
+        rows = rng.choice(families)(rng, rng.randint(1, 6))
+        q = IntersectionForm(rows)
+        assert q._entries == nonzero_entries_reference(rows)
+        x, y = ([rng.randint(-5, 5) for _ in rows] for _ in range(2))
+        assert q.matvec(x) == intmat.matvec(q.matrix, tuple(x))
+        assert q.evaluate(x, y) == intmat.dot(x, intmat.matvec(q.matrix, tuple(y)))
+    assert IntersectionForm(()).matvec(()) == () and IntersectionForm(()).evaluate((), ()) == 0
 
 
 def test_cached_reduction_leaves_equality_hash_and_repr_alone():

@@ -127,6 +127,12 @@ def _json_documents(st):
     strings = st.text() | st.sampled_from(odd)
     scalars = st.none() | st.booleans() | ints | strings
     rows = st.lists(st.lists(ints, max_size=5) | st.tuples(ints, ints), max_size=5)
+
+    def one_length(n):  # rows of n ints, which take the row template, or with [] mixed in
+        row = st.lists(ints, min_size=n, max_size=n) | st.tuples(*[ints] * n)
+        return st.lists(row, min_size=1, max_size=5) | st.lists(row | st.just([]), max_size=5)
+
+    rows |= st.integers(1, 5).flatmap(one_length)
     return st.recursive(
         scalars | rows,
         lambda inner: (
@@ -155,3 +161,28 @@ def test_json_canonical_is_json_dumps_byte_for_byte():
 def test_json_canonical_refuses_what_it_does_not_render(doc):
     with pytest.raises(TypeError):
         serialize.json_canonical(doc)
+
+
+BIG = 10**1000 - 1  # the largest descriptor integer, 1,000 digits
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[BIG, -BIG, 0, 1]] * 3,
+        {"mu": [[0, 0, 1, -BIG], [0, 1, 1, BIG]], "rows": [(BIG,), (-BIG,)]},
+        [[BIG, 1], [], [2, -BIG]],
+        [[BIG**4], [-(BIG**4)]],
+    ],
+)
+def test_json_canonical_renders_rows_of_long_ints_as_json_dumps(doc):
+    assert serialize.json_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_canonical_refuses_a_row_int_past_the_digit_limit_as_json_dumps():
+    doc = {"rows": [[1, 2], [3, 10**4300]]}  # 4,301 digits
+    with pytest.raises(ValueError) as expected:
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(ValueError) as raised:
+        serialize.json_canonical(doc)
+    assert str(raised.value) == str(expected.value)

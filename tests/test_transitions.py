@@ -11,9 +11,12 @@ from conitop import (
     trivial_bundle,
     verify_witness,
 )
+from conitop import lattice
+from conitop.fourfold import STANDARD_NAMES
 from conitop.intmat import matvec
+from conitop.serialize import parse_sum_expression
 
-from oracles import mu_list, random_bundle, random_catalog_sum
+from oracles import mu_list, nonzero_entries_reference, random_bundle, random_catalog_sum
 
 
 def test_local_model_values():
@@ -126,3 +129,28 @@ def test_transition_matches_local_models_through_s4_case():
     w2 = find_isomorphism(local_model_system(2), t.z2, bound=3, check_c1=True)
     assert w1 is not None and w1.preserves_c1
     assert w2 is not None and w2.preserves_c1
+
+
+def test_sums_never_derive_their_entries_from_the_dense_matrix(monkeypatch):
+    calls = []
+    derive = lattice._nonzero_entries
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return derive(matrix)
+
+    for name in STANDARD_NAMES:  # the catalog forms are checked: each derives its own once
+        standard(name).form._entries
+    monkeypatch.setattr(lattice, "_nonzero_entries", counted)
+    base = parse_sum_expression("CP2 # 5 CP2bar # 125 S2xS2")
+    assert base.rank == 256
+    c1 = tuple(range(-128, 128))
+    e = RankTwoBundle(base, c1, 3)
+    t = conifold_transition(base, e)
+    assert calls == []
+    # the carried entries are the dense matrix's, and z1 holds them as mu(a, y_i, y_j)
+    q = t.e1.base.form
+    assert q._entries == nonzero_entries_reference(q.matrix)
+    assert {(i - 1, j - 1, v) for (_, i, j), v in t.z1.mu if i} == set(q._entries)
+    # a checked form of the same matrix does derive them, so the patch is live
+    assert lattice.IntersectionForm(q.matrix)._entries == q._entries and calls == [257]
