@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ValidationError, Value
 from .fourfold import FourManifold
-from .intmat import Vec, as_vector, vec_mod2
+from .intmat import Vec, as_vector
 
 
 class RankTwoBundle(Value):
@@ -22,10 +22,6 @@ class RankTwoBundle(Value):
         object.__setattr__(self, "c2", c2)
         if type(self.c2) is not int:
             raise ValidationError(f"bundle c2 {self.c2!r} is not an integer")
-
-    @property
-    def w2(self) -> Vec:
-        return vec_mod2(self.c1)
 
 
 def trivial_bundle(base: FourManifold) -> RankTwoBundle:

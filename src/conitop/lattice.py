@@ -6,22 +6,24 @@ integer matrix ``Q`` with ``Q[i][j]`` the evaluation of the product of the
 ``i``-th and ``j``-th basis classes on the fundamental class.  Basis order is
 part of the data; nothing here canonicalizes it.
 
+A form is stored one way: its rank and its nonzero upper-triangle entries
+(i, j, Q_ij), i <= j, in row order.  The constructor takes and checks a dense
+matrix; a block sum built by :func:`direct_sum` concatenates its blocks'
+entries, each shifted by the block's offset, so it never builds its r^2
+cells.  The dense matrix is a view, rebuilt from the entries only where a
+report prints it.  Products with the form (:meth:`IntersectionForm.matvec`,
+:meth:`IntersectionForm.evaluate`), :func:`is_characteristic` and
+``sixfold.projectivize`` read the entries, so over a catalog sum their work
+is O(r), not O(r^2).  Descriptors are capped at rank
+``serialize.MAX_FORM_RANK`` before a form is built.
+
 All arithmetic is exact.  :func:`signature` and :func:`determinant` (hence
 :func:`is_unimodular`) read the inertia and determinant of a form, cached on
 the form: a form reduces once, by the sparse Lagrange reduction
-:func:`_reduce`, and a block sum built by :func:`direct_sum` takes them from
-its blocks without any reduction.  The reduction's entries are Python ints
-until a quotient needs a ``fractions.Fraction`` (imported only then, so
-start-up does not pay for it); mod-2 work stays in integers.
-
-A form also caches its nonzero upper-triangle entries (i, j, Q_ij), i <= j,
-in row order.  A checked form derives them once from its matrix; a block sum
-built by :func:`direct_sum` concatenates its blocks' entries, each shifted by
-the block's offset, so it never scans its r^2 cells for them.  Products with
-the form (:meth:`IntersectionForm.matvec`, :meth:`IntersectionForm.evaluate`)
-and ``sixfold.projectivize`` read the entries, so over a catalog sum their
-work is O(r), not O(r^2).  Descriptors are capped at rank
-``serialize.MAX_FORM_RANK`` before a form is built.
+:func:`_reduce`, and a block sum takes them from its blocks without any
+reduction.  The reduction's entries are Python ints until a quotient needs a
+``fractions.Fraction`` (imported only then, so start-up does not pay for
+it); mod-2 work stays in integers.
 """
 
 from __future__ import annotations
@@ -33,34 +35,40 @@ from .intmat import Mat, Vec, as_matrix, as_vector, dot
 
 
 class IntersectionForm(Value):
-    """Symmetric integer bilinear form; rank 0 is allowed."""
+    """Symmetric integer bilinear form; rank 0 is allowed.
 
-    fields = ("matrix",)
+    Built from a dense matrix and stored as its rank and canonical entries,
+    so two forms are equal exactly when their matrices are.
+    """
+
+    fields = ("rank", "entries")
 
     def __init__(self, matrix: Mat):
-        object.__setattr__(self, "matrix", as_matrix(matrix, "form matrix"))
-        if self.matrix != tuple(zip(*self.matrix)):
-            n = len(self.matrix)
-            i, j = next((i, j) for i in range(n) for j in range(i)
-                        if self.matrix[i][j] != self.matrix[j][i])
+        rows = as_matrix(matrix, "form matrix")
+        if rows != tuple(zip(*rows)):
+            n = len(rows)
+            i, j = next((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i])
             raise ValidationError(f"form matrix is not symmetric at ({i},{j})")
+        entries = tuple(
+            (i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row[i:], i) if v
+        )
+        vars(self).update(rank=len(rows), entries=entries)
+
+    @cached_property
+    def matrix(self) -> Mat:
+        """The dense rows, rebuilt from the entries for reports; not a field."""
+        rows = [[0] * self.rank for _ in range(self.rank)]
+        for i, j, v in self.entries:
+            rows[i][j] = rows[j][i] = v
+        return tuple(map(tuple, rows))
 
     @cached_property
     def _inertia(self) -> tuple[int, int, int]:
         """(positive squares, negative squares, det), reduced at most once per form.
 
-        Not a field: equality and hashing see the matrix only.
+        Not a field: equality and hashing see the rank and the entries only.
         """
         return _reduce(self)
-
-    @cached_property
-    def _entries(self) -> tuple[tuple[int, int, int], ...]:
-        """The nonzero (i, j, Q_ij) with i <= j, in row order; not a field, like ``_inertia``."""
-        return _nonzero_entries(self.matrix)
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
 
     def matvec(self, x: Vec) -> Vec:
         return self._apply(as_vector(x, "x", self.rank))
@@ -73,16 +81,11 @@ class IntersectionForm(Value):
     def _apply(self, x: Vec) -> Vec:
         """Q x for a checked vector, from the entries alone."""
         out = [0] * len(x)
-        for i, j, v in self._entries:
+        for i, j, v in self.entries:
             out[i] += v * x[j]
             if i != j:
                 out[j] += v * x[i]
         return tuple(out)
-
-
-def _nonzero_entries(matrix: Mat) -> tuple[tuple[int, int, int], ...]:
-    """The nonzero upper-triangle entries of a dense symmetric matrix, in row order."""
-    return tuple((i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row[i:], i) if v)
 
 
 def _quotient(x, num, den):
@@ -110,7 +113,9 @@ def _reduce(q: IntersectionForm) -> tuple[int, int, int]:
     pivot updates only the rows that meet it, so a block sum costs the sum
     of its blocks.  Entries stay ints until a quotient is not exact.
     """
-    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(q.matrix)}
+    rows = {i: {} for i in range(q.rank)}
+    for i, j, v in q.entries:
+        rows[i][j] = rows[j][i] = v
     pos = neg = 0
     det = 1
     while rows:
@@ -179,26 +184,23 @@ def is_unimodular(q: IntersectionForm) -> bool:
 def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
     """Block sum, in order; models the intersection form of a connected sum.
 
-    The sum's inertia and determinant are composed from its blocks' (each
-    reduced at most once): the squares add and the determinants multiply,
-    exactly, by Sylvester's law of inertia.  Its nonzero entries are its
-    blocks' entries, shifted by each block's offset.  A block sum of
-    symmetric matrices is symmetric, so the sum is stored without a second
-    check and never reduced or scanned again.
+    The sum's nonzero entries are its blocks' entries, shifted by each
+    block's offset.  Its inertia and determinant are composed from its
+    blocks' (each reduced at most once): the squares add and the
+    determinants multiply, exactly, by Sylvester's law of inertia.  A block
+    sum of symmetric matrices is symmetric, so the sum is stored without a
+    second check and never reduced again.
     """
-    zeros = (0,) * sum(len(f.matrix) for f in forms)
-    rows, entries, offset = [], [], 0
+    entries, offset = [], 0
     pos = neg = 0
     det = 1
     for f in forms:
-        end = offset + len(f.matrix)
-        rows += [zeros[:offset] + row + zeros[end:] for row in f.matrix]
-        entries += [(i + offset, j + offset, v) for i, j, v in f._entries]
-        offset = end
+        entries += [(i + offset, j + offset, v) for i, j, v in f.entries]
+        offset += f.rank
         p, m, d = f._inertia
         pos, neg, det = pos + p, neg + m, det * d
-    total = IntersectionForm._unchecked(tuple(rows))
-    vars(total).update(_inertia=(pos, neg, det), _entries=tuple(entries))
+    total = IntersectionForm._unchecked(offset, tuple(entries))
+    vars(total)["_inertia"] = (pos, neg, det)
     return total
 
 
@@ -211,5 +213,8 @@ def is_characteristic(w, q: IntersectionForm) -> bool:
     w = as_vector(w, "w2", q.rank)
     if any(v not in (0, 1) for v in w):
         raise ValidationError("w2 entries must be 0 or 1")
-    qw = q.matvec(w)
-    return all((q.matrix[i][i] - qw[i]) % 2 == 0 for i in range(q.rank))
+    gap = list(q.matvec(w))
+    for i, j, v in q.entries:
+        if i == j:
+            gap[i] -= v
+    return all(v % 2 == 0 for v in gap)

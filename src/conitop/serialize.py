@@ -72,19 +72,17 @@ def _render(obj, newline: str) -> str:
             items = map(int.__repr__, obj)
         elif kinds == _STR:
             items = map(encode_basestring_ascii, obj)
-        elif kinds <= _ROW and set(map(type, ints := tuple(chain.from_iterable(obj)))) <= _INT:
-            # int rows, such as mu entries and matrix rows
+        elif (
+            kinds <= _ROW
+            and len(lengths := set(map(len, obj))) == 1
+            and 0 not in lengths
+            and set(map(type, ints := tuple(chain.from_iterable(obj)))) <= _INT
+        ):
+            # int rows of one nonzero length, such as mu entries and matrix
+            # rows: every row fills one %d template, in one step
             deeper = inner + "  "
-            sep = "," + deeper
-            lengths = set(map(len, obj))
-            if len(lengths) == 1 and 0 not in lengths:
-                # one length: every row fills one %d template, in one step
-                row = "[" + deeper + sep.join(["%d"] * lengths.pop()) + inner + "]"
-                return "[" + inner + ("," + inner).join([row] * len(obj)) % ints + newline + "]"
-            items = [
-                "[" + deeper + sep.join(map(int.__repr__, row)) + inner + "]" if row else "[]"
-                for row in obj
-            ]
+            row = "[" + deeper + ("," + deeper).join(["%d"] * lengths.pop()) + inner + "]"
+            return "[" + inner + ("," + inner).join([row] * len(obj)) % ints + newline + "]"
         else:
             items = [_render(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

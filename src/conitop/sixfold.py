@@ -206,7 +206,7 @@ def projectivize(base: FourManifold, e: RankTwoBundle) -> InvariantSystem:
     # the last from the form's nonzero entries, which come in row order
     mu = [((0, 0, 0), c1c1 - e.c2)]
     mu += [((0, 0, i + 1), -v) for i, v in enumerate(qc1)]
-    mu += [((0, i + 1, j + 1), v) for i, j, v in q._entries]
+    mu += [((0, i + 1, j + 1), v) for i, j, v in q.entries]
     p1 = (p1_number(base) + c1c1 - 4 * e.c2,) + (0,) * r
     w2 = (0,) + tuple((a + b) % 2 for a, b in zip(base.w2, e.c1))
     c1_class = None

@@ -167,7 +167,7 @@ def test_sums_equal_their_rebuild_through_the_constructors():
         fresh = IntersectionForm(summed.matrix)
         assert fresh == summed and hash(fresh) == hash(summed)
         for built in (total.form, summed):
-            assert built._entries == nonzero_entries_reference(built.matrix), total.label
+            assert built.entries == nonzero_entries_reference(built.matrix), total.label
     assert max(ranks) > 30
 
 

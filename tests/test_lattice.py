@@ -172,21 +172,31 @@ def test_reduction_matches_oracles_on_e8():
         assert _assert_matches_oracles(rows) == det
 
 
+def _block_diagonal(blocks):
+    """The dense block-diagonal matrix of the given dense blocks, cell by cell."""
+    n = sum(map(len, blocks))
+    rows, offset = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[offset + i][offset : offset + len(row)] = row
+        offset += len(block)
+    return rows
+
+
 def test_direct_sum_composes_the_reduction_of_its_blocks():
     # degenerate, non-unimodular and hyperbolic blocks included; _reduce reads
-    # only the matrix, so it re-derives what direct_sum composed from the blocks
+    # only the entries, so it re-derives what direct_sum composed from the blocks
     rng = random.Random(20261019)
     families = (random_symmetric_rows, _zero_diagonal, _low_rank, _hyperbolic_only)
     dets = set()
     for _ in range(300):
-        blocks = [
-            IntersectionForm(rng.choice(families)(rng, rng.randint(1, 5)))
-            for _ in range(rng.randint(0, 4))
-        ]
-        total = direct_sum(*blocks)
+        dense = [rng.choice(families)(rng, rng.randint(1, 5)) for _ in range(rng.randint(0, 4))]
+        total = direct_sum(*map(IntersectionForm, dense))
         assert total._inertia == _reduce(total), total.matrix
-        # the entries composed from the blocks are those of the sum's matrix
-        assert total._entries == nonzero_entries_reference(total.matrix), total.matrix
+        # the entries composed from the blocks are those of the block-diagonal matrix
+        expected = _block_diagonal(dense)
+        assert total.entries == nonzero_entries_reference(expected), expected
+        assert total == IntersectionForm(expected) and total.matrix == tuple(map(tuple, expected))
         dets.add(total._inertia[2])
     assert 0 in dets and {1, -1} <= dets and len(dets) > 10
 
@@ -197,7 +207,7 @@ def test_matvec_and_evaluate_from_the_entries_equal_dense_products():
     for _ in range(300):
         rows = rng.choice(families)(rng, rng.randint(1, 6))
         q = IntersectionForm(rows)
-        assert q._entries == nonzero_entries_reference(rows)
+        assert q.entries == nonzero_entries_reference(rows)
         x, y = ([rng.randint(-5, 5) for _ in rows] for _ in range(2))
         assert q.matvec(x) == intmat.matvec(q.matrix, tuple(x))
         assert q.evaluate(x, y) == intmat.dot(x, intmat.matvec(q.matrix, tuple(y)))
@@ -260,6 +270,17 @@ def test_characteristic_closed_form_agrees_with_exhaustive():
         q = IntersectionForm(random_symmetric_rows(rng, rank))
         w = tuple(rng.randint(0, 1) for _ in range(rank))
         assert is_characteristic(w, q) == is_characteristic_exhaustive(w, q)
+    # block sums carry entries composed from their blocks; the oracle runs on
+    # the checked form of the same dense matrix, whose entries are derived
+    seen = set()
+    for _ in range(120):
+        dense = [random_symmetric_rows(rng, rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
+        total = direct_sum(*map(IntersectionForm, dense))
+        w = tuple(rng.randint(0, 1) for _ in range(total.rank))
+        verdict = is_characteristic(w, total)
+        assert verdict == is_characteristic_exhaustive(w, IntersectionForm(_block_diagonal(dense)))
+        seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_evaluate_and_matvec():

@@ -11,10 +11,8 @@ from conitop import (
     trivial_bundle,
     verify_witness,
 )
-from conitop import lattice
-from conitop.fourfold import STANDARD_NAMES
 from conitop.intmat import matvec
-from conitop.serialize import parse_sum_expression
+from conitop.serialize import manifold_to_obj, parse_sum_expression
 
 from oracles import mu_list, nonzero_entries_reference, random_bundle, random_catalog_sum
 
@@ -131,26 +129,24 @@ def test_transition_matches_local_models_through_s4_case():
     assert w2 is not None and w2.preserves_c1
 
 
-def test_sums_never_derive_their_entries_from_the_dense_matrix(monkeypatch):
-    calls = []
-    derive = lattice._nonzero_entries
-
-    def counted(matrix):
-        calls.append(len(matrix))
-        return derive(matrix)
-
-    for name in STANDARD_NAMES:  # the catalog forms are checked: each derives its own once
-        standard(name).form._entries
-    monkeypatch.setattr(lattice, "_nonzero_entries", counted)
+def test_sum_forms_build_their_dense_matrix_only_for_a_report():
     base = parse_sum_expression("CP2 # 5 CP2bar # 125 S2xS2")
-    assert base.rank == 256
     c1 = tuple(range(-128, 128))
-    e = RankTwoBundle(base, c1, 3)
-    t = conifold_transition(base, e)
-    assert calls == []
-    # the carried entries are the dense matrix's, and z1 holds them as mu(a, y_i, y_j)
-    q = t.e1.base.form
-    assert q._entries == nonzero_entries_reference(q.matrix)
-    assert {(i - 1, j - 1, v) for (_, i, j), v in t.z1.mu if i} == set(q._entries)
-    # a checked form of the same matrix does derive them, so the patch is live
-    assert lattice.IntersectionForm(q.matrix)._entries == q._entries and calls == [257]
+    t = conifold_transition(base, RankTwoBundle(base, c1, 3))
+    sides = (t.base, t.e1.base)  # the base and base # CP2bar
+    assert [n.rank for n in sides] == [256, 257]
+    for n in sides:
+        # the dense matrix, cell by cell: CP2, five CP2bar, 125 hyperbolic planes
+        # and, on base # CP2bar, one more CP2bar
+        rows = [[0] * n.rank for _ in range(n.rank)]
+        for i, v in enumerate([1] + [-1] * 5 + [0] * 250 + [-1] * (n.rank - 256)):
+            rows[i][i] = v
+        for i in range(6, 256, 2):
+            rows[i][i + 1] = rows[i + 1][i] = 1
+        form = n.form
+        assert "matrix" not in vars(form), n.label
+        assert form.entries == nonzero_entries_reference(rows)
+        assert manifold_to_obj(n)["matrix"] == rows
+        assert "matrix" in vars(form) and form.matrix == tuple(map(tuple, rows))
+    # z1 holds the entries of base # CP2bar as mu(a, y_i, y_j)
+    assert {(i - 1, j - 1, v) for (_, i, j), v in t.z1.mu if i} == set(t.e1.base.form.entries)

@@ -46,22 +46,23 @@ CASES = [
         (HYPERBOLIC,),
         dict(matrix=HYPERBOLIC),
         IntersectionForm(((0, 1), (1, 2))),
-        "IntersectionForm(matrix=((0, 1), (1, 0)))",
+        "IntersectionForm(rank=2, entries=((0, 1, 1),))",
     ),
     (
         FourManifold,
         ("X", IntersectionForm(HYPERBOLIC), (0, 0), (2, 2)),
         dict(label="X", form=IntersectionForm(HYPERBOLIC), w2=(0, 0), c1_tangent=(2, 2)),
         FourManifold("X", IntersectionForm(HYPERBOLIC), (0, 0), (2, 2), False),
-        "FourManifold(label='X', form=IntersectionForm(matrix=((0, 1), (1, 0))), w2=(0, 0), "
-        "c1_tangent=(2, 2), simply_connected=True)",
+        "FourManifold(label='X', form=IntersectionForm(rank=2, entries=((0, 1, 1),)), "
+        "w2=(0, 0), c1_tangent=(2, 2), simply_connected=True)",
     ),
     (
         RankTwoBundle,
         (CP2, (1,), -1),
         dict(base=CP2, c1=(1,), c2=-1),
         RankTwoBundle(CP2, (1,), 0),
-        "RankTwoBundle(base=FourManifold(label='CP2', form=IntersectionForm(matrix=((1,),)), "
+        "RankTwoBundle(base=FourManifold(label='CP2', "
+        "form=IntersectionForm(rank=1, entries=((0, 0, 1),)), "
         "w2=(1,), c1_tangent=(3,), simply_connected=True), c1=(1,), c2=-1)",
     ),
     (
