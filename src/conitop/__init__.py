@@ -7,20 +7,16 @@ bundle, of blowups, and of the two conifold transitions along the canonical
 nullhomologous 3-sphere.  A decision layer searches for explicit integral
 isomorphisms of invariant systems or certifies distinctness by finite-field
 fingerprints.  All arithmetic is exact.
+
+The names of the decision layer (:mod:`conitop.equiv`) and of the
+transitions (:mod:`conitop.transitions`) resolve on first use, so that
+importing the package, or running a command that needs neither, does not
+compile those modules.
 """
 
+from importlib import import_module as _import_module
+
 from .bundle import RankTwoBundle, c1_squared, trivial_bundle, twist
-from .equiv import (
-    DistinctnessCertificate,
-    IsomorphismWitness,
-    certificate_is_valid,
-    certify_distinct,
-    find_isomorphism,
-    fingerprint,
-    has_even_w2_cubic,
-    transport_system,
-    verify_witness,
-)
 from .errors import DescriptorError, SearchBudgetError, ValidationError
 from .fourfold import FourManifold, connected_sum, p1_number, standard
 from .lattice import (
@@ -39,9 +35,29 @@ from .sixfold import (
     projectivize,
     twist_witness,
 )
-from .transitions import TransitionResult, conifold_transition, local_model_system
 
 __version__ = "0.1.0"
+
+# name -> submodule, for the names imported on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "DistinctnessCertificate",
+            "IsomorphismWitness",
+            "certificate_is_valid",
+            "certify_distinct",
+            "find_isomorphism",
+            "fingerprint",
+            "has_even_w2_cubic",
+            "transport_system",
+            "verify_witness",
+        ),
+        "equiv",
+    ),
+    **dict.fromkeys(
+        ("TransitionResult", "conifold_transition", "local_model_system"), "transitions"
+    ),
+}
 
 __all__ = [
     "DescriptorError",
@@ -80,3 +96,15 @@ __all__ = [
     "twist_witness",
     "verify_witness",
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

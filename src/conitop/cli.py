@@ -25,14 +25,6 @@ import sys
 
 from . import serialize
 from .bundle import RankTwoBundle, trivial_bundle, twist
-from .equiv import (
-    DEFAULT_BOUND,
-    DEFAULT_PRIMES,
-    SearchStats,
-    certify_distinct,
-    find_isomorphism,
-    verify_witness,
-)
 from .errors import DescriptorError, SearchBudgetError, ValidationError
 from .fourfold import FourManifold, standard
 from .sixfold import (
@@ -42,7 +34,6 @@ from .sixfold import (
     projectivize,
     twist_witness,
 )
-from .transitions import conifold_transition, local_model_system
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -79,6 +70,8 @@ def _run_invariants(
 def _run_transition(
     base: FourManifold, bundle: RankTwoBundle, swap: bool
 ) -> tuple[dict, int]:
+    from .transitions import conifold_transition
+
     result = conifold_transition(base, bundle, swap=swap)
     report = {
         "schema": serialize.REPORT_SCHEMA,
@@ -107,6 +100,8 @@ def _run_compare(
     step_budget: int | None,
     stats: SearchStats | None,
 ) -> tuple[dict, int]:
+    from .equiv import certify_distinct, find_isomorphism
+
     certificate = certify_distinct(left, right, primes)
     witness = None
     verdict = "inconclusive"
@@ -157,6 +152,9 @@ def _check(name: str, passed: bool, detail: dict) -> dict:
 
 def verification_suite(step_budget: int | None = None) -> list[dict]:
     """The fixed suite of reference computations behind ``verify-paper``."""
+    from .equiv import certify_distinct, find_isomorphism, verify_witness
+    from .transitions import conifold_transition, local_model_system
+
     checks = []
 
     # 1. Sphere-bundle invariants over the complex projective plane.
@@ -350,8 +348,9 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    """The integers of a comma-separated value: a blank value is none, an empty item an error."""
     try:
-        values = tuple(int(t) for t in text.split(",") if t.strip())
+        values = tuple(int(t) for t in text.split(",")) if text.strip() else ()
     except ValueError as exc:
         raise DescriptorError(f"{flag} must be comma-separated integers, got {text!r}") from exc
     return tuple(serialize.capped_int(v, flag) for v in values)
@@ -431,8 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="decide equivalence of two systems")
     p_cmp.add_argument("--left", required=True, help="system descriptor JSON file")
     p_cmp.add_argument("--right", required=True, help="system descriptor JSON file")
-    p_cmp.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    p_cmp.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES))
+    # defaults (equiv.DEFAULT_BOUND and DEFAULT_PRIMES) are filled in by the
+    # compare branch, so that parsing does not import the decision layer
+    p_cmp.add_argument("--bound", type=int)
+    p_cmp.add_argument("--primes")
     p_cmp.add_argument("--check-c1", action="store_true")
     p_cmp.add_argument(
         "--stats", action="store_true", help="write search counters to stderr as one JSON line"
@@ -452,15 +453,21 @@ def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
     if args.command == "compare":
         left = serialize.system_from_descriptor(_read_json(args.left, "--left"))
         right = serialize.system_from_descriptor(_read_json(args.right, "--right"))
-        primes = _parse_int_list(args.primes, "--primes")
-        bound = serialize.capped_int(args.bound, "--bound")
+        from .equiv import DEFAULT_BOUND, DEFAULT_PRIMES
+
+        primes = DEFAULT_PRIMES if args.primes is None else _parse_int_list(args.primes, "--primes")
+        bound = DEFAULT_BOUND if args.bound is None else serialize.capped_int(args.bound, "--bound")
         return _run_compare(left, right, bound, primes, args.check_c1, _env_step_budget(), stats)
     return _run_verify(_env_step_budget())
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    stats = SearchStats() if getattr(args, "stats", False) else None
+    stats = None
+    if getattr(args, "stats", False):
+        from .equiv import SearchStats
+
+        stats = SearchStats()
     try:
         report, code = _run_command(args, stats)
     except SearchBudgetError as exc:

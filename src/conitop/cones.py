@@ -1,8 +1,9 @@
 """Fingerprints at p = 5 and 7, block by block.
 
 :func:`conitop.equiv.fingerprint` imports this module the first time it
-fingerprints at p = 5 or 7, so commands that never do (``invariants``,
-``transition``) do not compile it at start-up.  See :func:`histogram`.
+fingerprints at p = 5 or 7, so ``compare`` and ``verify-paper`` compile it
+only then; ``invariants`` and ``transition`` load neither it nor
+:mod:`conitop.equiv`.  See :func:`histogram`.
 """
 
 from __future__ import annotations

@@ -13,12 +13,10 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .bundle import RankTwoBundle
-from .equiv import DistinctnessCertificate, IsomorphismWitness
 from .errors import DescriptorError, ValidationError
 from .fourfold import STANDARD_NAMES, FourManifold, connected_sum, standard
 from .lattice import IntersectionForm
 from .sixfold import InvariantSystem, blowup_point, projectivize
-from .transitions import conifold_transition, local_model_system
 
 SCHEMA = "conitop/1"
 REPORT_SCHEMA = "conitop-report/2"
@@ -329,6 +327,8 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
     ``{"local_model": 1}``                      frozen transition model
     ``{"transition": {"base":..., "c1":..., "c2":...}, "side": "z1"|"z2"}``
     """
+    from .transitions import conifold_transition, local_model_system
+
     if not isinstance(doc, dict):
         raise DescriptorError("system descriptor must be a JSON object")
     if "system" in doc:
@@ -370,6 +370,8 @@ def witness_to_obj(w: IsomorphismWitness) -> dict:
 
 
 def witness_from_obj(obj: dict) -> IsomorphismWitness:
+    from .equiv import IsomorphismWitness
+
     _require(obj, ("matrix", "preserves_c1"), "witness")
     matrix = _json_rows(obj["matrix"], "matrix")
     try:
@@ -387,6 +389,8 @@ def certificate_to_obj(c: DistinctnessCertificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> DistinctnessCertificate:
+    from .equiv import DistinctnessCertificate
+
     _require(obj, ("kind", "detail"), "certificate")
     kind = _json_value(obj["kind"], str, "kind")
     if kind == "fingerprint":

@@ -251,6 +251,17 @@ def nonzero_entries_reference(rows) -> tuple:
     return tuple((i, j, rows[i][j]) for i in range(n) for j in range(i, n) if rows[i][j] != 0)
 
 
+def block_diagonal_reference(blocks):
+    """The dense block-diagonal matrix of the given dense blocks, cell by cell."""
+    n = sum(map(len, blocks))
+    rows, offset = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[offset + i][offset : offset + len(row)] = row
+        offset += len(block)
+    return rows
+
+
 def random_symmetric_rows(rng: random.Random, rank: int, span: int = 3):
     rows = [[0] * rank for _ in range(rank)]
     for i in range(rank):

@@ -73,6 +73,11 @@ CLI_ROWS = [
     (("transition", "--base", "CP2 # 300 CP2bar"), "rank"),
     (("invariants", "--base", "CP2", "--c1", "a"), "--c1"),
     (("transition", "--base", "CP2", "--c1", "a"), "--c1"),
+    *(
+        (("invariants", "--base", "CP2 # CP2bar", "--c1", c1), "--c1")
+        for c1 in ("1,,0", "1,0,", ",1,0", "1, ,0")
+    ),
+    (("transition", "--base", "CP2 # CP2bar", "--c1", "1,0,"), "--c1"),
     (("invariants", "--base", "CP2", "--blowups", "-1"), "blowups"),
     (("invariants", "--base", "CP2", "--blowups", str(BLOWUP_CAP + 1)), "blowups"),
     (("invariants", "--base", "CP2", "--c1", NINES), "--c1.*digits"),
@@ -80,6 +85,8 @@ CLI_ROWS = [
     (("transition", "--base", "CP2", "--c2", NINES), "--c2.*digits"),
     (compare({"local_model": 1}, None, "--bound", NINES), "--bound.*digits"),
     (compare({"local_model": 1}, None, "--primes", "2,a"), "--primes"),
+    (compare({"local_model": 1}, None, "--primes", "2,,3"), "--primes"),
+    (compare({"local_model": 1}, None, "--primes", "2,3,"), "--primes"),
     (compare(*RANK_7_SIDES, "--primes", "11"), "prime 11"),
     (compare(over("CP2", c1=[1], c2=0)), BUDGET, {BUDGET: "not-a-number"}),
     (("verify-paper",), BUDGET, {BUDGET: "-5"}),
@@ -416,7 +423,7 @@ LIBRARY_ROWS = [
 @pytest.mark.parametrize("call, pattern", LIBRARY_ROWS)
 def test_library_row_raises_validation_error(call, pattern):
     with pytest.raises(conitop.ValidationError, match=pattern):
-        eval(call, vars(conitop) | globals())
+        eval(call, {n: getattr(conitop, n) for n in conitop.__all__} | globals())
 
 
 # -- random descriptors --------------------------------------------------------

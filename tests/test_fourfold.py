@@ -16,6 +16,7 @@ from conitop import (
 )
 
 from oracles import (
+    block_diagonal_reference,
     connected_sum_pair_reference,
     manifold_fields,
     nonzero_entries_reference,
@@ -148,26 +149,33 @@ def test_n_ary_connected_sum_equals_pairwise_fold():
 
 def test_sums_equal_their_rebuild_through_the_constructors():
     # direct_sum and connected_sum store block sums of checked summands without
-    # a second check; the public constructors must give the same values
-    no_c1 = FourManifold("E", IntersectionForm([[1]]), (1,))
-    not_sc = FourManifold("X", IntersectionForm([[0, 1], [1, 0]]), (0, 0), (2, 2), False)
-    pool = [standard(name) for name in ("S4", "CP2", "CP2bar", "S2xS2")] + [no_c1, not_sc]
+    # a second check; the public constructors must give the same values, and
+    # the entries those of the block-diagonal matrix of the summands' input rows
+    hyperbolic = [[0, 1], [1, 0]]
+    pool = [
+        (standard(name), rows)
+        for name, rows in (("S4", []), ("CP2", [[1]]), ("CP2bar", [[-1]]), ("S2xS2", hyperbolic))
+    ]
+    pool.append((FourManifold("E", IntersectionForm([[1]]), (1,)), [[1]]))
+    pool.append((FourManifold("X", IntersectionForm(hyperbolic), (0, 0), (2, 2), False), hyperbolic))
     rng = random.Random(2210)
     ranks = set()
     for _ in range(100):
-        total = connected_sum(*(rng.choice(pool) for _ in range(rng.randint(1, 30))))
+        pieces = [rng.choice(pool) for _ in range(rng.randint(1, 30))]
+        total = connected_sum(*(n for n, _ in pieces))
         form = IntersectionForm(total.form.matrix)
         rebuilt = FourManifold(total.label, form, total.w2, total.c1_tangent, total.simply_connected)
         assert rebuilt == total and hash(rebuilt) == hash(total), total.label
         assert signature(form) == signature(total.form)
         ranks.add(total.rank)
         # forms that are no manifold's: degenerate and not unimodular ones too
-        blocks = [IntersectionForm(random_symmetric_rows(rng, rng.randint(0, 4))) for _ in range(3)]
-        summed = direct_sum(*blocks)
+        blocks = [random_symmetric_rows(rng, rng.randint(0, 4)) for _ in range(3)]
+        summed = direct_sum(*map(IntersectionForm, blocks))
         fresh = IntersectionForm(summed.matrix)
         assert fresh == summed and hash(fresh) == hash(summed)
-        for built in (total.form, summed):
-            assert built.entries == nonzero_entries_reference(built.matrix), total.label
+        for built, rows in ((total.form, [r for _, r in pieces]), (summed, blocks)):
+            expected = nonzero_entries_reference(block_diagonal_reference(rows))
+            assert built.entries == expected, total.label
     assert max(ranks) > 30
 
 

@@ -77,12 +77,14 @@ def test_golden_compare_verdicts_re_verify_from_the_report_alone():
     assert verify_witness(*sides(report), witness.matrix, check_c1=check_c1)
 
 
-def test_verify_paper_with_warnings_as_errors_matches_the_golden():
-    # a child interpreter under -W error: a deprecation warning from any
-    # module, the value types included, ends the run
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report_from_a_fresh_interpreter_with_warnings_as_errors(name):
+    # a child interpreter imports only what the command loads, so a name the
+    # command uses but no longer imports fails here; under -W error a
+    # deprecation warning from any module, the value types included, ends the run
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-W", "error", "-m", "conitop.cli", "verify-paper", "--format", "json"]
+    argv = [sys.executable, "-W", "error", "-m", "conitop.cli", *CASES[name], "--format", "json"]
     run = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True)
-    assert run.returncode == 0 and run.stderr == b""
-    assert run.stdout == (GOLDEN / "verify_paper.json").read_bytes()
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (GOLDEN / name).read_bytes()

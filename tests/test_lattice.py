@@ -12,6 +12,7 @@ from conitop import intmat
 from conitop.lattice import _quotient, _reduce, determinant
 
 from oracles import (
+    block_diagonal_reference,
     is_characteristic_exhaustive,
     matmul,
     nonzero_entries_reference,
@@ -172,17 +173,6 @@ def test_reduction_matches_oracles_on_e8():
         assert _assert_matches_oracles(rows) == det
 
 
-def _block_diagonal(blocks):
-    """The dense block-diagonal matrix of the given dense blocks, cell by cell."""
-    n = sum(map(len, blocks))
-    rows, offset = [[0] * n for _ in range(n)], 0
-    for block in blocks:
-        for i, row in enumerate(block):
-            rows[offset + i][offset : offset + len(row)] = row
-        offset += len(block)
-    return rows
-
-
 def test_direct_sum_composes_the_reduction_of_its_blocks():
     # degenerate, non-unimodular and hyperbolic blocks included; _reduce reads
     # only the entries, so it re-derives what direct_sum composed from the blocks
@@ -194,7 +184,7 @@ def test_direct_sum_composes_the_reduction_of_its_blocks():
         total = direct_sum(*map(IntersectionForm, dense))
         assert total._inertia == _reduce(total), total.matrix
         # the entries composed from the blocks are those of the block-diagonal matrix
-        expected = _block_diagonal(dense)
+        expected = block_diagonal_reference(dense)
         assert total.entries == nonzero_entries_reference(expected), expected
         assert total == IntersectionForm(expected) and total.matrix == tuple(map(tuple, expected))
         dets.add(total._inertia[2])
@@ -278,7 +268,7 @@ def test_characteristic_closed_form_agrees_with_exhaustive():
         total = direct_sum(*map(IntersectionForm, dense))
         w = tuple(rng.randint(0, 1) for _ in range(total.rank))
         verdict = is_characteristic(w, total)
-        assert verdict == is_characteristic_exhaustive(w, IntersectionForm(_block_diagonal(dense)))
+        assert verdict == is_characteristic_exhaustive(w, IntersectionForm(block_diagonal_reference(dense)))
         seen.add(verdict)
     assert seen == {True, False}
 

@@ -1,9 +1,11 @@
-"""Value semantics of the package's data types, and what importing the CLI costs.
+"""Value semantics of the package's data types, and what importing the package costs.
 
 The types are plain classes over ``errors.Value``; these tests pin what they
 kept from the frozen dataclasses they replaced: construction by position or
 keyword with the same defaults, equality and hashing by field, the repr
 format and immutability; the constructor checks are rows of test_bad_inputs.
+The package resolves the names of ``equiv`` and ``transitions`` on first use,
+and each command loads only the modules it runs.
 """
 
 import os
@@ -30,6 +32,7 @@ from conitop.equiv import SearchStats
 from conitop.serialize import system_from_obj, system_to_obj
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 HYPERBOLIC = ((0, 1), (1, 0))
 CP2 = standard("CP2")
@@ -209,3 +212,41 @@ def test_cli_start_up_loads_no_heavy_standard_modules():
     loaded = _imported_modules("import conitop.cli") - _imported_modules("pass")
     assert "conitop.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    # and each command compiles only the package modules it runs
+    assert not _imported_modules("import conitop") & {"conitop.equiv", "conitop.transitions"}
+    compare = ["compare", "--left", str(INPUTS / "s4_z1.json"), "--right", str(INPUTS / "s4_z2.json")]
+    for argv, loads, skips in (
+        (["invariants", "--base", "CP2", "--c1", "1"], set(), {"equiv", "transitions", "cones"}),
+        (["transition", "--base", "CP2"], {"transitions"}, {"equiv", "cones"}),
+        (compare, {"equiv", "transitions"}, set()),
+    ):
+        loaded = _imported_modules(
+            "import contextlib, io\n"
+            "from conitop.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0"
+        )
+        assert {f"conitop.{m}" for m in loads} <= loaded, argv
+        assert not {f"conitop.{m}" for m in skips} & loaded, argv
+
+
+def test_package_names_resolve_on_first_use_to_their_defining_modules():
+    # in a fresh interpreter, so that no name of equiv or transitions is bound
+    # before it is read: dir() lists them first, the star import binds them
+    _imported_modules(
+        """
+import sys, conitop
+assert set(conitop.__all__) <= set(dir(conitop))
+star = {}
+exec("from conitop import *", star)
+for name in conitop.__all__:
+    value = getattr(conitop, name)
+    assert star[name] is value and getattr(sys.modules[value.__module__], name) is value, name
+try:
+    conitop.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("conitop.no_such_name resolved")
+"""
+    )
