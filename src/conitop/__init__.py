@@ -17,7 +17,7 @@ compile those modules.
 from importlib import import_module as _import_module
 
 from .bundle import RankTwoBundle, c1_squared, trivial_bundle, twist
-from .errors import DescriptorError, SearchBudgetError, ValidationError
+from .errors import SearchBudgetError, ValidationError
 from .fourfold import FourManifold, connected_sum, p1_number, standard
 from .lattice import (
     IntersectionForm,
@@ -60,7 +60,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "DescriptorError",
     "DistinctnessCertificate",
     "FourManifold",
     "IntersectionForm",

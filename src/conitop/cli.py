@@ -25,7 +25,7 @@ import sys
 
 from . import serialize
 from .bundle import RankTwoBundle, trivial_bundle, twist
-from .errors import DescriptorError, SearchBudgetError, ValidationError
+from .errors import SearchBudgetError, ValidationError
 from .fourfold import FourManifold, standard
 from .sixfold import (
     InvariantSystem,
@@ -348,12 +348,8 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    """The integers of a comma-separated value: a blank value is none, an empty item an error."""
-    try:
-        values = tuple(int(t) for t in text.split(",")) if text.strip() else ()
-    except ValueError as exc:
-        raise DescriptorError(f"{flag} must be comma-separated integers, got {text!r}") from exc
-    return tuple(serialize.capped_int(v, flag) for v in values)
+    """The integers of a comma-separated value: an empty value is none, each item one integer."""
+    return tuple(serialize.read_int(t, f"{flag} item") for t in text.split(",")) if text else ()
 
 
 def _read_json(path: str, flag: str) -> dict:
@@ -362,9 +358,9 @@ def _read_json(path: str, flag: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
-        raise DescriptorError(f"{flag}: {path!r} is not UTF-8 text") from exc
+        raise ValidationError(f"{flag}: {path!r} is not UTF-8 text") from exc
     except OSError as exc:
-        raise DescriptorError(f"{flag}: cannot read {path!r}: {exc.strerror or exc}") from exc
+        raise ValidationError(f"{flag}: cannot read {path!r}: {exc.strerror or exc}") from exc
     return serialize.loads(text)
 
 
@@ -372,14 +368,15 @@ def _load_base(arg: str) -> FourManifold:
     """A --base argument: catalog name, sum expression, or JSON file path.
 
     Names and sum expressions win over files of the same name; anything that
-    does not parse as an expression is treated as a path.
+    does not parse as an expression is treated as a path, and when no such
+    file exists the expression's error names ``--base``.
     """
     if not arg.endswith(".json"):
         try:
             return serialize.parse_sum_expression(arg)
-        except DescriptorError:
+        except ValidationError as exc:
             if not os.path.exists(arg):
-                raise
+                raise ValidationError(f"--base: {exc}") from exc
     doc = _read_json(arg, "--base")
     return serialize.manifold_from_descriptor(doc.get("manifold", doc))
 
@@ -387,17 +384,14 @@ def _load_base(arg: str) -> FourManifold:
 def _base_and_bundle(args) -> tuple[FourManifold, RankTwoBundle]:
     base = _load_base(args.base)
     c1 = (0,) * base.rank if args.c1 is None else _parse_int_list(args.c1, "--c1")
-    return base, RankTwoBundle(base, c1, serialize.capped_int(args.c2, "--c2"))
+    return base, RankTwoBundle(base, c1, serialize.read_int(args.c2, "--c2"))
 
 
 def _env_step_budget() -> int | None:
     raw = os.environ.get(STEP_BUDGET_ENV)
     if raw is None:
         return None
-    try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{STEP_BUDGET_ENV} must be an integer") from exc
+    budget = serialize.read_int(raw, STEP_BUDGET_ENV)
     if budget < 0:
         raise ValidationError(f"{STEP_BUDGET_ENV} must not be negative, got {budget}")
     return budget
@@ -416,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="invariant system of a sphere bundle")
     p_inv.add_argument("--base", required=True, help="catalog name, sum expression, or JSON file")
     p_inv.add_argument("--c1", help="comma-separated c1 coordinates (default: zero)")
-    p_inv.add_argument("--c2", type=int, default=0)
-    p_inv.add_argument("--blowups", type=int, default=0)
+    p_inv.add_argument("--c2", default="0")
+    p_inv.add_argument("--blowups", default="0")
     add_format(p_inv)
 
     p_tr = sub.add_parser("transition", help="both conifold transitions")
     p_tr.add_argument("--base", required=True)
     p_tr.add_argument("--c1")
-    p_tr.add_argument("--c2", type=int, default=0)
+    p_tr.add_argument("--c2", default="0")
     p_tr.add_argument("--swap", action="store_true")
     add_format(p_tr)
 
@@ -432,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--right", required=True, help="system descriptor JSON file")
     # defaults (equiv.DEFAULT_BOUND and DEFAULT_PRIMES) are filled in by the
     # compare branch, so that parsing does not import the decision layer
-    p_cmp.add_argument("--bound", type=int)
+    p_cmp.add_argument("--bound")
     p_cmp.add_argument("--primes")
     p_cmp.add_argument("--check-c1", action="store_true")
     p_cmp.add_argument(
@@ -447,16 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
     if args.command == "invariants":
-        return _run_invariants(*_base_and_bundle(args), args.blowups)
+        return _run_invariants(*_base_and_bundle(args), serialize.read_int(args.blowups, "--blowups"))
     if args.command == "transition":
         return _run_transition(*_base_and_bundle(args), args.swap)
     if args.command == "compare":
-        left = serialize.system_from_descriptor(_read_json(args.left, "--left"))
-        right = serialize.system_from_descriptor(_read_json(args.right, "--right"))
         from .equiv import DEFAULT_BOUND, DEFAULT_PRIMES
 
+        bound = DEFAULT_BOUND if args.bound is None else serialize.read_int(args.bound, "--bound")
         primes = DEFAULT_PRIMES if args.primes is None else _parse_int_list(args.primes, "--primes")
-        bound = DEFAULT_BOUND if args.bound is None else serialize.capped_int(args.bound, "--bound")
+        left = serialize.system_from_descriptor(_read_json(args.left, "--left"))
+        right = serialize.system_from_descriptor(_read_json(args.right, "--right"))
         return _run_compare(left, right, bound, primes, args.check_c1, _env_step_budget(), stats)
     return _run_verify(_env_step_budget())
 

@@ -54,15 +54,9 @@ class ValidationError(ValueError):
 
     Raised for non-symmetric matrices, non-unimodular forms presented as
     closed-manifold data, non-characteristic w2 vectors, dimension
-    mismatches, and malformed descriptor fields.
-    """
-
-
-class DescriptorError(ValidationError):
-    """A descriptor document could not be parsed.
-
-    When the JSON decoder gives the offending location, the message ends
-    with "(line L, column C)".
+    mismatches, malformed descriptor fields and integers typed as text.
+    When the JSON decoder gives the offending location of a descriptor, the
+    message ends with "(line L, column C)".
     """
 
 

@@ -13,7 +13,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .bundle import RankTwoBundle
-from .errors import DescriptorError, ValidationError
+from .errors import ValidationError
 from .fourfold import STANDARD_NAMES, FourManifold, connected_sum, standard
 from .lattice import IntersectionForm
 from .sixfold import InvariantSystem, blowup_point, projectivize
@@ -26,11 +26,27 @@ REPORT_SCHEMA = "conitop-report/2"
 # projectivization has rank at most MAX_FORM_RANK + 1 and a transition side
 # (over base # CP2bar) at most MAX_FORM_RANK + 2, the cap on explicit systems.
 MAX_FORM_RANK = 256
-# Descriptor integers and integer flags have at most this many digits, so that
-# every value built from a few of them stays within the 4,300 digits that str()
-# and json print.
+# Descriptor integers and integers typed as text have at most this many digits,
+# so that every value built from a few of them stays within the 4,300 digits
+# that str() and json print.
 MAX_INT_DIGITS = 1000
 _INT_LIMIT = 10**MAX_INT_DIGITS
+
+
+def read_int(text: str, field: str) -> int:
+    """The integer typed as ``text``: an optional ``-`` and 1 to MAX_INT_DIGITS ASCII digits.
+
+    Nothing else is read, neither blanks, ``+``, ``_`` nor non-ASCII digits,
+    all of which ``int()`` takes; the ``ValidationError`` names ``field``.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValidationError(
+            f"{field} must be an integer (ASCII digits after an optional '-'), got {text!r}"
+        )
+    if len(digits) > MAX_INT_DIGITS:
+        raise ValidationError(f"{field} is out of range: more than {MAX_INT_DIGITS} digits")
+    return int(text)
 
 
 def json_canonical(obj) -> str:
@@ -104,20 +120,20 @@ def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DescriptorError(
+        raise ValidationError(
             f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
     except ValueError as exc:  # an integer past the digit limit of int()
-        raise DescriptorError(
+        raise ValidationError(
             f"invalid JSON: an integer of more than {MAX_INT_DIGITS} digits"
         ) from exc
     except RecursionError as exc:
-        raise DescriptorError("invalid JSON: arrays or objects nested too deeply") from exc
+        raise ValidationError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
-        raise DescriptorError("descriptor document must be a JSON object")
+        raise ValidationError("descriptor document must be a JSON object")
     schema = doc.get("schema")
     if schema is not None and schema not in (SCHEMA, REPORT_SCHEMA):
-        raise DescriptorError(f"unsupported schema {schema!r}")
+        raise ValidationError(f"unsupported schema {schema!r}")
     return doc
 
 
@@ -126,22 +142,17 @@ def loads(text: str) -> dict:
 _JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false", list: "a list"}
 
 
-def capped_int(value: int, field: str) -> int:
-    """``value``, unless it has more than MAX_INT_DIGITS digits; the error names ``field``."""
-    if not -_INT_LIMIT < value < _INT_LIMIT:
-        raise DescriptorError(f"{field} has an integer of more than {MAX_INT_DIGITS} digits")
-    return value
-
-
 def _json_value(value, kind: type, field: str):
     if type(value) is not kind:
-        raise DescriptorError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return capped_int(value, field) if kind is int else value
+        raise ValidationError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if kind is int and not -_INT_LIMIT < value < _INT_LIMIT:
+        raise ValidationError(f"{field} has an integer of more than {MAX_INT_DIGITS} digits")
+    return value
 
 
 def _json_list(value, kind: type, field: str) -> tuple:
     if not isinstance(value, (list, tuple)):
-        raise DescriptorError(f"{field} must be a list, got {value!r}")
+        raise ValidationError(f"{field} must be a list, got {value!r}")
     return tuple(_json_value(v, kind, field) for v in value)
 
 
@@ -152,10 +163,10 @@ def _json_rows(value, field: str) -> tuple:
 
 def _require(obj, fields, what: str) -> None:
     if not isinstance(obj, dict):
-        raise DescriptorError(f"{what} must be a JSON object, got {obj!r}")
+        raise ValidationError(f"{what} must be a JSON object, got {obj!r}")
     for field in fields:
         if field not in obj:
-            raise DescriptorError(f"{what} needs field {field!r}")
+            raise ValidationError(f"{what} needs field {field!r}")
 
 
 # -- four-manifolds ---------------------------------------------------------
@@ -175,7 +186,7 @@ def manifold_from_obj(obj: dict) -> FourManifold:
     _require(obj, ("matrix", "w2"), "explicit manifold")
     matrix = _json_rows(obj["matrix"], "matrix")
     if len(matrix) > MAX_FORM_RANK:
-        raise DescriptorError(f"matrix has {len(matrix)} rows, above the limit of {MAX_FORM_RANK}")
+        raise ValidationError(f"matrix has {len(matrix)} rows, above the limit of {MAX_FORM_RANK}")
     return FourManifold(
         _json_value(obj.get("label", "custom"), str, "label"),
         IntersectionForm(matrix),
@@ -195,31 +206,25 @@ def parse_sum_expression(text: str) -> FourManifold:
     for piece in text.split("#"):
         tokens = piece.split()
         if not tokens:
-            raise DescriptorError(f"empty summand in manifold expression {text!r}")
-        count = 1
-        if tokens[0].lstrip("-").isdecimal():
-            try:
-                count = int(tokens[0])
-            except ValueError as exc:  # more digits than int() accepts
-                raise DescriptorError(f"summand count {tokens[0]!r} is out of range") from exc
-            tokens = tokens[1:]
-        if len(tokens) != 1:
-            raise DescriptorError(f"cannot parse manifold summand {piece.strip()!r}")
-        name = tokens[0]
+            raise ValidationError(f"empty summand in manifold expression {text!r}")
+        if len(tokens) > 2:
+            raise ValidationError(f"cannot parse manifold summand {piece.strip()!r}")
+        name = tokens[-1]
+        count = read_int(tokens[0], "summand count") if len(tokens) == 2 else 1
         if name not in STANDARD_NAMES:
-            raise DescriptorError(f"unknown catalog manifold {name!r}")
+            raise ValidationError(f"unknown catalog manifold {name!r}")
         if count < 0:
-            raise DescriptorError(f"negative summand count in {text!r}")
+            raise ValidationError(f"negative summand count in {text!r}")
         terms.append((standard(name), count))
     summands = sum(count for _, count in terms)
     rank = sum(n.rank * count for n, count in terms)
     if max(summands, rank) > MAX_FORM_RANK:
-        raise DescriptorError(
+        raise ValidationError(
             f"manifold expression {text!r} has {summands} summands and rank {rank};"
             f" each is limited to {MAX_FORM_RANK}"
         )
     if not summands:
-        raise DescriptorError(f"empty manifold expression {text!r}")
+        raise ValidationError(f"empty manifold expression {text!r}")
     return connected_sum(*(n for n, count in terms for _ in range(count)))
 
 
@@ -229,7 +234,7 @@ def manifold_from_descriptor(desc) -> FourManifold:
         return parse_sum_expression(desc)
     if isinstance(desc, dict):
         return manifold_from_obj(desc)
-    raise DescriptorError(f"manifold must be a string or object, got {desc!r}")
+    raise ValidationError(f"manifold must be a string or object, got {desc!r}")
 
 
 def _base_from(inner: dict) -> FourManifold:
@@ -237,7 +242,7 @@ def _base_from(inner: dict) -> FourManifold:
     try:
         return manifold_from_descriptor(inner["base"])
     except ValidationError as exc:
-        raise DescriptorError(f"base: {exc}") from exc
+        raise ValidationError(f"base: {exc}") from exc
 
 
 # -- bundles ----------------------------------------------------------------
@@ -249,7 +254,7 @@ def bundle_to_obj(e: RankTwoBundle) -> dict:
 
 def bundle_from_obj(base: FourManifold, obj: dict) -> RankTwoBundle:
     if not isinstance(obj, dict):
-        raise DescriptorError("bundle descriptor must be an object")
+        raise ValidationError("bundle descriptor must be an object")
     c1 = _json_list(obj.get("c1", [0] * base.rank), int, "c1")
     return RankTwoBundle(base, c1, _json_value(obj.get("c2", 0), int, "c2"))
 
@@ -278,30 +283,27 @@ def system_from_obj(obj: dict) -> InvariantSystem:
     _require(obj, ("rank", "mu", "p1", "w2", "b3"), "invariant system")
     rank = _json_value(obj["rank"], int, "rank")
     if rank < 0:
-        raise DescriptorError(f"system rank {rank} is negative")
+        raise ValidationError(f"system rank {rank} is negative")
     if rank > MAX_FORM_RANK + 2:
-        raise DescriptorError(f"system rank {rank} is above the limit of {MAX_FORM_RANK + 2}")
+        raise ValidationError(f"system rank {rank} is above the limit of {MAX_FORM_RANK + 2}")
     if not isinstance(obj["mu"], (list, tuple)):
-        raise DescriptorError("mu must be a list of [i, j, k, value] entries")
+        raise ValidationError("mu must be a list of [i, j, k, value] entries")
     entries = []
     for item in obj["mu"]:
         if not (isinstance(item, (list, tuple)) and len(item) == 4):
-            raise DescriptorError(f"mu entries must be [i, j, k, value] integers, got {item!r}")
+            raise ValidationError(f"mu entries must be [i, j, k, value] integers, got {item!r}")
         entries.append((item[:3], _json_value(item[3], int, "mu")))
     labels = obj.get("basis_labels")
-    try:
-        return InvariantSystem(
-            rank,
-            entries,
-            _json_list(obj["p1"], int, "p1"),
-            _json_list(obj["w2"], int, "w2"),
-            _json_value(obj["b3"], int, "b3"),
-            None if obj.get("c1_class") is None else _json_list(obj["c1_class"], int, "c1_class"),
-            () if labels is None else _json_list(labels, str, "basis_labels"),
-            _json_value(obj.get("classifiable", True), bool, "classifiable"),
-        )
-    except ValidationError as exc:
-        raise DescriptorError(str(exc)) from exc
+    return InvariantSystem(
+        rank,
+        entries,
+        _json_list(obj["p1"], int, "p1"),
+        _json_list(obj["w2"], int, "w2"),
+        _json_value(obj["b3"], int, "b3"),
+        None if obj.get("c1_class") is None else _json_list(obj["c1_class"], int, "c1_class"),
+        () if labels is None else _json_list(labels, str, "basis_labels"),
+        _json_value(obj.get("classifiable", True), bool, "classifiable"),
+    )
 
 
 def blown_up_projectivization(
@@ -309,7 +311,7 @@ def blown_up_projectivization(
 ) -> InvariantSystem:
     """The sphere bundle of ``e`` blown up at ``blowups`` points, count checked first."""
     if not 0 <= blowups <= MAX_FORM_RANK - base.rank:
-        raise DescriptorError(
+        raise ValidationError(
             f"blowups must be between 0 and {MAX_FORM_RANK - base.rank}"
             f" (base rank + blowups at most {MAX_FORM_RANK}), got {blowups}"
         )
@@ -327,10 +329,8 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
     ``{"local_model": 1}``                      frozen transition model
     ``{"transition": {"base":..., "c1":..., "c2":...}, "side": "z1"|"z2"}``
     """
-    from .transitions import conifold_transition, local_model_system
-
     if not isinstance(doc, dict):
-        raise DescriptorError("system descriptor must be a JSON object")
+        raise ValidationError("system descriptor must be a JSON object")
     if "system" in doc:
         return system_from_obj(doc["system"])
     if "projectivize" in doc:
@@ -342,8 +342,12 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
             base, e, _json_value(doc.get("blowups", 0), int, "blowups")
         )
     if "local_model" in doc:
+        from .transitions import local_model_system
+
         return local_model_system(_json_value(doc["local_model"], int, "local_model"))
     if "transition" in doc:
+        from .transitions import conifold_transition
+
         inner = doc["transition"]
         _require(inner, ("base",), "transition")
         base = _base_from(inner)
@@ -352,9 +356,9 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
         result = conifold_transition(base, e, swap=swap)
         side = doc.get("side", "z1")
         if side not in ("z1", "z2"):
-            raise DescriptorError("transition side must be 'z1' or 'z2'")
+            raise ValidationError("transition side must be 'z1' or 'z2'")
         return result.z1 if side == "z1" else result.z2
-    raise DescriptorError(
+    raise ValidationError(
         "system descriptor needs one of 'system', 'projectivize', 'local_model', 'transition'"
     )
 
@@ -374,10 +378,7 @@ def witness_from_obj(obj: dict) -> IsomorphismWitness:
 
     _require(obj, ("matrix", "preserves_c1"), "witness")
     matrix = _json_rows(obj["matrix"], "matrix")
-    try:
-        return IsomorphismWitness(matrix, _json_value(obj["preserves_c1"], bool, "preserves_c1"))
-    except ValidationError as exc:
-        raise DescriptorError(str(exc)) from exc
+    return IsomorphismWitness(matrix, _json_value(obj["preserves_c1"], bool, "preserves_c1"))
 
 
 def certificate_to_obj(c: DistinctnessCertificate) -> dict:
@@ -399,7 +400,7 @@ def certificate_from_obj(obj: dict) -> DistinctnessCertificate:
     elif kind in ("rank", "b3"):
         detail = _json_list(obj["detail"], int, "detail")
     else:
-        raise DescriptorError(f"unknown certificate kind {kind!r}")
+        raise ValidationError(f"unknown certificate kind {kind!r}")
     prime = obj.get("prime")
     if prime is not None:
         prime = _json_value(prime, int, "prime")

@@ -4,22 +4,26 @@
   must exit 1 with nothing on stdout and exactly one stderr line, which starts
   with ``input error: ``, matches the pattern and holds no traceback.
 - A library row is a call, as source text, and the pattern of its message.
-  It must raise ``ValidationError``; a ``DescriptorError`` is one.
+  It must raise ``ValidationError``.
 
-A hypothesis test passes random descriptor documents to ``compare`` and holds
-every exit 1 to the CLI contract.
+One hypothesis test passes random descriptor documents to ``compare`` and
+holds every exit 1 to the CLI contract.  Another passes random text to each
+integer flag and to ``CONITOP_STEP_BUDGET``: only an optional ``-`` and at
+most ``MAX_INT_DIGITS`` ASCII digits are read, as ``int()`` reads them.
 """
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 import conitop
 from conitop import serialize  # noqa: F401, for the library rows
-from conitop.cli import EXIT_INPUT, EXIT_OK, main
+from conitop.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from conitop.equiv import SUPPORTED_PRIMES
 from conitop.intmat import inverse_unimodular  # noqa: F401, for the library rows
-from conitop.serialize import MAX_FORM_RANK, SCHEMA
+from conitop.serialize import MAX_FORM_RANK, MAX_INT_DIGITS, SCHEMA
 
 from oracles import chain, inverse_adjugate  # noqa: F401, for the library rows
 
@@ -89,6 +93,25 @@ CLI_ROWS = [
     (compare({"local_model": 1}, None, "--primes", "2,3,"), "--primes"),
     (compare(*RANK_7_SIDES, "--primes", "11"), "prime 11"),
     (compare(over("CP2", c1=[1], c2=0)), BUDGET, {BUDGET: "not-a-number"}),
+    # an integer typed as text is an optional "-" and ASCII digits, nothing else
+    *(
+        (("invariants", "--base", "CP2", flag, value), f"^input error: {flag} ")
+        for flag, value in (
+            ("--c1", "1_0"),
+            ("--c1", " 1"),
+            ("--c2", " \u0663"),  # ARABIC-INDIC DIGIT THREE
+            ("--c2", "+3"),
+            ("--blowups", "1.5"),
+            ("--blowups", NINES),
+        )
+    ),
+    (compare({"local_model": 1}, None, "--bound", "x"), "^input error: --bound "),
+    (compare({"local_model": 1}, None, "--bound", "1_0"), "^input error: --bound "),
+    (compare({"local_model": 1}, None, "--primes", "2, 3"), "^input error: --primes "),
+    (("invariants", "--base", "\u0663 CP2"), "^input error: --base: summand count"),
+    (("invariants", "--base", "--3 CP2"), "^input error: --base: summand count"),
+    (compare(over("CP2", c1=[1], c2=0)), f"^input error: {BUDGET} ", {BUDGET: "1_000"}),
+    (compare(over("CP2", c1=[1], c2=0)), f"^input error: {BUDGET} ", {BUDGET: NINES}),
     (("verify-paper",), BUDGET, {BUDGET: "-5"}),
     (compare(None), r"--left: cannot read '.*\.json': No such file"),
     (("compare", "--left", {"local_model": 1}, "--right", None), r"--right: cannot read .*No such"),
@@ -506,5 +529,90 @@ def test_random_descriptors_exit_0_to_3_and_meet_the_exit_1_contract(tmp_path, c
         else:
             assert code in (0, 2, 3)
             capsys.readouterr()
+
+    run()
+
+
+# -- random integers typed as text ---------------------------------------------
+
+INTEGER = re.compile(f"-?[0-9]{{1,{MAX_INT_DIGITS}}}")
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+# told apart by every supported prime, so that no search reads the bound
+RANK_PAIR = ["compare", "--left", str(INPUTS / "local_model_1.json"),
+             "--right", str(INPUTS / "s4_z2.json")]
+# decided by a search over 7^4 = 2401 candidates at the default bound
+SEARCH_PAIR = ["compare", "--left", str(INPUTS / "local_model_1.json"),
+               "--right", str(INPUTS / "bundle_side.json"), "--check-c1"]
+# flag -> (command line, the value as the json report echoes it)
+INTEGER_FLAGS = {
+    "--c1": (["invariants", "--base", "CP2"], lambda r: r["inputs"]["bundle"]["c1"]),
+    "--c2": (["invariants", "--base", "CP2"], lambda r: [r["inputs"]["bundle"]["c2"]]),
+    "--blowups": (["invariants", "--base", "S4"], lambda r: [r["inputs"]["blowups"]]),
+    "--bound": (RANK_PAIR, lambda r: [r["options"]["bound"]]),
+    "--primes": (RANK_PAIR, lambda r: r["options"]["primes"]),
+}
+
+
+def integer_texts(st):
+    """Integers as text, from one digit to past the digit cap, their near misses, and any text."""
+    digits = st.text("0123456789", min_size=1, max_size=4) | st.integers(
+        MAX_INT_DIGITS - 1, MAX_INT_DIGITS + 1
+    ).map(lambda n: "9" * n)
+    near = st.tuples(
+        st.sampled_from(("", "-", "+", " ", "--", "\u0663")),
+        digits,
+        st.sampled_from(("", "_0", " ", "\n", ".5", "e3", "\u0663", "\u00b9")),
+    ).map("".join)
+    return near | st.text("-+_ .0123456789\u0663", max_size=6) | st.text(max_size=6)
+
+
+@pytest.mark.parametrize("flag", [*INTEGER_FLAGS, BUDGET])
+def test_random_integer_text_is_read_as_int_or_exits_1_naming_the_flag(capsys, monkeypatch, flag):
+    hypothesis = pytest.importorskip("hypothesis")
+    texts = integer_texts(hypothesis.strategies)
+    if flag in ("--c1", "--primes"):
+        # the items of a list flag; an empty value is the empty list
+        texts = texts.filter(lambda text: text and "," not in text)
+    if flag == BUDGET:
+        texts = texts.filter(lambda text: "\0" not in text)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(texts)
+    def run(text):
+        if flag == BUDGET:
+            monkeypatch.setenv(BUDGET, text)
+            code = main(SEARCH_PAIR)
+        else:
+            argv, echo = INTEGER_FLAGS[flag]
+            code = main([*argv, f"{flag}={text}", "--format", "json"])
+        if not INTEGER.fullmatch(text):
+            line = input_error(capsys, code)
+            assert line.startswith(f"input error: {flag} "), line
+            return
+        n = int(text)
+        if flag == BUDGET:
+            # a budget below the 2401 candidates refuses the search, naming the budget
+            expected = EXIT_INPUT if n < 0 else EXIT_BUDGET if n < 7**4 else EXIT_OK
+        elif flag == "--blowups":
+            expected = EXIT_OK if 0 <= n <= MAX_FORM_RANK else EXIT_INPUT
+        elif flag == "--primes":
+            expected = EXIT_OK if n in SUPPORTED_PRIMES else EXIT_INPUT
+        else:
+            expected = EXIT_OK
+        assert code == expected, text
+        if code == EXIT_OK:
+            out = capsys.readouterr().out
+            assert flag == BUDGET or echo(json.loads(out)) == [n], text
+        elif code == EXIT_BUDGET:
+            assert capsys.readouterr().err.endswith(f" exceeds step budget {n}\n")
+        else:
+            # an integer that the command refuses, with the reason
+            line = input_error(capsys, code)
+            refusals = (
+                f"{BUDGET} must not be negative, got {n}",
+                f"blowups must be between 0 and {MAX_FORM_RANK}",
+                f"fingerprint prime {n} is not one of",
+            )
+            assert any(line.startswith(f"input error: {r}") for r in refusals), line
 
     run()

@@ -5,9 +5,9 @@ from functools import reduce
 import pytest
 
 from conitop import (
-    DescriptorError,
     DistinctnessCertificate,
     RankTwoBundle,
+    ValidationError,
     certify_distinct,
     conifold_transition,
     find_isomorphism,
@@ -86,7 +86,7 @@ def test_parse_sum_expression_equals_pairwise_fold():
             *count, name = term.split()
             pieces += [standard(name)] * (int(count[0]) if count else 1)
         if not pieces:
-            with pytest.raises(DescriptorError):
+            with pytest.raises(ValidationError):
                 serialize.parse_sum_expression(text)
             continue
         expected = reduce(connected_sum_pair_reference, pieces)

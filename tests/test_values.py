@@ -215,10 +215,17 @@ def test_cli_start_up_loads_no_heavy_standard_modules():
     # and each command compiles only the package modules it runs
     assert not _imported_modules("import conitop") & {"conitop.equiv", "conitop.transitions"}
     compare = ["compare", "--left", str(INPUTS / "s4_z1.json"), "--right", str(INPUTS / "s4_z2.json")]
+    # two projectivize descriptors: no transition is built, so none is compiled
+    bundles = [
+        "compare",
+        "--left", str(INPUTS / "cp2_4cp2bar_c2_0.json"),
+        "--right", str(INPUTS / "cp2_4cp2bar_c2_6.json"),
+    ]
     for argv, loads, skips in (
         (["invariants", "--base", "CP2", "--c1", "1"], set(), {"equiv", "transitions", "cones"}),
         (["transition", "--base", "CP2"], {"transitions"}, {"equiv", "cones"}),
         (compare, {"equiv", "transitions"}, set()),
+        (bundles, {"equiv"}, {"transitions"}),
     ):
         loaded = _imported_modules(
             "import contextlib, io\n"
