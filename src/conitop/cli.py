@@ -352,8 +352,8 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return tuple(serialize.read_int(t, f"{flag} item") for t in text.split(",")) if text else ()
 
 
-def _read_json(path: str, flag: str) -> dict:
-    """The descriptor document in the file ``path``; a read error names ``flag``."""
+def _read_descriptor(path: str, flag: str, build):
+    """``build`` of the descriptor document in the file ``path``; every error names ``flag``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -361,7 +361,10 @@ def _read_json(path: str, flag: str) -> dict:
         raise ValidationError(f"{flag}: {path!r} is not UTF-8 text") from exc
     except OSError as exc:
         raise ValidationError(f"{flag}: cannot read {path!r}: {exc.strerror or exc}") from exc
-    return serialize.loads(text)
+    try:
+        return build(serialize.loads(text))
+    except ValidationError as exc:
+        raise ValidationError(f"{flag}: {exc}") from exc
 
 
 def _load_base(arg: str) -> FourManifold:
@@ -377,8 +380,9 @@ def _load_base(arg: str) -> FourManifold:
         except ValidationError as exc:
             if not os.path.exists(arg):
                 raise ValidationError(f"--base: {exc}") from exc
-    doc = _read_json(arg, "--base")
-    return serialize.manifold_from_descriptor(doc.get("manifold", doc))
+    return _read_descriptor(
+        arg, "--base", lambda doc: serialize.manifold_from_descriptor(doc.get("manifold", doc))
+    )
 
 
 def _base_and_bundle(args) -> tuple[FourManifold, RankTwoBundle]:
@@ -449,8 +453,8 @@ def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
 
         bound = DEFAULT_BOUND if args.bound is None else serialize.read_int(args.bound, "--bound")
         primes = DEFAULT_PRIMES if args.primes is None else _parse_int_list(args.primes, "--primes")
-        left = serialize.system_from_descriptor(_read_json(args.left, "--left"))
-        right = serialize.system_from_descriptor(_read_json(args.right, "--right"))
+        left = _read_descriptor(args.left, "--left", serialize.system_from_descriptor)
+        right = _read_descriptor(args.right, "--right", serialize.system_from_descriptor)
         return _run_compare(left, right, bound, primes, args.check_c1, _env_step_budget(), stats)
     return _run_verify(_env_step_budget())
 

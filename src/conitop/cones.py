@@ -1,9 +1,12 @@
 """Fingerprints at p = 5 and 7, block by block.
 
-:func:`conitop.equiv.fingerprint` imports this module the first time it
-fingerprints at p = 5 or 7, so ``compare`` and ``verify-paper`` compile it
-only then; ``invariants`` and ``transition`` load neither it nor
-:mod:`conitop.equiv`.  See :func:`histogram`.
+A block is counted in closed form when it is a cone in the given basis
+(:func:`_cone`) or, failing that, when p1 shows it to be a flat cone in a
+basis over F_p (:func:`_p1_cone`); any other block is walked point by point
+(:func:`_walk`).  :func:`conitop.equiv.fingerprint` imports this module the
+first time it fingerprints at p = 5 or 7, so ``compare`` and
+``verify-paper`` compile it only then; ``invariants`` and ``transition``
+load neither it nor :mod:`conitop.equiv`.  See :func:`histogram`.
 """
 
 from __future__ import annotations
@@ -187,18 +190,9 @@ def _convolve_coordinates(t1: dict, terms: dict, p: int) -> dict:
 def _cone(s: InvariantSystem, v0: int, slots, entries, p: int) -> dict:
     """A cone block's histogram over F_p^slots, in closed form.
 
-    Write x = t e_s + y with s the vertex (``v0``) and y on the other slots.
-    Every nonzero triple holds s, so
-    mu(x,x,x) = m t^3 + 3 t^2 (b.y) + 3 t y^T Q y with m = mu_sss,
-    b_i = mu_ssi, Q_ij = mu_sij, and p1.x = p1_s t + g.y.
-    After :func:`_diagonal_terms` the t = 1 key is (m, p1_s) plus a sum of
-    per-coordinate terms (3 beta z + 3 d z^2, gamma z).  When g = 0 mod p
-    (the block is flat: P(E), a transition side or a blowup slot) p1.x is
-    p1_s at every t = 1 point, and the cubic's values are counted as a
-    diagonal quadric's (:func:`_quadric_slice`); otherwise the per-term
-    tables of p values are convolved (:func:`_convolve_coordinates`).
-    t = lambda != 0 scales the t = 1 keys (see :func:`_scaled`), and t = 0
-    gives the keys (0, g.y).
+    Reads the block's (m, b, Q, p1) in the given basis, vertex ``v0``, for
+    :func:`_closed_form`: m = mu_sss, b_i = mu_ssi, Q_ij = mu_sij and p1 for
+    s = v0 and the other slots i, j.
     """
     m = 0
     rows = {i: {} for i in slots if i != v0}
@@ -213,9 +207,82 @@ def _cone(s: InvariantSystem, v0: int, slots, entries, p: int) -> dict:
             lin[i + j - v0][0] = v % p
         elif v % p:
             rows[i][j] = rows[j][i] = v % p
+    return _closed_form(m, rows, lin, s.p1[v0] % p, p)
+
+
+def _p1_cone(s: InvariantSystem, slots, entries, p: int) -> dict | None:
+    """A block's histogram in closed form when p1 shows it to be a flat cone mod p, else None.
+
+    Take the first slot i0 with p1_i0 != 0 mod p and change basis over F_p to
+    f_0 = e_i0 and f_j = e_j - c_j e_i0, c_j = p1_j / p1_i0 mod p, for the other
+    slots j, so that p1 pairs only with f_0.  With m = mu(e_i0,e_i0,e_i0),
+    u_j = mu(e_i0,e_i0,e_j) and M_jk = mu(e_i0,e_j,e_k) (``cross``):
+    b_j = mu(f_0,f_0,f_j) = u_j - c_j m, N_jk = mu(f_0,e_j,f_k) = M_jk - c_k u_j
+    and Q_jk = mu(f_0,f_j,f_k) = N_jk - c_j b_k.  The block is a flat cone
+    with vertex f_0 when mu(f_j,f_k,f_l) = mu_jkl - c_l M_jk - c_k N_jl -
+    c_j Q_kl is 0 mod p for every j <= k <= l; its histogram is then
+    :func:`_closed_form`'s on (m, b, Q, p1_i0).  A block whose p1 is 0 mod p,
+    or whose cubic does not vanish where p1 does, gives None.
+    """
+    p1 = s.p1
+    i0 = next((i for i in slots if p1[i] % p), None)
+    if i0 is None:
+        return None
+    inv = pow(p1[i0], -1, p)
+    c = {j: p1[j] * inv % p for j in slots if j != i0}
+    others = list(c)  # ascending, as in every triple of the entries
+    m, u, cross, rest = 0, dict.fromkeys(others, 0), {}, {}
+    for ijk, v in entries:
+        if i0 in ijk:
+            pair = list(ijk)
+            pair.remove(i0)
+            j, k = pair
+            if j == k == i0:
+                m = v
+            elif i0 in pair:
+                u[j + k - i0] = v
+            else:
+                cross[j, k] = v
+        else:
+            rest[ijk] = v
+    b = {j: (u[j] - cj * m) % p for j, cj in c.items()}
+    quad, rows = {}, {j: {} for j in others}
+    for at, j in enumerate(others):
+        cj, uj = c[j], u[j]
+        for k in others[at:]:
+            x = quad[j, k] = (cross.get((j, k), 0) - cj * b[k] - c[k] * uj) % p
+            if x:
+                rows[j][k] = rows[k][j] = x
+    for at, j in enumerate(others):
+        cj, uj = c[j], u[j]
+        for at_k, k in enumerate(others[at:], at):
+            ck, mjk = c[k], cross.get((j, k), 0)
+            for l in others[at_k:]:
+                cl = c[l]
+                njl = cross.get((j, l), 0) - cl * uj
+                if (rest.get((j, k, l), 0) - cl * mjk - ck * njl - cj * quad[k, l]) % p:
+                    return None
+    return _closed_form(m, rows, {j: [bj, 0] for j, bj in b.items()}, p1[i0] % p, p)
+
+
+def _closed_form(m: int, rows: dict, lin: dict, q: int, p: int) -> dict:
+    """A cone block's histogram from (m, b, Q, p1), vertex s and n other coordinates.
+
+    Write x = t e_s + y with y on the other coordinates.  Every nonzero
+    triple holds s, so mu(x,x,x) = m t^3 + 3 t^2 (b.y) + 3 t y^T Q y, and
+    p1.x = q t + g.y.  ``rows`` holds Q mod p row by row, ``lin[i]`` is
+    [b_i, g_i] mod p, and both are used up.  After :func:`_diagonal_terms`
+    the t = 1 key is (m, q) plus a sum of per-coordinate terms
+    (3 beta z + 3 d z^2, gamma z).  When g = 0 mod p (the block is flat:
+    P(E), a transition side or a blowup slot) p1.x is q at every t = 1
+    point, and the cubic's values are counted as a diagonal quadric's
+    (:func:`_quadric_slice`); otherwise the per-term tables of p values are
+    convolved (:func:`_convolve_coordinates`).  t = lambda != 0 scales the
+    t = 1 keys (see :func:`_scaled`), and t = 0 gives the keys (0, g.y).
+    """
+    n = len(rows)
     flat = not any(g for _, g in lin.values())  # then g.y = 0 at every t = 0 point
     terms = _diagonal_terms(rows, lin, p)
-    n, q = len(slots) - 1, s.p1[v0] % p
     if flat:
         counts = _quadric_slice(m, terms, n, p)
         return _scaled({(c, q): x for c, x in enumerate(counts) if x}, p, {(0, 0): p**n})
@@ -294,19 +361,23 @@ def histogram(s: InvariantSystem, p: int, blocks=None) -> dict | None:
     adds the w2 key 0 as it builds its rows.  Each block of
     :func:`cone_blocks` is a sum of its own coordinates, so the histogram over
     F_p^rank convolves the blocks' histograms over their slots.  A cone
-    block takes :func:`_cone`, any other block :func:`_walk`, which walks
-    (p^n - 1)/(p - 1) points for n slots and serves a block only when that
-    is at most MAX_WALK_POINTS; a block that is no cone and has more points
-    gives None.  Both count the same keys over the same points:
-    a change of basis over F_p permutes F_p^slots.  ``blocks``, when given,
-    is ``cone_blocks(s)``, found once for every prime a caller runs.
+    block takes :func:`_cone`.  A block with no vertex is counted only when
+    its walk, (p^n - 1)/(p - 1) points for n slots, is at most
+    MAX_WALK_POINTS; a larger one gives None, even where p1 would show it to
+    be a cone.  It takes :func:`_p1_cone` when p1 shows it to be a flat cone
+    mod p, and :func:`_walk` otherwise.  All count the same keys over the
+    same points: a change of basis over F_p permutes F_p^slots.  ``blocks``,
+    when given, is ``cone_blocks(s)``, found once for every prime a caller
+    runs.
     """
     hist = None
     for v0, slots, entries in cone_blocks(s) if blocks is None else blocks:
         if v0 is not None:
             block = _cone(s, v0, slots, entries, p)
         elif (p ** len(slots) - 1) // (p - 1) <= MAX_WALK_POINTS:
-            block = _walk(s, slots, p)
+            block = _p1_cone(s, slots, entries, p)
+            if block is None:
+                block = _walk(s, slots, p)
         else:
             return None
         hist = block if hist is None else _convolve(hist, block, p)

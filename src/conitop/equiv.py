@@ -271,8 +271,10 @@ class _WitnessSearch:
         s1, s2, rows = self.s1, self.s2, transpose(tuple(cols))
         if not verify_witness(s1, s2, rows, self.check_c1):
             return None
+        # verify_witness has checked the rows, their determinant included
         both = s1.c1_class is not None and s2.c1_class is not None
-        return IsomorphismWitness(rows, both and matvec(rows, s1.c1_class) == s2.c1_class)
+        preserves_c1 = both and matvec(rows, s1.c1_class) == s2.c1_class
+        return IsomorphismWitness._unchecked(rows, preserves_c1)
 
     def complete_from(
         self, cols: list[Vec], pairs: list, basis: list
@@ -415,8 +417,9 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
     (mu(x,x,x) mod p, p1.x mod p, w).  At p = 2, w = mu(W,x,x) mod 2 with W
     the 0/1 lift of w2: the linear form d.x, d = :func:`_w2_square_parities`.
     At odd p, w = 0, since that parity on a representative is no invariant.
-    Returns the sorted rows (cubic, p1, w, count): at most 2 p^2, counts
-    summing to p^rank.  Each prime has its own method, all giving these rows:
+    Returns the sorted rows (cubic, p1, w, count) of :func:`_format`: at
+    most 2 p^2, counts summing to p^rank.  Each prime has its own method,
+    all giving these rows:
 
     * p = 2 (:func:`_fingerprint_mod2`): the cubic is a quadratic function on
       F_2^r; 8 character sums, 4 of them over linear forms alone, give the
@@ -430,21 +433,24 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
       slots.  When p1 is 0 mod p off its vertex (P(E), a transition side, a
       blowup slot) the diagonal quadric's point counts then give its
       histogram in O(n); otherwise per-coordinate tables over p^2 keys are
-      convolved, O(n p^3).  Any other block takes a depth-first walk over its
-      (p^n - 1)/(p - 1) points whose first nonzero coordinate is 1, O(n^2)
-      work per node, and only up to MAX_WALK_POINTS = 19,608 points: a
-      larger one raises ValidationError.
+      convolved, O(n p^3).  A block with no vertex is counted only up to
+      MAX_WALK_POINTS = 19,608 points, (p^n - 1)/(p - 1): a larger one
+      raises ValidationError.  When p1 is not 0 mod p on it and mu vanishes
+      mod p where p1 does (a transport of P(E) or of a transition side z1),
+      it is a flat cone in a basis over F_p and takes the closed form after
+      an O(n^3) check; otherwise a depth-first walk over its points whose
+      first nonzero coordinate is 1, O(n^2) work per node.
 
     Each key depends only on x mod p (and w2), and a witness maps F_p^rank
     bijectively to points with equal keys, so isomorphic systems have equal
     histograms at every prime, whatever :func:`has_even_w2_cubic` says.
     """
     _check_prime(p)
-    rows = _rows(s, p)
-    if rows is None:
+    hist = _histogram(s, p)
+    if hist is None:
         limit = f"limited to {MAX_WALK_POINTS} points, (p^n - 1)/(p - 1) for n slots"
         raise ValidationError(f"fingerprint walk of a block that is no cone at p = {p} {limit}")
-    return rows
+    return _format(hist, p)
 
 
 _cones = None  # conitop.cones, after the first fingerprint at p = 5 or 7
@@ -459,21 +465,26 @@ def _cones_module():
     return _cones
 
 
-def _rows(s: InvariantSystem, p: int, blocks=None):
-    """The rows of :func:`fingerprint` at a supported p, or None outside the window.
+def _histogram(s: InvariantSystem, p: int, blocks=None) -> dict | None:
+    """The histogram of :func:`fingerprint` at a supported p, or None outside the window.
 
+    Keys are (cubic, p1, w) at p = 2 and 3 and (cubic, p1) at p = 5 and 7.
     The window is the one rule on which systems have fingerprints: at
-    p = 5 and 7, a block that is no cone (:func:`conitop.cones.cone_blocks`)
+    p = 5 and 7, a block with no vertex (:func:`conitop.cones.cone_blocks`)
     of n slots must have (p^n - 1)/(p - 1) <= MAX_WALK_POINTS.  ``blocks``
     is passed on to :func:`conitop.cones.histogram`.
     """
     if p == 2:
-        hist = _fingerprint_mod2(s, _w2_square_parities(s))
-    elif p == 3:
-        hist = _fingerprint_mod3(s)
-    else:
-        hist = _cones_module().histogram(s, p, blocks)
-        return None if hist is None else tuple((c, q, 0, n) for (c, q), n in sorted(hist.items()))
+        return _fingerprint_mod2(s, _w2_square_parities(s))
+    if p == 3:
+        return _fingerprint_mod3(s)
+    return _cones_module().histogram(s, p, blocks)
+
+
+def _format(hist: dict, p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """A histogram's sorted rows (cubic, p1, w, count); w = 0 at p = 5 and 7."""
+    if p > 3:
+        return tuple((c, q, 0, n) for (c, q), n in sorted(hist.items()))
     return tuple(key + (n,) for key, n in sorted(hist.items()))
 
 
@@ -575,12 +586,14 @@ def certify_distinct(
 
     None means inconclusive, never "isomorphic".  Every given prime runs in
     turn, at every rank, except that p = 5 or 7 is skipped when a system
-    has a block that is no cone whose walk would visit more than
-    MAX_WALK_POINTS points, (p^n - 1)/(p - 1) for n slots (see
-    :func:`_rows`): 7 slots are walked at p = 5, but not at p = 7.  Every
-    prime is checked to be a supported one first.  Each system's blocks
+    has a block with no vertex in its basis whose walk would visit more
+    than MAX_WALK_POINTS points, (p^n - 1)/(p - 1) for n slots (see
+    :func:`_histogram`), whether or not p1 would show it to be a cone:
+    7 slots are counted at p = 5, but not at p = 7.  Every prime is checked
+    to be a supported one first.  Each system's blocks
     (:func:`conitop.cones.cone_blocks`) are found once, when p = 5 or 7
-    first runs, and serve both primes.
+    first runs, and serve both primes.  The two histograms of a prime are
+    compared as counted; only the certificate's are formatted into rows.
     """
     primes = tuple(primes)
     for p in primes:
@@ -593,9 +606,9 @@ def certify_distinct(
     for p in primes:
         if p > 3 and blocks[0] is None:
             blocks = tuple(map(_cones_module().cone_blocks, (s1, s2)))
-        f1, f2 = _rows(s1, p, blocks[0]), _rows(s2, p, blocks[1])
-        if None not in (f1, f2) and f1 != f2:
-            return DistinctnessCertificate("fingerprint", p, (f1, f2))
+        h1, h2 = _histogram(s1, p, blocks[0]), _histogram(s2, p, blocks[1])
+        if h1 is not None and h2 is not None and h1 != h2:
+            return DistinctnessCertificate("fingerprint", p, (_format(h1, p), _format(h2, p)))
     return None
 
 

@@ -60,6 +60,7 @@ NINES = "9" * 4300
 # a blown-up projectivization over CP2 reaches rank MAX_FORM_RANK + 1 at this count
 BLOWUP_CAP = MAX_FORM_RANK - 1
 BUDGET = "CONITOP_STEP_BUDGET"
+GOOD = {"local_model": 1}
 RANK_7_SIDES = [over("CP2 # 5 CP2bar", c1=[0] * 6, c2=c2) for c2 in (0, 1)]
 
 # (command line, pattern[, environment]); an object in the command line is a
@@ -113,9 +114,12 @@ CLI_ROWS = [
     (compare(over("CP2", c1=[1], c2=0)), f"^input error: {BUDGET} ", {BUDGET: "1_000"}),
     (compare(over("CP2", c1=[1], c2=0)), f"^input error: {BUDGET} ", {BUDGET: NINES}),
     (("verify-paper",), BUDGET, {BUDGET: "-5"}),
-    (compare(None), r"--left: cannot read '.*\.json': No such file"),
-    (("compare", "--left", {"local_model": 1}, "--right", None), r"--right: cannot read .*No such"),
-    (("invariants", "--base", None), r"--base: cannot read '.*\.json': No such file"),
+    (compare(None), r"^input error: --left: cannot read '.*\.json': No such file"),
+    (
+        ("compare", "--left", {"local_model": 1}, "--right", None),
+        r"^input error: --right: cannot read .*No such",
+    ),
+    (("invariants", "--base", None), r"^input error: --base: cannot read '.*\.json': No such file"),
     (compare(b"{not json"), "line 1"),
     (compare(b"\xff\xfe"), "UTF-8"),
     (compare(b'{"local_model": ' + b"1" * 5000 + b"}"), "digits"),
@@ -132,9 +136,16 @@ CLI_ROWS = [
     (compare(over("300 CP2bar")), "rank"),
     (compare(over(5)), "base"),
     (compare(over(None)), "base"),
-    (compare(over("K3")), "^input error: base: unknown catalog manifold 'K3'"),
-    (compare({"transition": {"base": "CP2 #"}}), "^input error: base: empty summand"),
-    (compare(over({"matrix": [[2]], "w2": [0]})), "^input error: base: .*not unimodular"),
+    (compare(over("K3")), "^input error: --left: base: unknown catalog manifold 'K3'"),
+    (compare({"transition": {"base": "CP2 #"}}), "^input error: --left: base: empty summand"),
+    (compare(over({"matrix": [[2]], "w2": [0]})), "^input error: --left: base: .*not unimodular"),
+    # a descriptor error names the side it came from, once
+    *(
+        (compare(*sides), f"^input error: {flag}: {pattern}")
+        for bad, pattern in ((b"{not json", "invalid JSON"), ({"system": {"rank": 1}}, "invariant"))
+        for flag, sides in (("--left", (bad, GOOD)), ("--right", (GOOD, bad)))
+    ),
+    (("invariants", "--base", b"{not json"), "^input error: --base: invalid JSON"),
     (compare({"projectivize": {"base": "CP2"}, "blowups": -2}), "blowups"),
     (compare({"projectivize": {"base": "CP2"}, "blowups": BLOWUP_CAP + 1}, over("CP2")), "blowups"),
     (compare({"local_model": 3}), "local_model"),

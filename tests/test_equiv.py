@@ -1,7 +1,7 @@
 import random
 import time
 import tracemalloc
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -29,7 +29,7 @@ from conitop import (
 )
 from conitop import cones, equiv
 from conitop.equiv import SUPPORTED_PRIMES, SearchStats, spiral_entries
-from conitop.intmat import inverse_unimodular
+from conitop.intmat import inverse_unimodular, matvec
 from conitop.serialize import certificate_to_obj, json_canonical, parse_sum_expression
 from conitop.sixfold import triple_indices
 
@@ -39,6 +39,7 @@ from oracles import (
     find_isomorphism_reference,
     fingerprint_reference,
     has_even_w2_cubic_exhaustive,
+    mu_eval_dense,
     random_bundle,
     random_catalog_sum,
     random_system,
@@ -642,19 +643,126 @@ def test_flat_cones_never_convolve_per_coordinate(monkeypatch):
 
 
 def test_walk_still_serves_systems_that_are_no_cone_sum():
+    # a blown-up P(E) moved until its blocks merge into one with no vertex:
+    # its cubic t G + e^3 does not vanish where p1 does, so the p1 route
+    # refuses the block at both primes and the walk counts it
     rng = random.Random(58)
     seen = 0
-    for rank in (2, 3, 4, 5):
-        base = parse_sum_expression(f"CP2 # {rank - 2} CP2bar")
-        s = projectivize(base, random_bundle(rng, base))
+    for rank in (3, 4, 5):
+        base = parse_sum_expression(f"CP2 # {rank - 3} CP2bar")
+        s = blowup_point(projectivize(base, random_bundle(rng, base)))
         moved = transport_system(s, random_unimodular(rng, rank))
-        if None in vertices(moved):
+        if vertices(moved) == [None]:
             seen += 1
+            ((_, slots, entries),) = cones.cone_blocks(moved)
             for p in (5, 7):
+                assert cones._p1_cone(moved, slots, entries, p) is None
                 assert fingerprint(moved, p) == fingerprint(s, p)
                 if p**rank <= 625:
                     assert fingerprint(moved, p) == fingerprint_reference(moved, p)
     assert seen >= 2
+
+
+def p1_flat_cone_reference(s, slots, p):
+    """Whether p1 is not 0 mod p on the block and mu vanishes mod p where p1 does.
+
+    Each f_j = e_j - (p1_j / p1_i) e_i, for i the last slot where p1 is not 0
+    mod p and every other slot j, has p1.f_j = 0 mod p, and these span the
+    block's hyperplane p1 = 0; mu is evaluated densely on every triple of them.
+    """
+    pivots = [i for i in slots if s.p1[i] % p]
+    if not pivots:
+        return False
+    i = pivots[-1]
+    inv = pow(s.p1[i], -1, p)
+    basis = []
+    for j in slots:
+        if j != i:
+            f = [0] * s.rank
+            f[j], f[i] = 1, -s.p1[j] * inv
+            basis.append(f)
+    return all(mu_eval_dense(s, *fs) % p == 0 for fs in combinations_with_replacement(basis, 3))
+
+
+def moved_until_a_block_has_no_vertex(rng, s):
+    """A random unimodular transport of s with a block that is no cone, if one is found."""
+    for _ in range(30):
+        moved = transport_system(s, random_unimodular(rng, s.rank))
+        if None in vertices(moved):
+            break
+    return moved
+
+
+def p1_route_cases(rng):
+    """(kind, system) pairs at ranks 1 to 7, most with a block that is no cone.
+
+    Random unimodular transports of P(E), of transition sides z1 and of
+    blown-up P(E)s, then chains, the local models and a P(E) whose p1 is 0
+    mod 5 and 7.
+    """
+    bases = ("S4", "CP2", "S2xS2", "CP2 # 2 CP2bar", "2 S2xS2", "CP2 # 4 CP2bar", "CP2 # 5 CP2bar")
+    cases = []
+    for rank in range(1, 8):
+        for kind in ("P(E)", "z1", "blown up"):
+            if kind != "P(E)" and rank == 1:
+                continue
+            base = parse_sum_expression(bases[rank - 1 if kind == "P(E)" else rank - 2])
+            for _ in range(2 if rank < 6 else 1):
+                e = random_bundle(rng, base)
+                if kind == "P(E)":
+                    s = projectivize(base, e)
+                elif kind == "z1":
+                    s = conifold_transition(base, e).z1
+                else:
+                    s = blowup_point(projectivize(base, e))
+                cases.append((kind, moved_until_a_block_has_no_vertex(rng, s)))
+    for n in range(2, 8):
+        cases += [("chain", chain(n, 6)), ("chain", chain(n))]
+    for k in (1, 2):
+        cases.append(("local model", moved_until_a_block_has_no_vertex(rng, local_model_system(k))))
+    s2xs2 = standard("S2xS2")
+    zero = projectivize(s2xs2, RankTwoBundle(s2xs2, (0, 0), 35))  # p1 = (-140, 0, 0)
+    cases.append(("P(E)", moved_until_a_block_has_no_vertex(rng, zero)))
+    return cases
+
+
+def test_p1_route_matches_the_walk_and_the_reference(monkeypatch):
+    # every block that is no cone either takes the p1 route or is walked, and
+    # it is walked exactly when its p1 is 0 mod p or its cubic does not vanish
+    # where p1 does; either way the histogram is the walk's over the system
+    walk = cones._walk
+    walked = []
+
+    def counted(s, slots, p):
+        walked.append(tuple(slots))
+        return walk(s, slots, p)
+
+    monkeypatch.setattr(cones, "_walk", counted)
+    rng = random.Random(65)
+    seen = set()
+    for kind, s in p1_route_cases(rng):
+        for p in (5, 7) if s.rank <= 6 else (5,):
+            walked.clear()
+            assert cones.histogram(s, p) == walk(s, range(s.rank), p), (kind, s, p)
+            expected = []
+            for v0, slots, _ in cones.cone_blocks(s):
+                if v0 is None:
+                    if not any(s.p1[i] % p for i in slots):
+                        reason = "p1 = 0"
+                    elif p1_flat_cone_reference(s, slots, p):
+                        reason = "p1 route"
+                    else:
+                        reason = "no cone"
+                    seen.add((kind, reason))
+                    expected += [tuple(slots)] if reason != "p1 route" else []
+            assert walked == expected, (kind, s, p)
+            if p**s.rank <= 5**6:
+                assert fingerprint(s, p) == fingerprint_reference(s, p), (kind, s, p)
+    assert seen == {
+        ("P(E)", "p1 route"), ("P(E)", "p1 = 0"), ("z1", "p1 route"), ("z1", "p1 = 0"),
+        ("blown up", "no cone"), ("blown up", "p1 route"), ("chain", "no cone"),
+        ("chain", "p1 = 0"), ("local model", "p1 = 0"), ("local model", "p1 route"),
+    }
 
 
 def test_transition_sides_are_told_apart_up_to_rank_42():
@@ -738,8 +846,13 @@ def test_certify_distinct_same_certificate_with_reference_fingerprint(monkeypatc
         pairs.append((s, projectivize(base, moved)))
         pairs.append((s, random_system(rng, rank)))
     expected = [certify_distinct(s1, s2, primes=SUPPORTED_PRIMES) for s1, s2 in pairs]
-    # certify passes each system's cone blocks along; the reference needs none
-    monkeypatch.setattr(equiv, "_rows", lambda s, p, blocks=None: fingerprint_reference(s, p))
+    # certify compares each prime's histograms, passing each system's cone
+    # blocks along; the reference needs none, and its rows become the histogram
+    # the formatter turns back into them
+    def reference(s, p, blocks=None):
+        return {row[:3] if p < 5 else row[:2]: row[3] for row in fingerprint_reference(s, p)}
+
+    monkeypatch.setattr(equiv, "_histogram", reference)
     assert [certify_distinct(s1, s2, primes=SUPPORTED_PRIMES) for s1, s2 in pairs] == expected
     primes = {None if cert is None else cert.prime for cert in expected}
     assert None in primes and 2 in primes and primes & {3, 5, 7}
@@ -1000,6 +1113,30 @@ def test_find_isomorphism_recovers_random_transports():
         w = find_isomorphism(s, moved, bound=2)
         assert w is not None
         assert verify_witness(s, moved, w.matrix)
+
+
+def test_found_witnesses_equal_their_rebuild_through_the_constructor():
+    # the search stores a witness that verify_witness has passed without a
+    # second check; the public constructor must give the same value, with and
+    # without c1 transport, and with a c1 lift on one side only
+    rng = random.Random(1718)
+    found = []
+    for expr in ("CP2", "CP2bar", "CP2 # CP2bar", "S2xS2"):
+        base = parse_sum_expression(expr)
+        for _ in range(6):
+            s = projectivize(base, random_bundle(rng, base))
+            moved = transport_system(s, random_unimodular(rng, s.rank))
+            bare = make_system(moved.rank, dict(moved.mu_items()), moved.p1, moved.w2)
+            for other, check_c1 in ((moved, True), (moved, False), (bare, False)):
+                w = find_isomorphism(s, other, bound=2, check_c1=check_c1)
+                assert w is not None and verify_witness(s, other, w.matrix, check_c1)
+                kept = other.c1_class is not None and matvec(w.matrix, s.c1_class) == other.c1_class
+                assert w.preserves_c1 is kept
+                found.append(w)
+    assert {w.preserves_c1 for w in found} == {True, False}
+    for w in found:
+        rebuilt = IsomorphismWitness(w.matrix, w.preserves_c1)
+        assert rebuilt == w and hash(rebuilt) == hash(w) and repr(rebuilt) == repr(w)
 
 
 def test_fingerprint_supports_prime_seven():

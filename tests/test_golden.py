@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conitop import cones
 from conitop.cli import main
 from conitop.equiv import certificate_is_valid, verify_witness
 from conitop.serialize import certificate_from_obj, system_from_obj, witness_from_obj
@@ -44,6 +45,14 @@ CASES = {
         "--right", str(INPUTS / "bundle_side.json"),
         "--check-c1",
     ],
+    # an explicit unimodular transport of P(E) over CP2 # 3 CP2bar, whose one
+    # block has no vertex in the given basis, against a bundle descriptor whose
+    # fingerprints first differ at p = 5
+    "compare_transport_p5.json": [
+        "compare",
+        "--left", str(INPUTS / "cp2_3cp2bar_transport.json"),
+        "--right", str(INPUTS / "cp2_3cp2bar_c2_m3.json"),
+    ],
 }
 
 
@@ -70,6 +79,13 @@ def test_golden_compare_verdicts_re_verify_from_the_report_alone():
     report = json.loads((GOLDEN / "compare_s4_sides.json").read_bytes())
     cert = certificate_from_obj(report["result"]["certificate"])
     assert cert.prime == 2 and certificate_is_valid(cert, *sides(report))
+    # the left side's one block has no vertex in its basis; p1 shows it to be a
+    # flat cone at p = 5, where the fingerprints first differ
+    report = json.loads((GOLDEN / "compare_transport_p5.json").read_bytes())
+    left, right = sides(report)
+    assert [v for v, _, _ in cones.cone_blocks(left)] == [None] and left.p1[0] % 5
+    cert = certificate_from_obj(report["result"]["certificate"])
+    assert cert.prime == 5 and certificate_is_valid(cert, left, right)
     report = json.loads((GOLDEN / "compare_local_model_1.json").read_bytes())
     witness = witness_from_obj(report["result"]["witness"])
     check_c1 = report["options"]["check_c1"]
