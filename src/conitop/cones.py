@@ -21,38 +21,28 @@ def cone_blocks(s: InvariantSystem):
     """The blocks of s as (vertex, slots, entries), the vertex None if it is no cone.
 
     The blocks are the connected components of the support of mu, joined in
-    one pass over ``s.mu``; a slot that no entry meets is a block of its own.
+    one pass over ``s.mu``, an entry that meets two blocks relabelling the
+    slots of one; a slot that no entry meets is a block of its own.
     A block is a cone when one slot, its vertex, lies in every nonzero triple
-    of the block (the least such slot is taken): it is found by counting,
-    for each slot, the entries it lies in.  P(E) is a cone with vertex 0,
-    since mu(y_i, y_j, y_k) = 0, and a blowup slot is a block of its own.
+    of the block (the least such slot is taken, found by intersecting the
+    triples).  P(E) is a cone with vertex 0, since mu(y_i, y_j, y_k) = 0, and
+    a blowup slot is a block of its own.
     """
-    root = list(range(s.rank))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
+    label = list(range(s.rank))  # each slot's block, relabelled as blocks join
     for (i, j, k), _ in s.mu:
-        root[find(j)] = root[find(k)] = find(i)
+        a, b, c = label[i], label[j], label[k]
+        if a != b or a != c:
+            label = [a if x == b or x == c else x for x in label]
     parts = {}
-    for i in range(s.rank):
-        parts.setdefault(find(i), ([], []))[0].append(i)
+    for i, x in enumerate(label):
+        parts.setdefault(x, ([], []))[0].append(i)
     for entry in s.mu:
-        parts[find(entry[0][0])][1].append(entry)
+        parts[label[entry[0][0]]][1].append(entry)
     out = []
     for slots, entries in parts.values():
-        # the vertex meets every entry: count the distinct slots of each triple
-        meets = dict.fromkeys(slots, 0)
-        for (i, j, k), _ in entries:
-            meets[i] += 1
-            if j != i:
-                meets[j] += 1
-            if k != j:
-                meets[k] += 1
-        n = len(entries)
-        out.append((next((i for i in slots if meets[i] == n), None), slots, entries))
+        # the slots in every triple (a slot that no entry meets is its own vertex)
+        common = set(entries[0][0] if entries else slots).intersection(*[t for t, _ in entries])
+        out.append((min(common, default=None), slots, entries))
     return out
 
 
@@ -75,12 +65,17 @@ def _diagonal_terms(rows: dict, lin: dict, p: int) -> dict:
     diagonal entry Q_kk, or, when the whole diagonal is 0 mod p, first replace
     e_k by e_k + e_l for some Q_kl != 0 (the pair step), which makes
     Q_kk = 2 Q_kl.  Each step is a change of basis over F_p, and the linear
-    forms follow it.  Returns the new coordinates' terms (d, beta, gamma),
-    the form being sum d z^2 and the linear forms sum beta z and sum gamma z,
-    with the number of coordinates that have each.
+    forms follow it.  A coordinate that meets no other (every one when Q is
+    diagonal, as for P(CP2 # k CP2bar)) is taken as it stands, before any
+    step.  Returns the new coordinates' terms (d, beta, gamma), the form
+    being sum d z^2 and the linear forms sum beta z and sum gamma z, with
+    the number of coordinates that have each.
     """
     terms = {}
-    while True:
+    for i in [i for i, row in rows.items() if not row or len(row) == 1 and i in row]:
+        key = (rows.pop(i).get(i, 0), *lin.pop(i))
+        terms[key] = terms.get(key, 0) + 1
+    while rows:
         k = next((i for i in rows if rows[i].get(i)), None)
         if k is None:
             k = next((i for i in rows if rows[i]), None)
@@ -119,17 +114,17 @@ def _diagonal_terms(rows: dict, lin: dict, p: int) -> dict:
     return terms
 
 
-# (lambda^3, lambda) mod p for each lambda in F_p^*
-_SCALES = {p: tuple((lam**3 % p, lam) for lam in range(1, p)) for p in (5, 7)}
+# _IMAGES[p][c, q]: the keys (lambda^3 c, lambda q) mod p, one for each lambda in F_p^*
+_IMAGES = {p: {(c, q): tuple((c * t**3 % p, q * t % p) for t in range(1, p))
+               for c in range(p) for q in range(p)} for p in (5, 7)}
 
 
 def _scaled(t1: dict, p: int, out: dict) -> dict:
-    """Add to ``out`` the keys (lambda^3 c, lambda pi) of lambda x, each lambda in F_p^*."""
-    scales = _SCALES[p]
-    for (c, q), n in t1.items():
-        for cube, lam in scales:
-            key = c * cube % p, q * lam % p
-            out[key] = out.get(key, 0) + n
+    """Add to ``out`` the keys (lambda^3 c, lambda pi) of lambda x, read from _IMAGES."""
+    images = _IMAGES[p]
+    for key, n in t1.items():
+        for image in images[key]:
+            out[image] = out.get(image, 0) + n
     return out
 
 
@@ -197,16 +192,15 @@ def _cone(s: InvariantSystem, v0: int, slots, entries, p: int) -> dict:
     m = 0
     rows = {i: {} for i in slots if i != v0}
     lin = {i: [0, s.p1[i] % p] for i in rows}
-    for ijk, v in entries:
-        pair = list(ijk)
-        pair.remove(v0)
-        i, j = pair
-        if i == j == v0:
+    for (i, j, k), v in entries:
+        # the two slots of the triple besides v0
+        a, b = (j, k) if i == v0 else (i, k) if j == v0 else (i, j)
+        if a == b == v0:
             m = v
-        elif v0 in pair:
-            lin[i + j - v0][0] = v % p
+        elif a == v0 or b == v0:
+            lin[a + b - v0][0] = v % p
         elif v % p:
-            rows[i][j] = rows[j][i] = v % p
+            rows[a][b] = rows[b][a] = v % p
     return _closed_form(m, rows, lin, s.p1[v0] % p, p)
 
 
@@ -222,47 +216,47 @@ def _p1_cone(s: InvariantSystem, slots, entries, p: int) -> dict | None:
     with vertex f_0 when mu(f_j,f_k,f_l) = mu_jkl - c_l M_jk - c_k N_jl -
     c_j Q_kl is 0 mod p for every j <= k <= l; its histogram is then
     :func:`_closed_form`'s on (m, b, Q, p1_i0).  A block whose p1 is 0 mod p,
-    or whose cubic does not vanish where p1 does, gives None.
+    or whose cubic does not vanish where p1 does, gives None.  The entries
+    are read once, into lists over the other slots' places.
     """
     p1 = s.p1
     i0 = next((i for i in slots if p1[i] % p), None)
     if i0 is None:
         return None
     inv = pow(p1[i0], -1, p)
-    c = {j: p1[j] * inv % p for j in slots if j != i0}
-    others = list(c)  # ascending, as in every triple of the entries
-    m, u, cross, rest = 0, dict.fromkeys(others, 0), {}, {}
-    for ijk, v in entries:
-        if i0 in ijk:
-            pair = list(ijk)
-            pair.remove(i0)
-            j, k = pair
-            if j == k == i0:
-                m = v
-            elif i0 in pair:
-                u[j + k - i0] = v
-            else:
-                cross[j, k] = v
+    others = [j for j in slots if j != i0]
+    n, at = len(others), {j: x for x, j in enumerate(others)}
+    c = [p1[j] * inv % p for j in others]
+    m, u, cross, rest = 0, [0] * n, [[0] * n for _ in range(n)], {}
+    for (i, j, k), v in entries:
+        # the two slots of the triple besides i0, or its three places
+        if i0 not in (i, j, k):
+            rest[at[i], at[j], at[k]] = v
+            continue
+        a, b = (j, k) if i == i0 else (i, k) if j == i0 else (i, j)
+        if a == b == i0:
+            m = v
+        elif a == i0 or b == i0:
+            u[at[a + b - i0]] = v
         else:
-            rest[ijk] = v
-    b = {j: (u[j] - cj * m) % p for j, cj in c.items()}
-    quad, rows = {}, {j: {} for j in others}
-    for at, j in enumerate(others):
-        cj, uj = c[j], u[j]
-        for k in others[at:]:
-            x = quad[j, k] = (cross.get((j, k), 0) - cj * b[k] - c[k] * uj) % p
-            if x:
-                rows[j][k] = rows[k][j] = x
-    for at, j in enumerate(others):
-        cj, uj = c[j], u[j]
-        for at_k, k in enumerate(others[at:], at):
-            ck, mjk = c[k], cross.get((j, k), 0)
-            for l in others[at_k:]:
-                cl = c[l]
-                njl = cross.get((j, l), 0) - cl * uj
-                if (rest.get((j, k, l), 0) - cl * mjk - ck * njl - cj * quad[k, l]) % p:
+            cross[at[a]][at[b]] = cross[at[b]][at[a]] = v
+    b = [(ux - cx * m) % p for ux, cx in zip(u, c)]
+    quad, rows = [[0] * n for _ in range(n)], {j: {} for j in others}
+    for x in range(n):
+        cx, ux, mx = c[x], u[x], cross[x]
+        for y in range(x, n):
+            q = quad[x][y] = (mx[y] - cx * b[y] - c[y] * ux) % p
+            if q:
+                rows[others[x]][others[y]] = rows[others[y]][others[x]] = q
+    for x in range(n):
+        cx, ux, mx = c[x], u[x], cross[x]
+        for y in range(x, n):
+            cy, mxy, qy = c[y], mx[y], quad[y]
+            for z in range(y, n):
+                cz = c[z]
+                if (rest.get((x, y, z), 0) - cz * mxy - cy * (mx[z] - cz * ux) - cx * qy[z]) % p:
                     return None
-    return _closed_form(m, rows, {j: [bj, 0] for j, bj in b.items()}, p1[i0] % p, p)
+    return _closed_form(m, rows, {j: [bx, 0] for j, bx in zip(others, b)}, p1[i0] % p, p)
 
 
 def _closed_form(m: int, rows: dict, lin: dict, q: int, p: int) -> dict:
@@ -357,27 +351,21 @@ def _walk(s: InvariantSystem, slots, p: int) -> dict:
 def histogram(s: InvariantSystem, p: int, blocks=None) -> dict | None:
     """p = 5, 7: the blocks' histograms, convolved; None outside the walk's window.
 
-    Keys are (mu(x,x,x) mod p, p1.x mod p); :func:`conitop.equiv.fingerprint`
-    adds the w2 key 0 as it builds its rows.  Each block of
-    :func:`cone_blocks` is a sum of its own coordinates, so the histogram over
-    F_p^rank convolves the blocks' histograms over their slots.  A cone
-    block takes :func:`_cone`.  A block with no vertex is counted only when
-    its walk, (p^n - 1)/(p - 1) points for n slots, is at most
-    MAX_WALK_POINTS; a larger one gives None, even where p1 would show it to
-    be a cone.  It takes :func:`_p1_cone` when p1 shows it to be a flat cone
-    mod p, and :func:`_walk` otherwise.  All count the same keys over the
-    same points: a change of basis over F_p permutes F_p^slots.  ``blocks``,
-    when given, is ``cone_blocks(s)``, found once for every prime a caller
-    runs.
+    Keys are (mu(x,x,x) mod p, p1.x mod p).  Each block of :func:`cone_blocks`
+    is a sum of its own coordinates, so the histogram over F_p^rank convolves
+    the blocks' histograms over their slots.  A cone block takes :func:`_cone`.
+    A block with no vertex of n slots is counted only when its walk,
+    (p^n - 1)/(p - 1) points, is at most MAX_WALK_POINTS, else None is
+    returned; it takes :func:`_p1_cone`, or failing that :func:`_walk`.  All
+    count the same keys over the same points.  ``blocks``, when given, is
+    ``cone_blocks(s)``, found once for every prime a caller runs.
     """
     hist = None
     for v0, slots, entries in cone_blocks(s) if blocks is None else blocks:
         if v0 is not None:
             block = _cone(s, v0, slots, entries, p)
         elif (p ** len(slots) - 1) // (p - 1) <= MAX_WALK_POINTS:
-            block = _p1_cone(s, slots, entries, p)
-            if block is None:
-                block = _walk(s, slots, p)
+            block = _p1_cone(s, slots, entries, p) or _walk(s, slots, p)
         else:
             return None
         hist = block if hist is None else _convolve(hist, block, p)

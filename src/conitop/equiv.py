@@ -36,7 +36,7 @@ from .intmat import (
     transpose,
     vec_mod2,
 )
-from .sixfold import InvariantSystem, _default_labels
+from .sixfold import InvariantSystem, _default_labels, _pull_back
 
 DEFAULT_BOUND = 3
 DEFAULT_PRIMES = (2, 3, 5)
@@ -104,7 +104,7 @@ def verify_witness(
         return False
     if check_c1 and matvec(rows, s1.c1_class) != s2.c1_class:
         return False
-    return s2.pull_back(rows) == s1.mu
+    return _pull_back(s2.mu, rows) == dict(s1.mu)
 
 
 class SearchStats(Value):
@@ -200,14 +200,15 @@ class _WitnessSearch:
         self.stats = stats
         self.tables = {}
         # mu2(e_p, e_q, .) as (k, value) pairs for each nonzero (p, q)
-        slices = {}
+        slices = [{} for _ in range(r)]
         for (p, q, k), v in s2.mu_terms.items():
-            slices.setdefault(p, {}).setdefault(q, []).append((k, v))
-        self.slices = tuple(tuple(slices.get(p, {}).items()) for p in range(r))
+            slices[p].setdefault(q, []).append((k, v))
+        self.slices = [tuple(row.items()) for row in slices]
         # mu1(e_i, e_j, .) as a list over the last index, for each (i, j)
         rows = [[[0] * r for _ in range(r)] for _ in range(r)]
-        for (i, j, k), v in s1.mu_terms.items():
-            rows[i][j][k] = v
+        for (i, j, k), v in s1.mu:
+            rows[i][j][k] = rows[i][k][j] = rows[j][i][k] = v
+            rows[j][k][i] = rows[k][i][j] = rows[k][j][i] = v
         self.rows1 = rows
         if check_c1:
             a = s1.c1_class
@@ -271,9 +272,10 @@ class _WitnessSearch:
         s1, s2, rows = self.s1, self.s2, transpose(tuple(cols))
         if not verify_witness(s1, s2, rows, self.check_c1):
             return None
-        # verify_witness has checked the rows, their determinant included
+        # verify_witness has checked the rows, their determinant included, and
+        # with check_c1 that they take c1_1 to c1_2
         both = s1.c1_class is not None and s2.c1_class is not None
-        preserves_c1 = both and matvec(rows, s1.c1_class) == s2.c1_class
+        preserves_c1 = self.check_c1 or both and matvec(rows, s1.c1_class) == s2.c1_class
         return IsomorphismWitness._unchecked(rows, preserves_c1)
 
     def complete_from(
@@ -380,18 +382,31 @@ def find_isomorphism(
     return _WitnessSearch(s1, s2, bound, check_c1, stats).complete_from([], [], [])
 
 
-def _w2_square_parities(s: InvariantSystem) -> tuple[int, ...]:
-    """The diagonal values mu(W, e_i, e_i) mod 2, W the 0/1 lift of w2.
+def _mod2_forms(s: InvariantSystem) -> tuple[list[int], int, int]:
+    """mu(x,x,x) and mu(W,x,x) mod 2 as bitmasks, W the 0/1 lift of w2, in one pass over mu.
 
-    Mod 2, mu(W, x, x) = sum_i x_i mu(W, e_i, e_i): the off-diagonal terms
-    come in equal pairs and x_i^2 = x_i.  So these rank-many parities give
-    mu(W, x, x) mod 2 as a linear form in x.
+    Mod 2, x_i^2 = x_i and the terms of distinct slots come in pairs, so
+    mu(x,x,x) = sum_i mu_iii x_i + sum_{i<j} (mu_iij + mu_ijj) x_i x_j and
+    mu(W,x,x) = d . x, d_i = mu(W,e_i,e_i): only odd entries with a repeated
+    slot count.  Returns the quadratic part's rows (bit j of row i for
+    x_i x_j), its linear part and d.
     """
-    d = [0] * s.rank
+    w2, rows, lin, d = s.w2, [0] * s.rank, 0, 0
     for (i, j, k), v in s.mu:
-        if i == j or j == k:  # mu(e_m, e_j, e_j) with m = i + k - j; mu_jjj once
-            d[j] += s.w2[i + k - j] * v
-    return tuple(x % 2 for x in d)
+        if v & 1 and (i == j or j == k):
+            if i == k:
+                lin ^= 1 << i
+                d ^= w2[i] << i
+            else:
+                rows[i] ^= 1 << k
+                rows[k] ^= 1 << i
+                d ^= w2[k] << i if i == j else w2[i] << k
+    return rows, lin, d
+
+
+def _w2_square_parities(s: InvariantSystem) -> tuple[int, ...]:
+    """The values mu(W, e_i, e_i) mod 2, which give mu(W, x, x) mod 2 (see :func:`_mod2_forms`)."""
+    return tuple(_mod2_forms(s)[2] >> i & 1 for i in range(s.rank))
 
 
 def has_even_w2_cubic(s: InvariantSystem) -> bool:
@@ -419,27 +434,12 @@ def fingerprint(s: InvariantSystem, p: int) -> tuple[tuple[int, int, int, int], 
     At odd p, w = 0, since that parity on a representative is no invariant.
     Returns the sorted rows (cubic, p1, w, count) of :func:`_format`: at
     most 2 p^2, counts summing to p^rank.  Each prime has its own method,
-    all giving these rows:
-
-    * p = 2 (:func:`_fingerprint_mod2`): the cubic is a quadratic function on
-      F_2^r; 8 character sums, 4 of them over linear forms alone, give the
-      8 counts by a Walsh-Hadamard butterfly, O(r^2) work;
-    * p = 3 (:func:`_fingerprint_mod3`): the key is a linear map F_3^r ->
-      F_3^2, so the rows are its image of 3^d points, d <= 2, each counted
-      3^(r - d) times, O(r) work;
-    * p = 5, 7 (:func:`conitop.cones.histogram`): block by block, the blocks'
-      histograms convolved.  A cone block takes a congruence diagonalization
-      mod p, O(n) work on a diagonal form and O(n^3) on a dense one, n its
-      slots.  When p1 is 0 mod p off its vertex (P(E), a transition side, a
-      blowup slot) the diagonal quadric's point counts then give its
-      histogram in O(n); otherwise per-coordinate tables over p^2 keys are
-      convolved, O(n p^3).  A block with no vertex is counted only up to
-      MAX_WALK_POINTS = 19,608 points, (p^n - 1)/(p - 1): a larger one
-      raises ValidationError.  When p1 is not 0 mod p on it and mu vanishes
-      mod p where p1 does (a transport of P(E) or of a transition side z1),
-      it is a flat cone in a basis over F_p and takes the closed form after
-      an O(n^3) check; otherwise a depth-first walk over its points whose
-      first nonzero coordinate is 1, O(n^2) work per node.
+    all giving these rows (the README's fingerprint notes derive them):
+    :func:`_fingerprint_mod2`, character sums in O(r^2) work;
+    :func:`_fingerprint_mod3`, the image of a linear map, O(r); and at p = 5
+    and 7 :func:`conitop.cones.histogram`, block by block, which counts a
+    block with no vertex only up to MAX_WALK_POINTS = 19,608 points,
+    (p^n - 1)/(p - 1) for n slots: a larger one raises ValidationError.
 
     Each key depends only on x mod p (and w2), and a witness maps F_p^rank
     bijectively to points with equal keys, so isomorphic systems have equal
@@ -475,7 +475,7 @@ def _histogram(s: InvariantSystem, p: int, blocks=None) -> dict | None:
     is passed on to :func:`conitop.cones.histogram`.
     """
     if p == 2:
-        return _fingerprint_mod2(s, _w2_square_parities(s))
+        return _fingerprint_mod2(s)
     if p == 3:
         return _fingerprint_mod3(s)
     return _cones_module().histogram(s, p, blocks)
@@ -525,33 +525,23 @@ def _sign_sum(rows: list[int], lin: int) -> int:
 _BUTTERFLY = tuple((k - h, k) for h in (4, 2, 1) for k in range(8) if k & h)
 
 
-def _fingerprint_mod2(s: InvariantSystem, d: tuple[int, ...]) -> dict:
-    """p = 2: mu(x,x,x) = sum_i mu_iii x_i + sum_{i<j} (mu_iij + mu_ijj) x_i x_j.
+def _fingerprint_mod2(s: InvariantSystem) -> dict:
+    """p = 2: the cubic is a quadratic function q on F_2^r (:func:`_mod2_forms`).
 
-    That is a quadratic function q on F_2^r; P = p1 . x and D = d . x are
-    linear.  The count of (c, pi, w) is 1/8 of the sum over a, b, g in F_2
-    of (-1)^(ac + b pi + gw) S(a, b, g), where S(a, b, g) is the sum of
-    (-1)^(a q + b P + g D) over F_2^r: 2^r or 0 when a = 0, and
-    :func:`_sign_sum` when a = 1, once per distinct form bP + gD (D = 0 on
-    every system with an even w2 cubic, so there are two).  Listed at
-    4a + 2b + g, the 8 sums go through an in-place Walsh-Hadamard butterfly,
-    three rounds of four sum and difference pairs, which leaves 8 times the
-    count of (c, pi, w) at 4c + 2 pi + w.
+    With the linear forms P = p1 . x and D = d . x, the count of (c, pi, w) is
+    1/8 of the sum over a, b, g in F_2 of (-1)^(ac + b pi + gw) S(a, b, g),
+    S(a, b, g) the sum of (-1)^(a q + b P + g D) over F_2^r: 2^r or 0 when
+    a = 0, :func:`_sign_sum` when a = 1.  When D = 0 (an even w2 cubic) the
+    g = 1 sums repeat the g = 0 ones: two sign sums serve, not four.  Listed
+    at 4a + 2b + g, the 8 sums go through an in-place Walsh-Hadamard
+    butterfly, which leaves 8 times the count of (c, pi, w) at 4c + 2 pi + w.
     """
-    r = s.rank
-    rows, lin = [0] * r, 0
-    for (i, j, k), v in s.mu:
-        if v & 1 and (i == j or j == k):
-            if i == k:
-                lin ^= 1 << i
-            else:
-                rows[i] ^= 1 << k
-                rows[k] ^= 1 << i
+    rows, lin, d = _mod2_forms(s)
     p1 = sum((v & 1) << i for i, v in enumerate(s.p1))
-    w2 = sum(v << i for i, v in enumerate(d))
-    forms = (0, w2, p1, p1 ^ w2)
-    signed = {form: _sign_sum(rows, lin ^ form) for form in set(forms)}
-    sums = [0 if form else 1 << r for form in forms] + [signed[form] for form in forms]
+    full, plain = 1 << s.rank, _sign_sum(rows, lin)
+    paired = _sign_sum(rows, lin ^ p1) if p1 else plain
+    w, pw = (_sign_sum(rows, lin ^ d), _sign_sum(rows, lin ^ p1 ^ d)) if d else (plain, paired)
+    sums = [full, 0 if d else full, 0 if p1 else full, 0 if p1 ^ d else full, plain, w, paired, pw]
     for i, j in _BUTTERFLY:  # sums[k] becomes 8 times the count of k
         sums[i], sums[j] = sums[i] + sums[j], sums[i] - sums[j]
     return {(k >> 2, k >> 1 & 1, k & 1): n >> 3 for k, n in enumerate(sums) if n}
@@ -584,17 +574,17 @@ def certify_distinct(
 ) -> DistinctnessCertificate | None:
     """Certified non-isomorphism via rank, b3, or a fingerprint mismatch.
 
-    None means inconclusive, never "isomorphic".  Every given prime runs in
-    turn, at every rank, except that p = 5 or 7 is skipped when a system
-    has a block with no vertex in its basis whose walk would visit more
-    than MAX_WALK_POINTS points, (p^n - 1)/(p - 1) for n slots (see
-    :func:`_histogram`), whether or not p1 would show it to be a cone:
-    7 slots are counted at p = 5, but not at p = 7.  Every prime is checked
-    to be a supported one first.  Each system's blocks
-    (:func:`conitop.cones.cone_blocks`) are found once, when p = 5 or 7
-    first runs, and serve both primes.  The two histograms of a prime are
-    compared as counted; only the certificate's are formatted into rows.
+    None means inconclusive, never "isomorphic".  ``primes``, an iterable,
+    must hold supported primes only; all are checked first.  Each then runs
+    in turn, at every rank, except p = 5 or 7 outside the window of
+    :func:`_histogram`, whether or not p1 would show a block to be a cone
+    (7 slots with no vertex count at p = 5, not at p = 7).  Each system's
+    blocks (:func:`conitop.cones.cone_blocks`) are found once, when p = 5 or
+    7 first runs.  The histograms of a prime are compared as counted; only
+    the certificate's are formatted into rows.
     """
+    if not hasattr(primes, "__iter__"):
+        raise ValidationError(f"primes must be a sequence of primes, got {primes!r}")
     primes = tuple(primes)
     for p in primes:
         _check_prime(p)

@@ -148,31 +148,53 @@ class InvariantSystem(Value):
         return total
 
     def pull_back(self, matrix) -> MuEntries:
-        """The entries of mu(A e_i, A e_j, A e_k), in the canonical form of ``mu``.
-
-        A is given by its rows.  Each term mu(e_a, e_b, e_c) is taken through
-        the nonzero entries of rows a, b and c only, never all rank^3 triples.
-        """
-        rows = as_matrix(matrix, "matrix", self.rank)
-        support = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
-        out = {}
-        for (a, b, c), v in self.mu_terms.items():
-            for i, x in support[a]:
-                for j, y in support[b]:
-                    if j >= i:
-                        for k, z in support[c]:
-                            if k >= j:
-                                out[i, j, k] = out.get((i, j, k), 0) + v * x * y * z
-        return tuple(sorted(entry for entry in out.items() if entry[1]))
+        """mu(A e_i, A e_j, A e_k), A given by its rows, as ``mu`` holds it (:func:`_pull_back`)."""
+        return tuple(sorted(_pull_back(self.mu, as_matrix(matrix, "matrix", self.rank)).items()))
 
     def cubic(self, x) -> int:
-        return self.mu_eval(x, x, x)
+        """mu(x, x, x): each entry once, times the number of its orderings (1, 3 or 6)."""
+        x = as_vector(x, "x", self.rank)
+        total = 0
+        for (i, j, k), v in self.mu:
+            total += (1 if i == k else 3 if i == j or j == k else 6) * v * x[i] * x[j] * x[k]
+        return total
 
     def p1_pairing(self, x) -> int:
         return dot(self.p1, as_vector(x, "x", self.rank))
 
 
 make_system = InvariantSystem  # one constructor, under both public names
+
+
+def _pull_back(mu, rows) -> dict:
+    """mu pulled back through A, whose rows are checked: {(i, j, k): value}, i <= j <= k, nonzero.
+
+    With x = A y, mu(x,x,x) sums n v (A_a.y)(A_b.y)(A_c.y) over the canonical
+    entries (a, b, c), n = 1, 3 or 6 their orderings.  So each entry is taken
+    once: rows b and c multiply, through their nonzero entries, into the
+    quadratic form q_a of slot a, and each q_a is then multiplied by row a.
+    The coefficient of y_i y_j y_k is the entry (i, j, k) times its own n.
+    """
+    support = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
+    quads = {}
+    for (a, b, c), v in mu:
+        q = quads.setdefault(a, {})
+        v *= 1 if a == c else 3 if a == b or b == c else 6
+        for j, y in support[b]:
+            y *= v
+            for k, z in support[c]:
+                key = (j, k) if j <= k else (k, j)
+                q[key] = q.get(key, 0) + y * z
+    out = {}
+    for a, q in quads.items():
+        row = support[a]
+        for (j, k), yz in q.items():
+            if yz:
+                for i, x in row:
+                    key = (i, j, k) if i <= j else (j, i, k) if i <= k else (j, k, i)
+                    out[key] = out.get(key, 0) + x * yz
+    return {(i, j, k): x // (1 if i == k else 3 if i == j or j == k else 6)
+            for (i, j, k), x in out.items() if x}
 
 
 def projectivize(base: FourManifold, e: RankTwoBundle) -> InvariantSystem:

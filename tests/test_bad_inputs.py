@@ -392,6 +392,8 @@ LIBRARY_ROWS = [
     ("DistinctnessCertificate('fingerprint', True, (fingerprint(EXP, 2),) * 2)", "prime"),
     ("DistinctnessCertificate('mu', None, (1, 2))", "kind"),
     ("certify_distinct(ONE, TWO, (11,))", "11"),
+    ("certify_distinct(ONE, ONE, 5)", "^primes must be a sequence of primes, got 5$"),
+    ("certify_distinct(ONE, ONE, None)", "^primes must be a sequence of primes, got None$"),
     ("certify_distinct(*[make_system(7, {}, (0,) * 7, (0,) * 7)] * 2, (2.0,))", "2.0"),
     ("certify_distinct(*[make_system(1, {(0, 0, 0): 1}, (0,), (1,), 0, (1,))] * 2, [2, 9])", "9"),
     ("serialize.parse_sum_expression('')", "empty"),

@@ -444,6 +444,27 @@ def test_mod2_fingerprint_with_p1_zero_equal_to_the_w2_form_or_independent():
     assert kinds == {"zero", "d", "independent"}
 
 
+def test_mod2_fingerprint_with_an_odd_w2_cubic_takes_four_sign_sums():
+    # the w2 form D = mu(W, x, x) mod 2 is nonzero on each of these, which no
+    # built system has (the Wu relation), so the g = 1 sums are sign sums of
+    # their own: with p1 = 0, p1 = D and p1 = D + e_last mod 2
+    explicit = [
+        (1, {(0, 0, 0): 1}, (1,)),
+        (2, {(0, 0, 1): 1}, (0, 1)),
+        (2, {(0, 0, 0): 2, (0, 1, 1): 3}, (1, 0)),
+        (3, {(0, 0, 1): 1, (0, 1, 2): 1, (1, 2, 2): -1, (2, 2, 2): 1}, (1, 1, 1)),
+        (4, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 1, 2): 5, (2, 3, 3): 1, (0, 2, 3): 2}, (0, 1, 1, 1)),
+    ]
+    for rank, mu, w2 in explicit:
+        d = equiv._w2_square_parities(make_system(rank, mu, (0,) * rank, w2))
+        assert any(d), (rank, mu, w2)
+        other = tuple(int(i == rank - 1) for i in range(rank))
+        for p1 in ((0,) * rank, tuple(3 * x for x in d), tuple(x - y for x, y in zip(d, other))):
+            s = make_system(rank, mu, p1, w2)
+            assert fingerprint(s, 2) == fingerprint_reference(s, 2), s
+            assert {row[2] for row in fingerprint(s, 2)} == {0, 1}
+
+
 def test_certify_at_two_and_three_leaves_mu_terms_unbuilt():
     # mu_terms holds every ordering of every entry; p = 2 and 3 read s.mu
     base = parse_sum_expression("CP2 # 5 CP2bar # 125 S2xS2")
@@ -499,6 +520,16 @@ def cone_cases(rng):
     cases.append(("Q = 0 mod p", make_system(4, flat, (35, 70, 0, 1), (0,) * 4)))
     hyper = {(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 2): 1, (0, 3, 4): 1, (0, 3, 3): 5}
     cases.append(("hyperbolic", make_system(5, hyper, (2, 1, 0, 3, 1), (0,) * 5)))
+    # a diagonal Q whose entries 5, 7 and 35 are 0 mod 5 or 7, and a Q that is
+    # diagonal on some slots next to a dense and a hyperbolic part: slots that
+    # meet no other are taken before any Lagrange step; flat p1, then not
+    diagonal = {(0, 0, 0): 2, (0, 0, 1): 1, (0, 0, 3): 3,
+                (0, 1, 1): 1, (0, 2, 2): 5, (0, 3, 3): 7, (0, 4, 4): 35}
+    mixed = {(0, 0, 0): 1, (0, 0, 2): 4, (0, 1, 1): 2, (0, 1, 2): 1, (0, 2, 2): 3,
+             (0, 3, 3): 10, (0, 4, 5): 1, (0, 0, 5): 1}
+    for name, mu, rank in (("diagonal", diagonal, 5), ("partly diagonal", mixed, 6)):
+        for p1 in ((3,) + (0,) * (rank - 1), (3, 1, 0, 2) + (0,) * (rank - 4)):
+            cases.append((name, make_system(rank, mu, p1, (0,) * rank)))
     for rank in range(1, 7):
         s = random_system(rng, rank)
         vertex = rng.randrange(rank)

@@ -9,6 +9,7 @@ from conitop import (
     connected_sum,
     cp3bar_system,
     euler_characteristic,
+    local_model_system,
     make_system,
     projectivize,
     standard,
@@ -18,6 +19,7 @@ from conitop import (
     twist_witness,
     verify_witness,
 )
+from conitop.equiv import _w2_square_parities
 from conitop.sixfold import triple_indices
 
 from oracles import (
@@ -285,6 +287,55 @@ def test_pull_back_matches_dense_triple_loop():
                 assert pulled == pull_back_dense(s, rows), (s, rows)
                 # the canonical form of mu, so it builds a system as it stands
                 assert make_system(rank, pulled, s.p1, s.w2).mu == pulled
+
+
+def test_pull_back_weights_each_canonical_entry_by_its_orderings():
+    # each entry is taken once, weighted by its 1, 3 or 6 orderings, and the
+    # weight of each pulled-back triple divided out: transports at ranks 1-8
+    # with negative row entries, on systems that hold entries (i,i,i), (i,i,j),
+    # (i,j,j) and (i,j,k), against the dense triple loop
+    rng = random.Random(4242)
+    shapes = set()
+    for rank in range(1, 9):
+        for _ in range(3):
+            s = random_system(rng, rank, fill=rng.choice((0.1, 0.4, 1.0)))
+            mu = dict(s.mu)
+            mu[0, 0, 0] = rng.choice((-3, -1, 2))
+            if rank > 1:
+                mu[0, 0, rank - 1], mu[0, rank - 1, rank - 1] = rng.choice(((1, -2), (-5, 3)))
+            if rank > 2:
+                mu[0, 1, 2] = rng.choice((-1, 4))
+            s = make_system(rank, mu, s.p1, s.w2)
+            rows = random_unimodular(rng, rank, max_entry=rng.choice((1, 2, 3)))
+            while min(min(row) for row in rows) >= 0:
+                rows = random_unimodular(rng, rank, max_entry=2)
+            pulled = s.pull_back(rows)
+            assert pulled == pull_back_dense(s, rows), (s, rows)
+            shapes.update(len(set(ijk)) for ijk, _ in pulled)
+    assert shapes == {1, 2, 3}
+
+
+def test_every_constructor_satisfies_the_wu_relation():
+    # Sq^2(x y) = w2 x y on H^4 gives mu(x,x,y) + mu(x,y,y) = mu(W,x,y) mod 2
+    # for basis classes x, y and W the 0/1 lift of w2; with x = y, mu(W,x,x)
+    # is even, so the parities of the p = 2 fingerprint's w2 key are all 0.
+    # Nothing in the package enforces either.
+    rng = random.Random(8)
+    systems = [local_model_system(1), local_model_system(2), cp3bar_system()]
+    for _ in range(20):
+        base = random_catalog_sum(rng, max_pieces=4)
+        e = random_bundle(rng, base)
+        s = projectivize(base, e)
+        t = conifold_transition(base, e)
+        moved = transport_system(s, random_unimodular(rng, s.rank))
+        systems += [s, blowup_point(s), blowup_point(blowup_point(s)), t.z1, t.z2, moved]
+    for s in systems:
+        r, mu, w = s.rank, s.mu_value, s.w2
+        for i in range(r):
+            for j in range(r):
+                wu = sum(w[m] * mu(m, i, j) for m in range(r))
+                assert (mu(i, i, j) + mu(i, j, j) - wu) % 2 == 0, (s, i, j)
+        assert not any(_w2_square_parities(s)), s
 
 
 def test_twist_sign_determined_once():
