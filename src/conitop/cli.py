@@ -452,6 +452,8 @@ def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
         from .equiv import DEFAULT_BOUND, DEFAULT_PRIMES
 
         bound = DEFAULT_BOUND if args.bound is None else serialize.read_int(args.bound, "--bound")
+        if bound < 1:  # refused before the descriptors are read, whatever the pair
+            raise ValidationError(f"--bound must be at least 1, got {bound}")
         primes = DEFAULT_PRIMES if args.primes is None else _parse_int_list(args.primes, "--primes")
         left = _read_descriptor(args.left, "--left", serialize.system_from_descriptor)
         right = _read_descriptor(args.right, "--right", serialize.system_from_descriptor)

@@ -3,10 +3,13 @@
 A block is counted in closed form when it is a cone in the given basis
 (:func:`_cone`) or, failing that, when p1 shows it to be a flat cone in a
 basis over F_p (:func:`_p1_cone`); any other block is walked point by point
-(:func:`_walk`).  :func:`conitop.equiv.fingerprint` imports this module the
-first time it fingerprints at p = 5 or 7, so ``compare`` and
-``verify-paper`` compile it only then; ``invariants`` and ``transition``
-load neither it nor :mod:`conitop.equiv`.  See :func:`histogram`.
+(:func:`_walk`).  Both closed-form routes read their block once
+(:func:`_read`) and count it by :func:`_closed_form`, which diagonalizes Q
+in place where its pieces have 1 or 2 coordinates.
+:func:`conitop.equiv.fingerprint` imports this module the first time it
+fingerprints at p = 5 or 7, so ``compare`` and ``verify-paper`` compile it
+only then; ``invariants`` and ``transition`` load neither it nor
+:mod:`conitop.equiv`.  See :func:`histogram`.
 """
 
 from __future__ import annotations
@@ -20,16 +23,34 @@ from .sixfold import InvariantSystem
 def cone_blocks(s: InvariantSystem):
     """The blocks of s as (vertex, slots, entries), the vertex None if it is no cone.
 
-    The blocks are the connected components of the support of mu, joined in
-    one pass over ``s.mu``, an entry that meets two blocks relabelling the
-    slots of one; a slot that no entry meets is a block of its own.
+    The blocks are the connected components of the support of mu, listed by
+    their least slot; a slot that no entry meets is a block of its own.
     A block is a cone when one slot, its vertex, lies in every nonzero triple
     of the block (the least such slot is taken, found by intersecting the
     triples).  P(E) is a cone with vertex 0, since mu(y_i, y_j, y_k) = 0, and
-    a blowup slot is a block of its own.
+    a blowup slot is a block of its own.  When a slot of the first triple
+    lies in every triple, as in P(E) and local model 2, the entries make one
+    cone, found in that one pass.  Otherwise the blocks are joined in one
+    pass over ``s.mu``, an entry that meets two blocks relabelling the slots
+    of one.
     """
+    triples, vertex = [t for t, _ in s.mu], None
+    for v in dict.fromkeys(triples[0] if triples else ()):  # the first triple's slots, in order
+        for t in triples:
+            if v not in t:
+                break
+        else:
+            vertex = v
+            break
+    if vertex is not None or not triples:
+        touched = set().union(*triples)
+        if vertex is not None and len(touched) == s.rank:
+            return [(vertex, list(range(s.rank)), list(s.mu))]
+        low = min(touched, default=None)
+        return [(vertex, sorted(touched), list(s.mu)) if i == low else (i, [i], [])
+                for i in range(s.rank) if i == low or i not in touched]
     label = list(range(s.rank))  # each slot's block, relabelled as blocks join
-    for (i, j, k), _ in s.mu:
+    for i, j, k in triples:
         a, b, c = label[i], label[j], label[k]
         if a != b or a != c:
             label = [a if x == b or x == c else x for x in label]
@@ -65,16 +86,13 @@ def _diagonal_terms(rows: dict, lin: dict, p: int) -> dict:
     diagonal entry Q_kk, or, when the whole diagonal is 0 mod p, first replace
     e_k by e_k + e_l for some Q_kl != 0 (the pair step), which makes
     Q_kk = 2 Q_kl.  Each step is a change of basis over F_p, and the linear
-    forms follow it.  A coordinate that meets no other (every one when Q is
-    diagonal, as for P(CP2 # k CP2bar)) is taken as it stands, before any
-    step.  Returns the new coordinates' terms (d, beta, gamma), the form
-    being sum d z^2 and the linear forms sum beta z and sum gamma z, with
-    the number of coordinates that have each.
+    forms follow it.  :func:`_closed_form` passes only components of Q of 3
+    or more coordinates; it counts smaller ones in place.  Returns the new
+    coordinates' terms (d, beta, gamma), the form being sum d z^2 and the
+    linear forms sum beta z and sum gamma z, with the number of coordinates
+    that have each.
     """
     terms = {}
-    for i in [i for i, row in rows.items() if not row or len(row) == 1 and i in row]:
-        key = (rows.pop(i).get(i, 0), *lin.pop(i))
-        terms[key] = terms.get(key, 0) + 1
     while rows:
         k = next((i for i in rows if rows[i].get(i)), None)
         if k is None:
@@ -114,16 +132,17 @@ def _diagonal_terms(rows: dict, lin: dict, p: int) -> dict:
     return terms
 
 
-# _IMAGES[p][c, q]: the keys (lambda^3 c, lambda q) mod p, one for each lambda in F_p^*
-_IMAGES = {p: {(c, q): tuple((c * t**3 % p, q * t % p) for t in range(1, p))
-               for c in range(p) for q in range(p)} for p in (5, 7)}
+# _IMAGES[p][q][c]: the keys (lambda^3 c, lambda q) mod p, one for each lambda in F_p^*
+# (nested lists: a dict on (c, q) would build and hash that key at every lookup)
+_IMAGES = {p: [[tuple((c * t**3 % p, q * t % p) for t in range(1, p)) for c in range(p)]
+               for q in range(p)] for p in (5, 7)}
 
 
 def _scaled(t1: dict, p: int, out: dict) -> dict:
     """Add to ``out`` the keys (lambda^3 c, lambda pi) of lambda x, read from _IMAGES."""
     images = _IMAGES[p]
-    for key, n in t1.items():
-        for image in images[key]:
+    for (c, q), n in t1.items():
+        for image in images[q][c]:
             out[image] = out.get(image, 0) + n
     return out
 
@@ -135,7 +154,7 @@ _ETA = {p: tuple((pow(a, (p - 1) // 2, p) + 1) % p - 1 for a in range(p)) for p 
 def _quadric_slice(m: int, terms: dict, n: int, p: int) -> list:
     """The number of y in F_p^n with m + sum(3 d z^2 + 3 beta z) = c, for each c in F_p.
 
-    ``terms`` are :func:`_diagonal_terms`' (d, beta, 0) with their counts,
+    ``terms`` are :func:`_closed_form`'s (d, beta, 0) with their counts,
     over n coordinates.  A term with d = 0 and beta != 0 makes every value
     take p^(n-1) points.  Otherwise each d != 0 term completes its square,
     3 d z^2 + 3 beta z = 3 d w^2 - 3 beta^2/(4d), so with s0 = m - sum
@@ -182,6 +201,44 @@ def _convolve_coordinates(t1: dict, terms: dict, p: int) -> dict:
     return t1
 
 
+def _read(entries, v0: int, others: list, p: int):
+    """A block's entries about the slot v0, mod p: (m, diag, b, nbrs, rest).
+
+    With x and y the places of slots in ``others``: m = mu(v0,v0,v0),
+    b[x] = mu(v0,v0,e_x) and diag[x] = Q_xx, Q_xy = mu(v0,e_x,e_y); nbrs[x]
+    is {y: Q_xy} over the y != x with Q_xy != 0 mod p, held only for the x
+    that have such a y; ``rest`` maps the places (x, y, z) of an entry
+    without v0 to its value.  Entries 0 mod p are dropped.
+    """
+    n = len(others)
+    at = {j: x for x, j in enumerate(others)}
+    m, diag, b, nbrs, rest = 0, [0] * n, [0] * n, {}, {}
+    for (i, j, k), v in entries:
+        v %= p
+        if not v:
+            continue
+        # the two slots of the triple besides v0, in order, or its three places
+        if i == v0:
+            x, y = j, k
+        elif j == v0:
+            x, y = i, k
+        elif k == v0:
+            x, y = i, j
+        else:
+            rest[at[i], at[j], at[k]] = v
+            continue
+        if x == y == v0:
+            m = v
+        elif x == v0 or y == v0:
+            b[at[x + y - v0]] = v
+        elif x == y:
+            diag[at[x]] = v
+        else:
+            x, y = at[x], at[y]
+            nbrs.setdefault(x, {})[y] = nbrs.setdefault(y, {})[x] = v
+    return m, diag, b, nbrs, rest
+
+
 def _cone(s: InvariantSystem, v0: int, slots, entries, p: int) -> dict:
     """A cone block's histogram over F_p^slots, in closed form.
 
@@ -189,19 +246,9 @@ def _cone(s: InvariantSystem, v0: int, slots, entries, p: int) -> dict:
     :func:`_closed_form`: m = mu_sss, b_i = mu_ssi, Q_ij = mu_sij and p1 for
     s = v0 and the other slots i, j.
     """
-    m = 0
-    rows = {i: {} for i in slots if i != v0}
-    lin = {i: [0, s.p1[i] % p] for i in rows}
-    for (i, j, k), v in entries:
-        # the two slots of the triple besides v0
-        a, b = (j, k) if i == v0 else (i, k) if j == v0 else (i, j)
-        if a == b == v0:
-            m = v
-        elif a == v0 or b == v0:
-            lin[a + b - v0][0] = v % p
-        elif v % p:
-            rows[a][b] = rows[b][a] = v % p
-    return _closed_form(m, rows, lin, s.p1[v0] % p, p)
+    p1, others = s.p1, [i for i in slots if i != v0]
+    m, diag, b, nbrs, _ = _read(entries, v0, others, p)
+    return _closed_form(m, p1[v0] % p, diag, nbrs, b, [p1[i] % p for i in others], p)
 
 
 def _p1_cone(s: InvariantSystem, slots, entries, p: int) -> dict | None:
@@ -217,7 +264,8 @@ def _p1_cone(s: InvariantSystem, slots, entries, p: int) -> dict | None:
     c_j Q_kl is 0 mod p for every j <= k <= l; its histogram is then
     :func:`_closed_form`'s on (m, b, Q, p1_i0).  A block whose p1 is 0 mod p,
     or whose cubic does not vanish where p1 does, gives None.  The entries
-    are read once, into lists over the other slots' places.
+    are read once, by :func:`_read` about i0, and M is spread into lists over
+    the other slots' places for the O(n^3) check.
     """
     p1 = s.p1
     i0 = next((i for i in slots if p1[i] % p), None)
@@ -225,29 +273,23 @@ def _p1_cone(s: InvariantSystem, slots, entries, p: int) -> dict | None:
         return None
     inv = pow(p1[i0], -1, p)
     others = [j for j in slots if j != i0]
-    n, at = len(others), {j: x for x, j in enumerate(others)}
+    n = len(others)
     c = [p1[j] * inv % p for j in others]
-    m, u, cross, rest = 0, [0] * n, [[0] * n for _ in range(n)], {}
-    for (i, j, k), v in entries:
-        # the two slots of the triple besides i0, or its three places
-        if i0 not in (i, j, k):
-            rest[at[i], at[j], at[k]] = v
-            continue
-        a, b = (j, k) if i == i0 else (i, k) if j == i0 else (i, j)
-        if a == b == i0:
-            m = v
-        elif a == i0 or b == i0:
-            u[at[a + b - i0]] = v
-        else:
-            cross[at[a]][at[b]] = cross[at[b]][at[a]] = v
+    m, diag, u, nbrs, rest = _read(entries, i0, others, p)
+    cross = [[0] * n for _ in range(n)]
+    for x, mx in enumerate(cross):
+        mx[x] = diag[x]
+        for y, v in nbrs.get(x, {}).items():
+            mx[y] = v
     b = [(ux - cx * m) % p for ux, cx in zip(u, c)]
-    quad, rows = [[0] * n for _ in range(n)], {j: {} for j in others}
+    quad, qdiag, qnbrs = [[0] * n for _ in range(n)], [0] * n, {}
     for x in range(n):
         cx, ux, mx = c[x], u[x], cross[x]
-        for y in range(x, n):
+        qdiag[x] = quad[x][x] = (mx[x] - cx * b[x] - cx * ux) % p
+        for y in range(x + 1, n):
             q = quad[x][y] = (mx[y] - cx * b[y] - c[y] * ux) % p
             if q:
-                rows[others[x]][others[y]] = rows[others[y]][others[x]] = q
+                qnbrs.setdefault(x, {})[y] = qnbrs.setdefault(y, {})[x] = q
     for x in range(n):
         cx, ux, mx = c[x], u[x], cross[x]
         for y in range(x, n):
@@ -256,32 +298,74 @@ def _p1_cone(s: InvariantSystem, slots, entries, p: int) -> dict | None:
                 cz = c[z]
                 if (rest.get((x, y, z), 0) - cz * mxy - cy * (mx[z] - cz * ux) - cx * qy[z]) % p:
                     return None
-    return _closed_form(m, rows, {j: [bx, 0] for j, bx in zip(others, b)}, p1[i0] % p, p)
+    return _closed_form(m, p1[i0] % p, qdiag, qnbrs, b, [0] * n, p)
 
 
-def _closed_form(m: int, rows: dict, lin: dict, q: int, p: int) -> dict:
-    """A cone block's histogram from (m, b, Q, p1), vertex s and n other coordinates.
+def _closed_form(m: int, q: int, diag: list, nbrs: dict, b: list, g: list, p: int) -> dict:
+    """A cone block's histogram from :func:`_read`'s (m, diag, nbrs, b) and p1 = (q, g).
 
-    Write x = t e_s + y with y on the other coordinates.  Every nonzero
-    triple holds s, so mu(x,x,x) = m t^3 + 3 t^2 (b.y) + 3 t y^T Q y, and
-    p1.x = q t + g.y.  ``rows`` holds Q mod p row by row, ``lin[i]`` is
-    [b_i, g_i] mod p, and both are used up.  After :func:`_diagonal_terms`
-    the t = 1 key is (m, q) plus a sum of per-coordinate terms
-    (3 beta z + 3 d z^2, gamma z).  When g = 0 mod p (the block is flat:
-    P(E), a transition side or a blowup slot) p1.x is q at every t = 1
-    point, and the cubic's values are counted as a diagonal quadric's
-    (:func:`_quadric_slice`); otherwise the per-term tables of p values are
-    convolved (:func:`_convolve_coordinates`).  t = lambda != 0 scales the
-    t = 1 keys (see :func:`_scaled`), and t = 0 gives the keys (0, g.y).
+    Write x = t e_s + y, s the vertex.  Every nonzero triple holds s, so
+    mu(x,x,x) = m t^3 + 3 t^2 (b.y) + 3 t y^T Q y and p1.x = q t + g.y, mod p;
+    ``nbrs`` is used up.  Q is congruence-diagonalized one component at a
+    time into terms (d, beta, gamma), b and g following: a coordinate alone
+    is its term; a pair i, j pivots on Q_ii, else on Q_jj, else first takes
+    e_i to e_i + e_j (the pair step, Q_ii = 2 Q_ij); a larger component goes
+    to :func:`_diagonal_terms`.  The t = 1 key is (m, q) plus the terms'
+    (3 beta z + 3 d z^2, gamma z).  When g = 0 mod p (a flat block: P(E), a
+    transition side, a blowup slot) the t = 1 values are a diagonal quadric's
+    (:func:`_quadric_slice`), each count filling its keys (lambda^3 c,
+    lambda q) at t = lambda straight from ``_IMAGES``, and t = 0 is (0, 0).
+    Otherwise the terms' tables are convolved (:func:`_convolve_coordinates`)
+    and scaled (:func:`_scaled`), and t = 0 gives the keys (0, g.y).
     """
-    n = len(rows)
-    flat = not any(g for _, g in lin.values())  # then g.y = 0 at every t = 0 point
-    terms = _diagonal_terms(rows, lin, p)
-    if flat:
-        counts = _quadric_slice(m, terms, n, p)
-        return _scaled({(c, q): x for c, x in enumerate(counts) if x}, p, {(0, 0): p**n})
-    t1 = _convolve_coordinates({(m % p, q): 1}, terms, p)
-    return _scaled(t1, p, {(0, g): p ** (n - 1) for g in range(p)})
+    n, terms = len(diag), {}
+    for x in range(n):
+        if x not in nbrs:
+            key = (diag[x], b[x], g[x])
+            terms[key] = terms.get(key, 0) + 1
+    while nbrs:
+        x, row = nbrs.popitem()
+        if len(row) == 1 and len(nbrs[y := next(iter(row))]) == 1:
+            del nbrs[y]
+            c, a, e = row[y], diag[x], diag[y]
+            if not a:  # pivot on Q_jj when Q_ii is 0
+                x, y, a, e = y, x, e, a
+            if a:
+                r = c * pow(a, -1, p)
+                keys = (a, b[x], g[x]), ((e - c * r) % p, (b[y] - b[x] * r) % p,
+                                         (g[y] - g[x] * r) % p)
+            else:  # the pair step, then the pivot 2c, with 1/2 = (p + 1)/2
+                h = (p + 1) // 2
+                keys = (2 * c % p, (b[x] + b[y]) % p, (g[x] + g[y]) % p), (
+                    -c * h % p, (b[y] - b[x]) * h % p, (g[y] - g[x]) * h % p)
+            for key in keys:
+                terms[key] = terms.get(key, 0) + 1
+            continue
+        rows, stack = {x: row}, [x]  # the component of x, its rows taken out of nbrs
+        while stack:
+            for z in rows[stack.pop()]:
+                if z not in rows:
+                    rows[z] = nbrs.pop(z)
+                    stack.append(z)
+        for z, row in rows.items():
+            if diag[z]:
+                row[z] = diag[z]
+        for key, k in _diagonal_terms(rows, {z: [b[z], g[z]] for z in rows}, p).items():
+            terms[key] = terms.get(key, 0) + k
+    if not any(g):
+        counts, images = _quadric_slice(m, terms, n, p), _IMAGES[p][q]
+        if q:  # then no two (c, lambda) share a key, and none is (0, 0)
+            hist = {key: count for count, keys in zip(counts, images) if count for key in keys}
+            hist[0, 0] = p**n
+            return hist
+        hist = {(0, 0): p**n}
+        for count, keys in zip(counts, images):
+            if count:
+                for key in keys:
+                    hist[key] = hist.get(key, 0) + count
+        return hist
+    t1 = _convolve_coordinates({(m, q): 1}, terms, p)
+    return _scaled(t1, p, {(0, pi): p ** (n - 1) for pi in range(p)})
 
 
 def _walk(s: InvariantSystem, slots, p: int) -> dict:
@@ -356,9 +440,11 @@ def histogram(s: InvariantSystem, p: int, blocks=None) -> dict | None:
     the blocks' histograms over their slots.  A cone block takes :func:`_cone`.
     A block with no vertex of n slots is counted only when its walk,
     (p^n - 1)/(p - 1) points, is at most MAX_WALK_POINTS, else None is
-    returned; it takes :func:`_p1_cone`, or failing that :func:`_walk`.  All
-    count the same keys over the same points.  ``blocks``, when given, is
-    ``cone_blocks(s)``, found once for every prime a caller runs.
+    returned; it takes :func:`_p1_cone`, or failing that :func:`_walk`.  Both
+    cone routes read the block once (:func:`_read`) and count it by
+    :func:`_closed_form`.  All count the same keys over the same points.
+    ``blocks``, when given, is ``cone_blocks(s)``, found once for every
+    prime a caller runs.
     """
     hist = None
     for v0, slots, entries in cone_blocks(s) if blocks is None else blocks:

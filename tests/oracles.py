@@ -417,6 +417,35 @@ def fingerprint_reference(s, p: int):
     return tuple(key + (n,) for key, n in sorted(hist.items()))
 
 
+def cone_blocks_reference(s):
+    """``cones.cone_blocks(s)`` from the components of the triple graph.
+
+    Slots are joined by union-find, each triple joining its slots; the blocks
+    are listed by their least slot, each with its slots in order and its
+    entries in ``s.mu`` order, and its vertex is the least slot common to all
+    its triples (a slot that no triple meets is its own vertex), or None.
+    """
+    parent = list(range(s.rank))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for t, _ in s.mu:
+        for i in t:
+            parent[root(i)] = root(t[0])
+    blocks = {}
+    for i in range(s.rank):
+        blocks.setdefault(root(i), []).append(i)
+    out = []
+    for slots in blocks.values():
+        entries = [(t, v) for t, v in s.mu if root(t[0]) == root(slots[0])]
+        common = [i for i in slots if all(i in t for t, _ in entries)]
+        out.append((common[0] if common else None, slots, entries))
+    return out
+
+
 def cone_convolution_reference(s, v0, slots, entries, p: int) -> dict:
     """A cone block's (cubic, p1) histogram over F_p^slots, one convolution per coordinate.
 

@@ -107,6 +107,14 @@ CLI_ROWS = [
         )
     ),
     (compare({"local_model": 1}, None, "--bound", "x"), "^input error: --bound "),
+    # a bound below 1 is refused before either descriptor is read, whether the
+    # pair is told apart by a fingerprint or reaches the search
+    (
+        compare({"local_model": 1}, {"side": "z2", "transition": {"base": "S4"}}, "--bound", "-5"),
+        "^input error: --bound must be at least 1, got -5",
+    ),
+    (compare({"local_model": 1}, None, "--bound", "0"), "^input error: --bound must be at least 1"),
+    (compare(None, None, "--bound", "0"), "^input error: --bound must be at least 1, got 0"),
     (compare({"local_model": 1}, None, "--bound", "1_0"), "^input error: --bound "),
     (compare({"local_model": 1}, None, "--primes", "2, 3"), "^input error: --primes "),
     (("invariants", "--base", "\u0663 CP2"), "^input error: --base: summand count"),
@@ -610,6 +618,8 @@ def test_random_integer_text_is_read_as_int_or_exits_1_naming_the_flag(capsys, m
             expected = EXIT_OK if 0 <= n <= MAX_FORM_RANK else EXIT_INPUT
         elif flag == "--primes":
             expected = EXIT_OK if n in SUPPORTED_PRIMES else EXIT_INPUT
+        elif flag == "--bound":
+            expected = EXIT_OK if n >= 1 else EXIT_INPUT
         else:
             expected = EXIT_OK
         assert code == expected, text
@@ -625,6 +635,7 @@ def test_random_integer_text_is_read_as_int_or_exits_1_naming_the_flag(capsys, m
                 f"{BUDGET} must not be negative, got {n}",
                 f"blowups must be between 0 and {MAX_FORM_RANK}",
                 f"fingerprint prime {n} is not one of",
+                f"--bound must be at least 1, got {n}",
             )
             assert any(line.startswith(f"input error: {r}") for r in refusals), line
 

@@ -35,6 +35,7 @@ from conitop.sixfold import triple_indices
 
 from oracles import (
     chain,
+    cone_blocks_reference,
     cone_convolution_reference,
     find_isomorphism_reference,
     fingerprint_reference,
@@ -646,6 +647,79 @@ def test_quadric_counts_match_every_point_on_each_branch(monkeypatch):
     assert seen == {5: branches, 7: branches}
 
 
+def pair_branches(s, p):
+    """The branches of the in-place 2x2 step that slots 1 and 2, about vertex 0, take mod p."""
+    pairs = ((1, 1), (1, 2), (2, 2), (0, 1), (0, 2))
+    a, c, e, bi, bj = (s.mu_value(0, i, j) % p for i, j in pairs)
+    if not c:
+        return {"split"}
+    if a:
+        out, det, rest = {"pivot i"}, e - c * c * pow(a, -1, p), bj - bi * c * pow(a, -1, p)
+    elif e:
+        out, det, rest = {"pivot j"}, a - c * c * pow(e, -1, p), bi - bj * c * pow(e, -1, p)
+    else:
+        out, det = {"pair step"}, 1
+    if det % p == 0:
+        # the second term has d = 0: its beta makes the t = 1 slice uniform, or it is zero
+        out.add(("det 0", "uniform" if rest % p else "zero"))
+    out |= {f"g on {x}" for x, i in (("i", 1), ("j", 2)) if s.p1[i] % p}
+    return out
+
+
+def test_pair_step_matches_every_point_on_each_branch(monkeypatch):
+    # cones on vertex 0 whose Q is one pair on slots 1 and 2, (a, c, e) =
+    # (Q_11, Q_12, Q_22) and b = (mu_001, mu_002), then two 3-slot components
+    # that go to _diagonal_terms; 35 is 0 mod 5 and 7 but keeps its slot in
+    # the block, and p1 = 35 keeps a slot flat
+    seen = {5: set(), 7: set()}
+    sizes = []
+    diagonal_terms = cones._diagonal_terms
+
+    def recorded(rows, lin, p):
+        sizes.append(len(rows))
+        return diagonal_terms(rows, lin, p)
+
+    monkeypatch.setattr(cones, "_diagonal_terms", recorded)
+
+    def pair(a, c, e, b=(1, 2), g=(35, 35), m=2):
+        mu = {(0, 0, 0): m, (0, 1, 1): a, (0, 1, 2): c, (0, 2, 2): e, (0, 0, 1): b[0],
+              (0, 0, 2): b[1]}
+        return make_system(3, {t: v for t, v in mu.items() if v}, (1, *g), (0,) * 3)
+
+    systems = [
+        pair(1, 1, 3),  # pivot on Q_11
+        pair(35, 1, 2),  # Q_11 = 0 mod p: pivot on Q_22
+        pair(0, 3, 35), pair(0, 2, 0, b=(0, 1)),  # the pair step
+        pair(1, 2, 4), pair(1, 2, 4, b=(1, 3)), pair(35, 2, 4, b=(3, 1)),  # determinant 0
+        pair(1, 1, 3, g=(1, 0)), pair(0, 1, 0, g=(0, 2)),  # not flat: convolved
+        pair(1, 35, 2),  # Q_12 = 0 mod p: two coordinates alone
+        make_system(4, {(0, 0, 0): 1, (0, 1, 2): 1, (0, 2, 3): 2, (0, 3, 3): 1, (0, 0, 1): 3},
+                    (2, 35, 35, 35), (0,) * 4),
+        make_system(4, {(0, 1, 2): 1, (0, 2, 3): 1, (0, 1, 3): 1, (0, 0, 3): 1},
+                    (1, 1, 0, 0), (0,) * 4),
+    ]
+    rng = random.Random(67)
+    values = (0, 35, 1, 2, -1, 3)
+    for _ in range(40):
+        a, e, b0, b1 = (rng.choice(values) for _ in range(4))
+        c = rng.choice(values[1:])  # mu_012 != 0 keeps both slots in the cone
+        g = (rng.choice((35, 35, 1)), rng.choice((35, 35, -2)))
+        systems.append(pair(a, c, e, b=(b0, b1), g=g, m=rng.randint(-3, 3)))
+    for s in systems:
+        assert [v for v, _, _ in cones.cone_blocks(s)] == [0]
+        for p in (5, 7):
+            if s.rank == 3:
+                seen[p] |= pair_branches(s, p)
+            assert cones.histogram(s, p) == cones._walk(s, range(s.rank), p), (s, p)
+            assert fingerprint(s, p) == fingerprint_reference(s, p), (s, p)
+    branches = {"pivot i", "pivot j", "pair step", ("det 0", "uniform"), ("det 0", "zero"),
+                "g on i", "g on j", "split"}
+    assert seen == {5: branches, 7: branches}
+    # only the two 3-slot components reach _diagonal_terms, at each prime in
+    # histogram and in fingerprint
+    assert sizes == [3] * 8
+
+
 def test_flat_cones_never_convolve_per_coordinate(monkeypatch):
     calls = []
     convolve = cones._convolve_coordinates
@@ -794,6 +868,35 @@ def test_p1_route_matches_the_walk_and_the_reference(monkeypatch):
         ("blown up", "no cone"), ("blown up", "p1 route"), ("chain", "no cone"),
         ("chain", "p1 = 0"), ("local model", "p1 = 0"), ("local model", "p1 route"),
     }
+
+
+def test_cone_blocks_match_the_components_of_the_triple_graph():
+    # systems found as one cone in one pass, and systems whose blocks are
+    # joined slot by slot, each against the components of the triple graph;
+    # a system is kept by the kind of its blocks that have entries
+    rng = random.Random(68)
+    empty = make_system(3, {}, (1, 0, 2), (0,) * 3)
+    late = make_system(5, {(2, 2, 2): 1, (2, 2, 3): 2, (2, 3, 3): -1}, (0,) * 5, (0,) * 5)
+    cp2 = standard("CP2")
+    s = projectivize(cp2, RankTwoBundle(cp2, (1,), 2))
+    cases = [("empty", empty), ("late", late), ("P(E)", s), ("blowup", blowup_point(s)),
+             ("rank 0", make_system(0, {}, (), ()))]
+    cases += cone_cases(rng) + p1_route_cases(rng)
+    kinds = set()
+    for name, s in cases:
+        blocks = cones.cone_blocks(s)
+        assert blocks == cone_blocks_reference(s), name
+        met = [v for v, _, entries in blocks if entries]
+        kinds.add((name, "empty" if not met else "no vertex" if None in met
+                   else "one cone" if len(met) == 1 else "several cones"))
+    assert cones.cone_blocks(empty) == [(0, [0], []), (1, [1], []), (2, [2], [])]
+    assert cones.cone_blocks(make_system(0, {}, (), ())) == []
+    assert cones.cone_blocks(late) == [
+        (0, [0], []), (1, [1], []), (2, [2, 3], list(late.mu)), (4, [4], [])
+    ]
+    assert {("empty", "empty"), ("rank 0", "empty"), ("late", "one cone"), ("P(E)", "one cone"),
+            ("blowup", "several cones"), ("model 2", "one cone"), ("two cones", "several cones"),
+            ("CP2 permuted", "one cone"), ("P(E)", "no vertex"), ("z1", "no vertex")} <= kinds
 
 
 def test_transition_sides_are_told_apart_up_to_rank_42():
