@@ -26,45 +26,50 @@ def cone_blocks(s: InvariantSystem):
     The blocks are the connected components of the support of mu, listed by
     their least slot; a slot that no entry meets is a block of its own.
     A block is a cone when one slot, its vertex, lies in every nonzero triple
-    of the block (the least such slot is taken, found by intersecting the
-    triples).  P(E) is a cone with vertex 0, since mu(y_i, y_j, y_k) = 0, and
-    a blowup slot is a block of its own.  When a slot of the first triple
-    lies in every triple, as in P(E) and local model 2, the entries make one
-    cone, found in that one pass.  Otherwise the blocks are joined in one
-    pass over ``s.mu``, an entry that meets two blocks relabelling the slots
-    of one.
+    of the block (the least such slot is taken).  P(E) is a cone with vertex
+    0, since mu(y_i, y_j, y_k) = 0, and a blowup slot is a block of its own.
+    When a slot of the first triple lies in every triple, as in P(E) and
+    local model 2, the entries make one cone.  Otherwise the blocks are
+    joined in one pass over ``s.mu``, an entry that meets two blocks
+    relabelling the smaller one's slots, so that no slot is relabelled more
+    than log2(rank) times.
     """
-    triples, vertex = [t for t, _ in s.mu], None
-    for v in dict.fromkeys(triples[0] if triples else ()):  # the first triple's slots, in order
-        for t in triples:
-            if v not in t:
-                break
-        else:
-            vertex = v
-            break
+    triples = [t for t, _ in s.mu]
+    vertex = _vertex(triples) if triples else None
     if vertex is not None or not triples:
         touched = set().union(*triples)
-        if vertex is not None and len(touched) == s.rank:
-            return [(vertex, list(range(s.rank)), list(s.mu))]
         low = min(touched, default=None)
         return [(vertex, sorted(touched), list(s.mu)) if i == low else (i, [i], [])
                 for i in range(s.rank) if i == low or i not in touched]
-    label = list(range(s.rank))  # each slot's block, relabelled as blocks join
+    label, members = list(range(s.rank)), [[i] for i in range(s.rank)]  # each slot's block
     for i, j, k in triples:
-        a, b, c = label[i], label[j], label[k]
-        if a != b or a != c:
-            label = [a if x == b or x == c else x for x in label]
+        for y in (j, k):
+            a, b = label[i], label[y]
+            if a != b:  # join the blocks, relabelling the smaller one's slots
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for z in members[b]:
+                    label[z] = a
+                members[a] += members[b]
     parts = {}
     for i, x in enumerate(label):
         parts.setdefault(x, ([], []))[0].append(i)
     for entry in s.mu:
         parts[label[entry[0][0]]][1].append(entry)
-    out = []
-    for slots, entries in parts.values():
-        # the slots in every triple (a slot that no entry meets is its own vertex)
-        common = set(entries[0][0] if entries else slots).intersection(*[t for t, _ in entries])
-        out.append((min(common, default=None), slots, entries))
-    return out
+    # a slot that no entry meets is its own vertex
+    return [(_vertex([t for t, _ in entries]) if entries else slots[0], slots, entries)
+            for slots, entries in parts.values()]
+
+
+def _vertex(triples: list):
+    """The least slot that lies in every triple, or None; the triples are sorted."""
+    for v in dict.fromkeys(triples[0]):
+        for t in triples:
+            if v not in t:
+                break
+        else:
+            return v
+    return None
 
 
 def _convolve(a: dict, b: dict, p: int) -> dict:
@@ -330,15 +335,11 @@ def _closed_form(m: int, q: int, diag: list, nbrs: dict, b: list, g: list, p: in
             c, a, e = row[y], diag[x], diag[y]
             if not a:  # pivot on Q_jj when Q_ii is 0
                 x, y, a, e = y, x, e, a
-            if a:
-                r = c * pow(a, -1, p)
-                keys = (a, b[x], g[x]), ((e - c * r) % p, (b[y] - b[x] * r) % p,
-                                         (g[y] - g[x] * r) % p)
-            else:  # the pair step, then the pivot 2c, with 1/2 = (p + 1)/2
-                h = (p + 1) // 2
-                keys = (2 * c % p, (b[x] + b[y]) % p, (g[x] + g[y]) % p), (
-                    -c * h % p, (b[y] - b[x]) * h % p, (g[y] - g[x]) * h % p)
-            for key in keys:
+            bx, gx = b[x], g[x]
+            if not a:  # the pair step: e_i + e_j has Q = 2 Q_ij and still meets e_j in Q_ij
+                a, bx, gx = 2 * c % p, (bx + b[y]) % p, (gx + g[y]) % p
+            r = c * pow(a, -1, p)
+            for key in (a, bx, gx), ((e - c * r) % p, (b[y] - bx * r) % p, (g[y] - gx * r) % p):
                 terms[key] = terms.get(key, 0) + 1
             continue
         rows, stack = {x: row}, [x]  # the component of x, its rows taken out of nbrs
@@ -353,13 +354,8 @@ def _closed_form(m: int, q: int, diag: list, nbrs: dict, b: list, g: list, p: in
         for key, k in _diagonal_terms(rows, {z: [b[z], g[z]] for z in rows}, p).items():
             terms[key] = terms.get(key, 0) + k
     if not any(g):
-        counts, images = _quadric_slice(m, terms, n, p), _IMAGES[p][q]
-        if q:  # then no two (c, lambda) share a key, and none is (0, 0)
-            hist = {key: count for count, keys in zip(counts, images) if count for key in keys}
-            hist[0, 0] = p**n
-            return hist
         hist = {(0, 0): p**n}
-        for count, keys in zip(counts, images):
+        for count, keys in zip(_quadric_slice(m, terms, n, p), _IMAGES[p][q]):
             if count:
                 for key in keys:
                     hist[key] = hist.get(key, 0) + count

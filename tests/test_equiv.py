@@ -872,15 +872,21 @@ def test_p1_route_matches_the_walk_and_the_reference(monkeypatch):
 
 def test_cone_blocks_match_the_components_of_the_triple_graph():
     # systems found as one cone in one pass, and systems whose blocks are
-    # joined slot by slot, each against the components of the triple graph;
+    # joined entry by entry, each against the components of the triple graph;
     # a system is kept by the kind of its blocks that have entries
     rng = random.Random(68)
     empty = make_system(3, {}, (1, 0, 2), (0,) * 3)
     late = make_system(5, {(2, 2, 2): 1, (2, 2, 3): 2, (2, 3, 3): -1}, (0,) * 5, (0,) * 5)
+    # in mu's order: blocks {0, 3} and {1, 2, 4}, joined by (2, 3, 3), then
+    # slot 5 through slot 3, which the join relabelled
+    joined = make_system(6, {(0, 0, 3): 1, (1, 1, 2): 1, (1, 2, 4): 2, (2, 3, 3): -1,
+                             (3, 5, 5): 1}, (0,) * 6, (0,) * 6)
     cp2 = standard("CP2")
     s = projectivize(cp2, RankTwoBundle(cp2, (1,), 2))
-    cases = [("empty", empty), ("late", late), ("P(E)", s), ("blowup", blowup_point(s)),
-             ("rank 0", make_system(0, {}, (), ()))]
+    base = parse_sum_expression("CP2 # 2 S2xS2 # CP2bar")
+    z2 = conifold_transition(base, RankTwoBundle(base, (1, 0, 1, 2, 0, 1), 3)).z2
+    cases = [("empty", empty), ("late", late), ("joined", joined), ("P(E)", s),
+             ("blowup", blowup_point(s)), ("z2", z2), ("rank 0", make_system(0, {}, (), ()))]
     cases += cone_cases(rng) + p1_route_cases(rng)
     kinds = set()
     for name, s in cases:
@@ -894,8 +900,10 @@ def test_cone_blocks_match_the_components_of_the_triple_graph():
     assert cones.cone_blocks(late) == [
         (0, [0], []), (1, [1], []), (2, [2, 3], list(late.mu)), (4, [4], [])
     ]
+    assert cones.cone_blocks(joined) == [(None, list(range(6)), list(joined.mu))]
     assert {("empty", "empty"), ("rank 0", "empty"), ("late", "one cone"), ("P(E)", "one cone"),
-            ("blowup", "several cones"), ("model 2", "one cone"), ("two cones", "several cones"),
+            ("joined", "no vertex"), ("blowup", "several cones"), ("z2", "several cones"),
+            ("model 2", "one cone"), ("two cones", "several cones"),
             ("CP2 permuted", "one cone"), ("P(E)", "no vertex"), ("z1", "no vertex")} <= kinds
 
 
