@@ -17,11 +17,10 @@ class RankTwoBundle(Value):
     fields = ("base", "c1", "c2")
 
     def __init__(self, base: FourManifold, c1: Vec, c2: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "c1", as_vector(c1, "bundle c1", base.rank))
-        object.__setattr__(self, "c2", c2)
-        if type(self.c2) is not int:
-            raise ValidationError(f"bundle c2 {self.c2!r} is not an integer")
+        c1 = as_vector(c1, "bundle c1", base.rank)
+        if type(c2) is not int:
+            raise ValidationError(f"bundle c2 {c2!r} is not an integer")
+        vars(self).update(zip(self.fields, (base, c1, c2)))
 
 
 def trivial_bundle(base: FourManifold) -> RankTwoBundle:

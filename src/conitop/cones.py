@@ -364,7 +364,7 @@ def _closed_form(m: int, q: int, diag: list, nbrs: dict, b: list, g: list, p: in
     return _scaled(t1, p, {(0, pi): p ** (n - 1) for pi in range(p)})
 
 
-def _walk(s: InvariantSystem, slots, p: int) -> dict:
+def _walk(s: InvariantSystem, slots, entries, p: int) -> dict:
     """Any block's histogram over F_p^slots, by a depth-first walk.
 
     The walk fixes x_0, x_1, ... in turn, x_k the coordinate of ``slots[k]``.
@@ -377,16 +377,17 @@ def _walk(s: InvariantSystem, slots, p: int) -> dict:
     Equal leaves are counted once, and each distinct leaf adds its p points,
     stepped by offsets computed once per distinct (L, Q).  Only the points
     whose first nonzero coordinate is 1 are walked; :func:`_scaled` gives the
-    others.
+    others.  ``slots`` come in increasing order, so every triple read from
+    the block's ``entries`` is canonical.
     """
-    r, mu = len(slots), s.mu_value
+    r, mu = len(slots), dict(entries).get
     # for each k: mu(e_k,e_k,e_k), mu(e_k,e_k,e_j) for j > k, mu(e_k,e_i,e_j) for
     # k < i <= j, and p1_k
     parts = []
     for k, a in enumerate(slots):
         rest = slots[k + 1:]
-        tri = [mu(a, b, c) % p for i, b in enumerate(rest) for c in rest[i:]]
-        parts.append((mu(a, a, a) % p, [mu(a, a, b) % p for b in rest], tri, s.p1[a]))
+        tri = [mu((a, b, c), 0) % p for i, b in enumerate(rest) for c in rest[i:]]
+        parts.append((mu((a, a, a), 0) % p, [mu((a, a, b), 0) % p for b in rest], tri, s.p1[a]))
     last = r - 1
     leaves = []
 
@@ -428,7 +429,7 @@ def _walk(s: InvariantSystem, slots, p: int) -> dict:
     return _scaled(t1, p, {(0, 0): 1})
 
 
-def histogram(s: InvariantSystem, p: int, blocks=None) -> dict | None:
+def histogram(s: InvariantSystem, p: int) -> dict | None:
     """p = 5, 7: the blocks' histograms, convolved; None outside the walk's window.
 
     Keys are (mu(x,x,x) mod p, p1.x mod p).  Each block of :func:`cone_blocks`
@@ -439,15 +440,13 @@ def histogram(s: InvariantSystem, p: int, blocks=None) -> dict | None:
     returned; it takes :func:`_p1_cone`, or failing that :func:`_walk`.  Both
     cone routes read the block once (:func:`_read`) and count it by
     :func:`_closed_form`.  All count the same keys over the same points.
-    ``blocks``, when given, is ``cone_blocks(s)``, found once for every
-    prime a caller runs.
     """
     hist = None
-    for v0, slots, entries in cone_blocks(s) if blocks is None else blocks:
+    for v0, slots, entries in cone_blocks(s):
         if v0 is not None:
             block = _cone(s, v0, slots, entries, p)
         elif (p ** len(slots) - 1) // (p - 1) <= MAX_WALK_POINTS:
-            block = _p1_cone(s, slots, entries, p) or _walk(s, slots, p)
+            block = _p1_cone(s, slots, entries, p) or _walk(s, slots, entries, p)
         else:
             return None
         hist = block if hist is None else _convolve(hist, block, p)

@@ -54,12 +54,12 @@ class IsomorphismWitness(Value):
     fields = ("matrix", "preserves_c1")
 
     def __init__(self, matrix: Mat, preserves_c1: bool = False):
-        object.__setattr__(self, "matrix", as_matrix(matrix, "witness matrix"))
-        object.__setattr__(self, "preserves_c1", preserves_c1)
+        matrix = as_matrix(matrix, "witness matrix")
         if type(preserves_c1) is not bool:
             raise ValidationError(f"preserves_c1 must be a bool, got {preserves_c1!r}")
-        if determinant(self.matrix) not in (1, -1):
+        if determinant(matrix) not in (1, -1):
             raise ValidationError("witness matrix must have determinant +-1")
+        vars(self).update(zip(self.fields, (matrix, preserves_c1)))
 
 
 class DistinctnessCertificate(Value):
@@ -72,9 +72,7 @@ class DistinctnessCertificate(Value):
             raise ValidationError(f"unknown certificate kind {kind!r}")
         if prime is not None and type(prime) is not int:
             raise ValidationError(f"certificate prime {prime!r} is not an integer")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "detail", detail)
+        vars(self).update(zip(self.fields, (kind, prime, detail)))
 
 
 def spiral_entries(bound: int) -> tuple[int, ...]:
@@ -88,7 +86,12 @@ def spiral_entries(bound: int) -> tuple[int, ...]:
 def verify_witness(
     s1: InvariantSystem, s2: InvariantSystem, matrix, check_c1: bool = False
 ) -> bool:
-    """Exact transport check: b3, det, p1, w2 and c1, then mu2 pulled back through the rows."""
+    """Exact transport check: b3, det, p1, w2 and c1, then mu2 pulled back through the rows.
+
+    ``check_c1`` must be ``True`` or ``False``.
+    """
+    if type(check_c1) is not bool:
+        raise ValidationError(f"check_c1 must be a bool, got {check_c1!r}")
     if s1.rank != s2.rank:
         raise ValidationError("systems have different ranks")
     rows = as_matrix(matrix, "witness matrix", s1.rank)
@@ -199,10 +202,25 @@ class _WitnessSearch:
         self.raw = (2 * bound + 1) ** r
         self.stats = stats
         self.tables = {}
-        # mu2(e_p, e_q, .) as (k, value) pairs for each nonzero (p, q)
+        # mu2(e_p, e_q, .) as (k, value) pairs for each nonzero (p, q): each entry
+        # under its distinct orderings (p, q, k), 1, 3 or 6 by its equal slots
         slices = [{} for _ in range(r)]
-        for (p, q, k), v in s2.mu_terms.items():
-            slices[p].setdefault(q, []).append((k, v))
+        for (i, j, k), v in s2.mu:
+            si, sj, sk = slices[i], slices[j], slices[k]
+            if i == k:
+                si.setdefault(i, []).append((i, v))
+            elif i == j:  # (i, i, k), (i, k, i), (k, i, i)
+                si.setdefault(i, []).append((k, v))
+                si.setdefault(k, []).append((i, v))
+                sk.setdefault(i, []).append((i, v))
+            elif j == k:  # (i, j, j), (j, i, j), (j, j, i)
+                si.setdefault(j, []).append((j, v))
+                sj.setdefault(i, []).append((j, v))
+                sj.setdefault(j, []).append((i, v))
+            else:
+                for row, q, t in ((si, j, k), (si, k, j), (sj, i, k),
+                                  (sj, k, i), (sk, i, j), (sk, j, i)):
+                    row.setdefault(q, []).append((t, v))
         self.slices = [tuple(row.items()) for row in slices]
         # mu1(e_i, e_j, .) as a list over the last index, for each (i, j)
         rows = [[[0] * r for _ in range(r)] for _ in range(r)]
@@ -349,13 +367,15 @@ def find_isomorphism(
     p1_2 . c1_2; when either fails, None is returned after the raw-space
     gate, counting one node and no column tests.  When ``stats`` is
     given, the search adds its counters to it.  ``bound`` must be an ``int``
-    of at least 1 and ``step_budget`` None or an ``int`` of at least 0; a
-    ``bool`` is neither.
+    of at least 1, ``check_c1`` ``True`` or ``False``, and ``step_budget``
+    None or an ``int`` of at least 0; a ``bool`` is no ``int`` here.
     """
     if type(bound) is not int:
         raise ValidationError(f"search bound {bound!r} is not an integer")
     if bound < 1:
         raise ValidationError("search bound must be at least 1")
+    if type(check_c1) is not bool:
+        raise ValidationError(f"check_c1 must be a bool, got {check_c1!r}")
     if step_budget is not None and (type(step_budget) is not int or step_budget < 0):
         raise ValidationError(f"step budget must be None or an integer >= 0, got {step_budget!r}")
     if s1.rank != s2.rank or s1.b3 != s2.b3:
@@ -465,20 +485,19 @@ def _cones_module():
     return _cones
 
 
-def _histogram(s: InvariantSystem, p: int, blocks=None) -> dict | None:
+def _histogram(s: InvariantSystem, p: int) -> dict | None:
     """The histogram of :func:`fingerprint` at a supported p, or None outside the window.
 
     Keys are (cubic, p1, w) at p = 2 and 3 and (cubic, p1) at p = 5 and 7.
     The window is the one rule on which systems have fingerprints: at
     p = 5 and 7, a block with no vertex (:func:`conitop.cones.cone_blocks`)
-    of n slots must have (p^n - 1)/(p - 1) <= MAX_WALK_POINTS.  ``blocks``
-    is passed on to :func:`conitop.cones.histogram`.
+    of n slots must have (p^n - 1)/(p - 1) <= MAX_WALK_POINTS.
     """
     if p == 2:
         return _fingerprint_mod2(s)
     if p == 3:
         return _fingerprint_mod3(s)
-    return _cones_module().histogram(s, p, blocks)
+    return _cones_module().histogram(s, p)
 
 
 def _format(hist: dict, p: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -578,10 +597,9 @@ def certify_distinct(
     must hold supported primes only; all are checked first.  Each then runs
     in turn, at every rank, except p = 5 or 7 outside the window of
     :func:`_histogram`, whether or not p1 would show a block to be a cone
-    (7 slots with no vertex count at p = 5, not at p = 7).  Each system's
-    blocks (:func:`conitop.cones.cone_blocks`) are found once, when p = 5 or
-    7 first runs.  The histograms of a prime are compared as counted; only
-    the certificate's are formatted into rows.
+    (7 slots with no vertex count at p = 5, not at p = 7).  The histograms
+    of a prime are compared as counted; only the certificate's are formatted
+    into rows.
     """
     if not hasattr(primes, "__iter__"):
         raise ValidationError(f"primes must be a sequence of primes, got {primes!r}")
@@ -592,11 +610,8 @@ def certify_distinct(
         return DistinctnessCertificate("rank", None, (s1.rank, s2.rank))
     if s1.b3 != s2.b3:
         return DistinctnessCertificate("b3", None, (s1.b3, s2.b3))
-    blocks = (None, None)
     for p in primes:
-        if p > 3 and blocks[0] is None:
-            blocks = tuple(map(_cones_module().cone_blocks, (s1, s2)))
-        h1, h2 = _histogram(s1, p, blocks[0]), _histogram(s2, p, blocks[1])
+        h1, h2 = _histogram(s1, p), _histogram(s2, p)
         if h1 is not None and h2 is not None and h1 != h2:
             return DistinctnessCertificate("fingerprint", p, (_format(h1, p), _format(h2, p)))
     return None

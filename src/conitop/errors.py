@@ -6,11 +6,12 @@ from operator import attrgetter
 class Value:
     """Immutable value: equality, hash and repr over the names in ``fields``.
 
-    A subclass lists its fields in order in ``fields`` and sets each one
-    with ``object.__setattr__`` or through the instance ``__dict__``, in
-    ``__init__`` (or :meth:`_unchecked`); after that, assignment and
-    deletion raise ``AttributeError``.  Instances of different classes
-    never compare equal.  These are plain classes, not dataclasses: importing
+    A subclass lists its fields in order in ``fields``.  Its ``__init__``
+    checks the values as locals and, once all have passed, stores them with
+    one ``vars(self).update(zip(self.fields, values))``, as
+    :meth:`_unchecked` does; after that, assignment and deletion raise
+    ``AttributeError``.  Instances of different classes never compare
+    equal.  These are plain classes, not dataclasses: importing
     ``dataclasses`` and generating each class's methods cost every command
     more start-up time than the command itself takes.
     """

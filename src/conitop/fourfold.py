@@ -41,21 +41,16 @@ class FourManifold(Value):
             raise ValidationError(f"label must be a string, got {label!r}")
         if type(simply_connected) is not bool:
             raise ValidationError(f"simply_connected must be a bool, got {simply_connected!r}")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "w2", as_vector(w2, "w2"))
+        w2 = as_vector(w2, "w2")
         if c1_tangent is not None:
             c1_tangent = as_vector(c1_tangent, f"{label}: c1_tangent", form.rank)
-        object.__setattr__(self, "c1_tangent", c1_tangent)
-        object.__setattr__(self, "simply_connected", simply_connected)
-        if not is_unimodular(self.form):
-            raise ValidationError(
-                f"{self.label}: intersection form is not unimodular"
-            )
-        if not is_characteristic(self.w2, self.form):
-            raise ValidationError(f"{self.label}: w2 is not characteristic")
-        if self.c1_tangent is not None and vec_mod2(self.c1_tangent) != self.w2:
-            raise ValidationError(f"{self.label}: c1_tangent is not an integral lift of w2")
+        if not is_unimodular(form):
+            raise ValidationError(f"{label}: intersection form is not unimodular")
+        if not is_characteristic(w2, form):
+            raise ValidationError(f"{label}: w2 is not characteristic")
+        if c1_tangent is not None and vec_mod2(c1_tangent) != w2:
+            raise ValidationError(f"{label}: c1_tangent is not an integral lift of w2")
+        vars(self).update(zip(self.fields, (label, form, w2, c1_tangent, simply_connected)))
 
     @property
     def rank(self) -> int:

@@ -15,8 +15,9 @@ classes in base order.  Every formula below is stated in this basis.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, permutations
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .bundle import RankTwoBundle
 from .errors import ValidationError, Value
@@ -122,30 +123,16 @@ class InvariantSystem(Value):
 
     # -- trilinear form access ----------------------------------------------
 
-    @cached_property
-    def mu_terms(self) -> dict[tuple[int, int, int], int]:
-        """Every distinct ordering of every nonzero triple, with its value."""
-        return {
-            ordering: v for ijk, v in self.mu for ordering in permutations(ijk)
-        }
-
     def mu_value(self, i: int, j: int, k: int) -> int:
-        """Fully symmetric accessor: indices may come in any order."""
-        return self.mu_terms.get((i, j, k), 0)
+        """Fully symmetric accessor: indices may come in any order; a bisection of ``mu``."""
+        t, mu = tuple(sorted((i, j, k))), self.mu
+        n = bisect_left(mu, (t,))  # (t,) sorts just before the entry (t, value)
+        return mu[n][1] if n < len(mu) and mu[n][0] == t else 0
 
     def mu_items(self) -> MuEntries:
         """Every triple in :func:`triple_indices` order, zeros included."""
-        terms = self.mu_terms
+        terms = dict(self.mu)
         return tuple((ijk, terms.get(ijk, 0)) for ijk in triple_indices(self.rank))
-
-    def mu_eval(self, x, y, z) -> int:
-        """Trilinear evaluation on coordinate vectors."""
-        r = self.rank
-        x, y, z = as_vector(x, "x", r), as_vector(y, "y", r), as_vector(z, "z", r)
-        total = 0
-        for (i, j, k), v in self.mu_terms.items():
-            total += v * x[i] * y[j] * z[k]
-        return total
 
     def pull_back(self, matrix) -> MuEntries:
         """mu(A e_i, A e_j, A e_k), A given by its rows, as ``mu`` holds it (:func:`_pull_back`)."""
@@ -293,8 +280,9 @@ def blowup_point(s: InvariantSystem) -> InvariantSystem:
     """
     extra = cp3bar_system()
     r = s.rank
+    ((_, cube),) = extra.mu
     # the new triple (r, r, r) sorts after every existing one
-    mu = s.mu + (((r, r, r), extra.mu_value(0, 0, 0)),)
+    mu = s.mu + (((r, r, r), cube),)
     c1_class = None
     if s.c1_class is not None:
         c1_class = s.c1_class + extra.c1_class

@@ -47,13 +47,7 @@ class TransitionResult(Value):
     ):
         if type(swapped) is not bool:
             raise ValidationError(f"swapped must be a bool, got {swapped!r}")
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", z2)
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "swapped", swapped)
+        vars(self).update(zip(self.fields, (z1, z2, e1, e2, base, bundle, swapped)))
 
 
 def conifold_transition(

@@ -362,10 +362,10 @@ def pull_back_dense(s, rows):
     """mu(A e_i, A e_j, A e_k) on every triple i <= j <= k, zeros dropped.
 
     The dense loop ``verify_witness`` and ``transport_system`` ran before
-    ``InvariantSystem.pull_back``: one ``mu_eval`` per triple of columns.
+    ``InvariantSystem.pull_back``: one :func:`mu_eval_dense` per triple of columns.
     """
     cols = transpose(rows)
-    values = ((ijk, s.mu_eval(*(cols[i] for i in ijk))) for ijk in triple_indices(s.rank))
+    values = ((ijk, mu_eval_dense(s, *(cols[i] for i in ijk))) for ijk in triple_indices(s.rank))
     return tuple((ijk, v) for ijk, v in values if v)
 
 
@@ -406,12 +406,18 @@ def has_even_w2_cubic_exhaustive(s) -> bool:
 
 
 def fingerprint_reference(s, p: int):
-    """The fingerprint histogram rows, each key a full mu_eval at every point.
+    """The fingerprint histogram rows, each key evaluated at every point.
 
-    The w2 key is mu(w2, x, x) mod 2 at p = 2 and 0 at odd p.
+    The w2 key is mu(w2, x, x) mod 2 at p = 2, read from the contraction
+    :func:`mu_contract_dense` by w2, and 0 at odd p.
     """
+    w = mu_contract_dense(s, s.w2)
+
+    def w2_key(x):
+        return sum(m * a * b for row, a in zip(w, x) for m, b in zip(row, x)) % 2
+
     hist = Counter(
-        (s.cubic(x) % p, s.p1_pairing(x) % p, s.mu_eval(s.w2, x, x) % 2 if p == 2 else 0)
+        (s.cubic(x) % p, s.p1_pairing(x) % p, w2_key(x) if p == 2 else 0)
         for x in product(range(p), repeat=s.rank)
     )
     return tuple(key + (n,) for key, n in sorted(hist.items()))

@@ -380,6 +380,15 @@ LIBRARY_ROWS = [
         )
     ),
     ("find_isomorphism(ONE, ONE, bound=1, check_c1=True)", "c1"),
+    # anything but True or False, before any work: a witness with preserves_c1=1
+    # could not be written and read back
+    ("find_isomorphism(EXP, EXP, 1, check_c1=1)", r"^check_c1 must be a bool, got 1$"),
+    ("find_isomorphism(EXP, EXP, 1, check_c1='no')", "^check_c1 "),
+    ("find_isomorphism(EXP, EXP, 1, check_c1=None)", "^check_c1 "),
+    ("find_isomorphism(ONE, TWO, 1, check_c1=0)", "^check_c1 "),
+    ("verify_witness(EXP, EXP, ((1, 0), (0, 1)), check_c1=1)", r"^check_c1 must be a bool, got 1$"),
+    ("verify_witness(EXP, EXP, ((1, 0), (0, 1)), check_c1='no')", "^check_c1 "),
+    ("verify_witness(ONE, TWO, 5, check_c1=0)", "^check_c1 "),
     ("find_isomorphism(EXP, EXP, bound=0)", "bound"),
     ("find_isomorphism(ONE, ONE, bound=2.5)", "search bound"),
     ("find_isomorphism(ONE, ONE, bound=True)", "search bound"),

@@ -390,7 +390,7 @@ def oracle_systems(rng, rank):
 
 
 def test_fingerprint_closed_forms_match_reference():
-    # both closed forms, p = 2 and p = 3, against a mu_eval at every point
+    # both closed forms, p = 2 and p = 3, against a reference evaluation at every point
     rng = random.Random(41)
     parities = set()
     for rank in range(7):
@@ -466,14 +466,30 @@ def test_mod2_fingerprint_with_an_odd_w2_cubic_takes_four_sign_sums():
             assert {row[2] for row in fingerprint(s, 2)} == {0, 1}
 
 
-def test_certify_at_two_and_three_leaves_mu_terms_unbuilt():
-    # mu_terms holds every ordering of every entry; p = 2 and 3 read s.mu
-    base = parse_sum_expression("CP2 # 5 CP2bar # 125 S2xS2")
-    c1 = (-1, 1, 1, 1, 1, 3) + (0,) * 250
-    t = conifold_transition(base, RankTwoBundle(base, c1, 5))
-    assert t.z1.rank == t.z2.rank == 258
-    assert certify_distinct(t.z1, t.z2, (2, 3)) is None
-    assert "mu_terms" not in vars(t.z1) and "mu_terms" not in vars(t.z2)
+def test_systems_hold_only_their_fields_after_every_reader():
+    # every reader of mu takes the canonical entries and leaves nothing on
+    # the system: no cache of orderings, blocks or histograms
+    cp2 = standard("CP2")
+    e = RankTwoBundle(cp2, (1,), 0)
+    t = conifold_transition(cp2, e)
+    pe = projectivize(cp2, e)
+    a = ((1, 0, 0), (1, 1, 0), (0, 0, -1))
+    moved = transport_system(t.z2, a)
+    assert verify_witness(t.z2, moved, a, True)
+    systems = [pe, t.z1, t.z2, moved, local_model_system(1), local_model_system(2)]
+    for s in systems:
+        for p in SUPPORTED_PRIMES:
+            fingerprint(s, p)
+        for other in systems:
+            certify_distinct(s, other, SUPPORTED_PRIMES)
+        for check_c1 in (False, True):
+            found = find_isomorphism(s, s, 1, check_c1)
+            assert verify_witness(s, s, found.matrix, check_c1)
+        transport_system(s, found.matrix)
+        s.mu_value(0, 0, 0)
+        s.mu_items()
+    for s in systems:
+        assert tuple(vars(s)) == type(s).fields, s
 
 
 def test_fingerprint_walk_matches_reference_on_odd_and_even_systems():
@@ -541,7 +557,8 @@ def cone_cases(rng):
 
 def test_cone_method_matches_the_walk_and_the_reference():
     # fingerprint takes every block of these to the cone method; the walk
-    # over the whole system and a mu_eval at every point must give the same rows
+    # over the whole system and a reference evaluation at every point must give
+    # the same rows
     rng = random.Random(57)
     seen, ranks = set(), set()
     for name, s in cone_cases(rng):
@@ -551,7 +568,7 @@ def test_cone_method_matches_the_walk_and_the_reference():
         ranks.add(s.rank)
         for p in (5, 7):
             rows = fingerprint(s, p)
-            walk = cones._walk(s, range(s.rank), p)
+            walk = cones._walk(s, range(s.rank), s.mu, p)
             assert rows == tuple(key + (0, n) for key, n in sorted(walk.items())), (name, p)
             if p**s.rank <= 625:
                 assert rows == fingerprint_reference(s, p), (name, p)
@@ -710,7 +727,7 @@ def test_pair_step_matches_every_point_on_each_branch(monkeypatch):
         for p in (5, 7):
             if s.rank == 3:
                 seen[p] |= pair_branches(s, p)
-            assert cones.histogram(s, p) == cones._walk(s, range(s.rank), p), (s, p)
+            assert cones.histogram(s, p) == cones._walk(s, range(s.rank), s.mu, p), (s, p)
             assert fingerprint(s, p) == fingerprint_reference(s, p), (s, p)
     branches = {"pivot i", "pivot j", "pair step", ("det 0", "uniform"), ("det 0", "zero"),
                 "g on i", "g on j", "split"}
@@ -838,9 +855,9 @@ def test_p1_route_matches_the_walk_and_the_reference(monkeypatch):
     walk = cones._walk
     walked = []
 
-    def counted(s, slots, p):
+    def counted(s, slots, entries, p):
         walked.append(tuple(slots))
-        return walk(s, slots, p)
+        return walk(s, slots, entries, p)
 
     monkeypatch.setattr(cones, "_walk", counted)
     rng = random.Random(65)
@@ -848,7 +865,7 @@ def test_p1_route_matches_the_walk_and_the_reference(monkeypatch):
     for kind, s in p1_route_cases(rng):
         for p in (5, 7) if s.rank <= 6 else (5,):
             walked.clear()
-            assert cones.histogram(s, p) == walk(s, range(s.rank), p), (kind, s, p)
+            assert cones.histogram(s, p) == walk(s, range(s.rank), s.mu, p), (kind, s, p)
             expected = []
             for v0, slots, _ in cones.cone_blocks(s):
                 if v0 is None:
@@ -988,10 +1005,9 @@ def test_certify_distinct_same_certificate_with_reference_fingerprint(monkeypatc
         pairs.append((s, projectivize(base, moved)))
         pairs.append((s, random_system(rng, rank)))
     expected = [certify_distinct(s1, s2, primes=SUPPORTED_PRIMES) for s1, s2 in pairs]
-    # certify compares each prime's histograms, passing each system's cone
-    # blocks along; the reference needs none, and its rows become the histogram
-    # the formatter turns back into them
-    def reference(s, p, blocks=None):
+    # certify compares each prime's histograms; the reference's rows become
+    # the histogram the formatter turns back into them
+    def reference(s, p):
         return {row[:3] if p < 5 else row[:2]: row[3] for row in fingerprint_reference(s, p)}
 
     monkeypatch.setattr(equiv, "_histogram", reference)
@@ -1009,7 +1025,7 @@ def test_certificate_outside_fingerprint_window_is_invalid():
     # nor one at p = 5 for systems with an 8-slot block that is no cone, even
     # with the walk's true rows
     a, b = chain(8), chain(8, 6)
-    walks = (cones._walk(s, range(8), 5) for s in (a, b))
+    walks = (cones._walk(s, range(8), s.mu, 5) for s in (a, b))
     detail = tuple(tuple(key + (0, n) for key, n in sorted(w.items())) for w in walks)
     too_big = DistinctnessCertificate("fingerprint", 5, detail)
     assert detail[0] != detail[1] and certificate_is_valid(too_big, a, b) is False
@@ -1080,7 +1096,7 @@ def test_certify_skips_fingerprints_above_rank_limit():
     # apart, but certify_distinct skips p = 5 and 7
     a, b = chain(8), chain(8, 6)
     assert certify_distinct(a, b, SUPPORTED_PRIMES) is None
-    assert cones._walk(a, range(8), 5) != cones._walk(b, range(8), 5)
+    assert cones._walk(a, range(8), a.mu, 5) != cones._walk(b, range(8), b.mu, 5)
     # a prime is skipped when one side alone is outside the window: a rank-7
     # P(E) and a transport of it that is one 7-slot block with no cone, which
     # agree at p = 5; the transport has no p = 7 rows
@@ -1098,9 +1114,9 @@ def test_certify_skips_fingerprints_above_rank_limit():
 
 
 def test_a_small_block_that_is_no_cone_fingerprints_at_any_rank():
-    # NON_CONE_MU's block has 2 slots: at rank 7 its p = 5 rows equal a mu_eval
-    # at every point, and with 7 blowup slots (rank 9) p = 5 tells p1 moved by
-    # 6 apart, where the search space 7^81 is refused
+    # NON_CONE_MU's block has 2 slots: at rank 7 its p = 5 rows equal a
+    # reference evaluation at every point, and with 7 blowup slots (rank 9) p = 5
+    # tells p1 moved by 6 apart, where the search space 7^81 is refused
     s = make_system(7, NON_CONE_MU, (1, 2) + (0,) * 5, (0,) * 7)
     assert fingerprint(s, 5) == fingerprint_reference(s, 5)
     a, b = (make_system(2, NON_CONE_MU, (x, 0), (0, 0)) for x in (0, 6))
@@ -1127,7 +1143,7 @@ def test_transports_with_blowups_match_the_reference_at_rank_seven():
         assert fingerprint(moved, 5) == fingerprint_reference(moved, 5), expr
 
 
-def test_certify_finds_the_blocks_once_per_system(monkeypatch):
+def test_certify_finds_the_blocks_once_per_system_and_prime(monkeypatch):
     calls = []
     cone_blocks = cones.cone_blocks
 
@@ -1140,11 +1156,11 @@ def test_certify_finds_the_blocks_once_per_system(monkeypatch):
     t = conifold_transition(base, RankTwoBundle(base, (-1, 1, 1, 1, 1, 3), 5))
     seven = chain(7)
     # z1 and z2 agree at p = 2 and 3 and differ at p = 5, so p = 7 does not run;
-    # the other pairs run both p = 5 and 7 on blocks found once per system
-    for s1, s2 in ((t.z1, t.z2), (t.z1, t.z1), (seven, seven)):
+    # the other pairs run both p = 5 and 7, each finding each system's blocks
+    for (s1, s2), runs in (((t.z1, t.z2), 1), ((t.z1, t.z1), 2), ((seven, seven), 2)):
         calls.clear()
         certify_distinct(s1, s2, SUPPORTED_PRIMES)
-        assert len(calls) == 2 and {id(s) for s in calls} == {id(s1), id(s2)}
+        assert [id(s) for s in calls] == [id(s1), id(s2)] * runs
     calls.clear()
     certify_distinct(t.z1, t.z1, (2, 3))
     assert calls == []

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 from conitop import (
     FourManifold,
@@ -19,7 +20,8 @@ from conitop import (
     twist_witness,
     verify_witness,
 )
-from conitop.equiv import _w2_square_parities
+from conitop.equiv import SearchStats, _w2_square_parities, _WitnessSearch
+from conitop.intmat import dot
 from conitop.sixfold import triple_indices
 
 from oracles import (
@@ -110,7 +112,7 @@ def test_labeled_classes():
     assert s.basis_labels == ("a", "y1")
     a, y = (1, 0), (0, 1)
     assert s.cubic(a) == 1
-    assert s.mu_eval(a, a, y) == -1
+    assert mu_eval_dense(s, a, a, y) == -1
     assert s.p1_pairing(a) == 4
     assert s.c1_class == (2, 4)
     stripped = make_system(1, {(0, 0, 0): 0}, p1=(0,), w2=(0,))
@@ -257,18 +259,44 @@ def test_derived_systems_equal_their_rebuild_through_the_constructor():
         assert rebuilt == s and hash(rebuilt) == hash(s)
 
 
-def test_mu_eval_and_contraction_match_dense_reference():
+def test_search_contraction_matches_dense_reference():
+    # the witness search lists each canonical entry of mu2 under its 1, 3 or 6
+    # distinct orderings; mu2(x, y, .) . z must be the dense r^3 sum
     rng = random.Random(41)
     for rank in range(7):
         for _ in range(6):
             s = random_system(rng, rank)
             moved = transport_system(s, random_unimodular(rng, rank))
             for t in (s, moved):
+                search = _WitnessSearch(s, t, 1, False, SearchStats())
                 for _ in range(4):
                     x, y, z = (
                         tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)
                     )
-                    assert t.mu_eval(x, y, z) == mu_eval_dense(t, x, y, z)
+                    assert dot(search.contract(x, y), z) == mu_eval_dense(t, x, y, z)
+
+
+def test_mu_value_reads_the_canonical_entries_in_every_order():
+    # every ordering of every triple, the absent ones included, against the
+    # entries as a dict; the first and last entries bound the bisection
+    rng = random.Random(44)
+    cp2 = standard("CP2")
+    systems = [make_system(0, {}, (), ()), cp3bar_system(),
+               blowup_point(projectivize(cp2, RankTwoBundle(cp2, (1,), 0)))]
+    systems += [random_system(rng, rank, fill=rng.choice((0.1, 0.4, 1.0)))
+                for rank in range(1, 6) for _ in range(4)]
+    for s in systems:
+        table = dict(s.mu)
+        for ijk in triple_indices(s.rank):
+            for ordering in permutations(ijk):
+                assert s.mu_value(*ordering) == table.get(ijk, 0), (s, ordering)
+        if s.mu:
+            (first, v), (last, w) = s.mu[0], s.mu[-1]
+            assert s.mu_value(*reversed(first)) == v and s.mu_value(*reversed(last)) == w
+    assert any(len(s.mu) < len(triple_indices(s.rank)) for s in systems)
+    # past either end of the entries, and at rank 0, nothing is stored
+    assert systems[0].mu_value(0, 0, 0) == 0 and systems[1].mu_value(1, 1, 1) == 0
+    assert systems[2].mu_value(0, 0, 9) == 0 and systems[2].mu_value(-1, 0, 0) == 0
 
 
 def test_pull_back_matches_dense_triple_loop():

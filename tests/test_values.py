@@ -168,17 +168,6 @@ def test_basis_labels_are_stored_as_a_tuple():
     assert system_from_obj(system_to_obj(s)) == s
 
 
-def test_mu_terms_is_cached_on_the_instance():
-    s = InvariantSystem(*SYSTEM_ARGS)
-    terms = s.mu_terms
-    assert terms == {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}
-    assert s.mu_terms is terms
-    assert s.mu_value(1, 0, 0) == 1
-    # the cache is not a field: it changes neither equality nor the hash
-    assert s == InvariantSystem(*SYSTEM_ARGS)
-    assert hash(s) == hash(InvariantSystem(*SYSTEM_ARGS))
-
-
 def test_search_stats_is_a_mutable_counter():
     stats = SearchStats(nodes=3)
     assert stats == SearchStats(3, 0, 0, 0, 0)
