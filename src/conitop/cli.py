@@ -14,26 +14,27 @@ Exit codes are a stable contract: 0 success (including a decided compare),
 ``compare --stats`` writes the witness search's counters (see
 :class:`conitop.equiv.SearchStats`) to stderr as one JSON line, after the
 report; stdout is the same with or without it.
+
+Each command runs in a fresh interpreter and imports only what it runs:
+the decision layer (:mod:`conitop.equiv`) for ``compare`` and
+``verify-paper``; :mod:`conitop.transitions` for ``transition``,
+``verify-paper`` and a ``local_model`` or ``transition`` descriptor; the
+paper's checks (:mod:`conitop.paper`) for ``verify-paper``; and the
+descriptor readers (:mod:`conitop.descriptors`), with the ``json``
+decoder, for ``compare`` and a JSON ``--base`` file.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import serialize
-from .bundle import RankTwoBundle, trivial_bundle, twist
+from .bundle import RankTwoBundle
 from .errors import SearchBudgetError, ValidationError
-from .fourfold import FourManifold, standard
-from .sixfold import (
-    InvariantSystem,
-    blowup_point,
-    euler_characteristic,
-    projectivize,
-    twist_witness,
-)
+from .fourfold import FourManifold
+from .sixfold import InvariantSystem, euler_characteristic
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -143,126 +144,6 @@ def _run_compare(
     return report, code
 
 
-# -- built-in verification suite ----------------------------------------------
-
-
-def _check(name: str, passed: bool, detail: dict) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def verification_suite(step_budget: int | None = None) -> list[dict]:
-    """The fixed suite of reference computations behind ``verify-paper``."""
-    from .equiv import certify_distinct, find_isomorphism, verify_witness
-    from .transitions import conifold_transition, local_model_system
-
-    checks = []
-
-    # 1. Sphere-bundle invariants over the complex projective plane.
-    cp2 = standard("CP2")
-    s = projectivize(cp2, RankTwoBundle(cp2, (1,), 0))
-    expected = {
-        "mu": [[0, 0, 0, 1], [0, 0, 1, -1], [0, 1, 1, 1]],
-        "p1": [4, 0],
-        "w2": [0, 0],
-        "b3": 0,
-    }
-    got = serialize.system_to_obj(s)
-    passed = all(got[key] == expected[key] for key in expected)
-    checks.append(_check("projective bundle spot values", passed, {"system": got}))
-
-    # 2. Frozen local-model systems.
-    m1 = local_model_system(1)
-    m2 = local_model_system(2)
-    passed = (
-        m1.mu == (((0, 0, 1), 1), ((0, 1, 1), -1))
-        and m2.mu == (((0, 0, 1), 1), ((0, 1, 1), -1), ((1, 1, 1), 1))
-        and m1.p1 == (0, 0)
-        and m2.p1 == (0, 4)
-        and m1.w2 == m2.w2 == (0, 0)
-        and m1.b3 == m2.b3 == 0
-    )
-    checks.append(
-        _check(
-            "local model values",
-            passed,
-            {
-                "model_1": serialize.system_to_obj(m1),
-                "model_2": serialize.system_to_obj(m2),
-            },
-        )
-    )
-
-    # 3./4. Local model 1 matches the bundle side over CP2bar, and local
-    # model 2 the blowup side over S4, by search and by a named witness.
-    bar, s4 = standard("CP2bar"), standard("S4")
-    for name, model, side, named in (
-        (
-            "local model 1 matches bundle side",
-            m1,
-            projectivize(bar, RankTwoBundle(bar, (-1,), -1)),
-            ((1, 0), (0, -1)),  # x -> a, z -> -y
-        ),
-        (
-            "local model 2 matches blowup side",
-            m2,
-            blowup_point(projectivize(s4, RankTwoBundle(s4, (), -1))),
-            ((1, 0), (1, -1)),  # x -> a + z', z -> -z'
-        ),
-    ):
-        found = find_isomorphism(model, side, bound=3, step_budget=step_budget)
-        passed = found is not None and verify_witness(model, side, named, check_c1=True)
-        detail = {
-            "found": None if found is None else serialize.witness_to_obj(found),
-            "named_witness": [list(r) for r in named],
-        }
-        checks.append(_check(name, passed, detail))
-
-    # 5./6. The two transition sides are distinct (trivial bundle over S4, CP2).
-    for base in (s4, cp2):
-        t = conifold_transition(base, trivial_bundle(base))
-        cert = certify_distinct(t.z1, t.z2)
-        passed = cert is not None and cert.kind == "fingerprint"
-        checks.append(
-            _check(
-                f"transition sides distinct over {base.label}",
-                passed,
-                {
-                    "certificate": None
-                    if cert is None
-                    else serialize.certificate_to_obj(cert),
-                },
-            )
-        )
-
-    # 7. Twist invariance sample.
-    e = trivial_bundle(cp2)
-    l = (1,)
-    s_plain = projectivize(cp2, e)
-    s_twist = projectivize(cp2, twist(e, l))
-    w = twist_witness(cp2, e, l)
-    found = find_isomorphism(s_plain, s_twist, bound=2, step_budget=step_budget)
-    passed = verify_witness(s_plain, s_twist, w, check_c1=True) and found is not None
-    checks.append(
-        _check(
-            "twist invariance sample",
-            passed,
-            {"substitution": [list(r) for r in w]},
-        )
-    )
-    return checks
-
-
-def _run_verify(step_budget: int | None) -> tuple[dict, int]:
-    checks = verification_suite(step_budget=step_budget)
-    all_passed = all(c["passed"] for c in checks)
-    report = {
-        "schema": serialize.REPORT_SCHEMA,
-        "command": "verify-paper",
-        "result": {"checks": checks, "all_passed": all_passed},
-    }
-    return report, (EXIT_OK if all_passed else EXIT_VERIFY)
-
-
 # -- human-readable rendering --------------------------------------------------
 
 
@@ -361,8 +242,10 @@ def _read_descriptor(path: str, flag: str, build):
         raise ValidationError(f"{flag}: {path!r} is not UTF-8 text") from exc
     except OSError as exc:
         raise ValidationError(f"{flag}: cannot read {path!r}: {exc.strerror or exc}") from exc
+    from .descriptors import loads
+
     try:
-        return build(serialize.loads(text))
+        return build(loads(text))
     except ValidationError as exc:
         raise ValidationError(f"{flag}: {exc}") from exc
 
@@ -380,9 +263,9 @@ def _load_base(arg: str) -> FourManifold:
         except ValidationError as exc:
             if not os.path.exists(arg):
                 raise ValidationError(f"--base: {exc}") from exc
-    return _read_descriptor(
-        arg, "--base", lambda doc: serialize.manifold_from_descriptor(doc.get("manifold", doc))
-    )
+    from .descriptors import manifold_from_document
+
+    return _read_descriptor(arg, "--base", manifold_from_document)
 
 
 def _base_and_bundle(args) -> tuple[FourManifold, RankTwoBundle]:
@@ -455,10 +338,16 @@ def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
         if bound < 1:  # refused before the descriptors are read, whatever the pair
             raise ValidationError(f"--bound must be at least 1, got {bound}")
         primes = DEFAULT_PRIMES if args.primes is None else _parse_int_list(args.primes, "--primes")
-        left = _read_descriptor(args.left, "--left", serialize.system_from_descriptor)
-        right = _read_descriptor(args.right, "--right", serialize.system_from_descriptor)
+        from .descriptors import system_from_descriptor
+
+        left = _read_descriptor(args.left, "--left", system_from_descriptor)
+        right = _read_descriptor(args.right, "--right", system_from_descriptor)
         return _run_compare(left, right, bound, primes, args.check_c1, _env_step_budget(), stats)
-    return _run_verify(_env_step_budget())
+    step_budget = _env_step_budget()
+    from .paper import verify_report
+
+    report = verify_report(step_budget)
+    return report, (EXIT_OK if report["result"]["all_passed"] else EXIT_VERIFY)
 
 
 def main(argv=None) -> int:
@@ -478,6 +367,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     sys.stdout.write(render_report(report, args.format))
     if stats is not None:
+        import json
+
         print(json.dumps({"search": stats.to_obj()}, sort_keys=True), file=sys.stderr)
     return code
 

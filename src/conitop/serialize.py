@@ -1,21 +1,28 @@
-"""JSON codec for every domain object, plus descriptor parsing.
+"""JSON writers for every domain object, plus the readers of typed text.
 
 Input descriptors and machine-readable report sections share one structured
 format with a versioned ``schema`` field, so reports re-parse to the exact
 in-memory values they were produced from.  Human tables are a formatting
 layer over the same data (see :mod:`conitop.cli`).
+
+This module holds what every command runs: the writers, ``json_canonical``,
+``read_int``, ``parse_sum_expression``, ``blown_up_projectivization`` and
+the limits.  The descriptor readers live in :mod:`conitop.descriptors`, which
+only a command that reads a descriptor file loads; their public names
+(``loads``, ``system_from_descriptor``, ``certificate_from_obj``, ...) are
+still readable here and resolve on first access.  This module loads no
+``json`` at import: ``json_canonical`` imports json's string encoder on its
+first call, and the readers' module imports the decoder, so a table-format
+command that reads no descriptor file loads no ``json`` at all.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from .bundle import RankTwoBundle
 from .errors import ValidationError
 from .fourfold import STANDARD_NAMES, FourManifold, connected_sum, standard
-from .lattice import IntersectionForm
 from .sixfold import InvariantSystem, blowup_point, projectivize
 
 SCHEMA = "conitop/1"
@@ -30,7 +37,6 @@ MAX_FORM_RANK = 256
 # so that every value built from a few of them stays within the 4,300 digits
 # that str() and json print.
 MAX_INT_DIGITS = 1000
-_INT_LIMIT = 10**MAX_INT_DIGITS
 
 
 def read_int(text: str, field: str) -> int:
@@ -49,6 +55,11 @@ def read_int(text: str, field: str) -> int:
     return int(text)
 
 
+# json's string encoder, read by _render as a module global; bound by the
+# first json_canonical call, so that a command printing no JSON loads no json
+encode_basestring_ascii = None
+
+
 def json_canonical(obj) -> str:
     """Deterministic rendering used for every machine-readable document.
 
@@ -63,6 +74,9 @@ def json_canonical(obj) -> str:
     and ``None``; anything else (a float, a key that is not a string, a set)
     raises ``TypeError``.
     """
+    global encode_basestring_ascii
+    if encode_basestring_ascii is None:
+        from json.encoder import encode_basestring_ascii
     return _render(obj, "\n") + "\n"
 
 
@@ -116,59 +130,6 @@ def _render(obj, newline: str) -> str:
 _INT, _STR, _ROW = {int}, {str}, {list, tuple}
 
 
-def loads(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
-        ) from exc
-    except ValueError as exc:  # an integer past the digit limit of int()
-        raise ValidationError(
-            f"invalid JSON: an integer of more than {MAX_INT_DIGITS} digits"
-        ) from exc
-    except RecursionError as exc:
-        raise ValidationError("invalid JSON: arrays or objects nested too deeply") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("descriptor document must be a JSON object")
-    schema = doc.get("schema")
-    if schema is not None and schema not in (SCHEMA, REPORT_SCHEMA):
-        raise ValidationError(f"unsupported schema {schema!r}")
-    return doc
-
-
-# A descriptor value is taken only as its own JSON type: a bool, float or
-# string where an integer belongs is an error, never rounded or converted.
-_JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false", list: "a list"}
-
-
-def _json_value(value, kind: type, field: str):
-    if type(value) is not kind:
-        raise ValidationError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
-    if kind is int and not -_INT_LIMIT < value < _INT_LIMIT:
-        raise ValidationError(f"{field} has an integer of more than {MAX_INT_DIGITS} digits")
-    return value
-
-
-def _json_list(value, kind: type, field: str) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{field} must be a list, got {value!r}")
-    return tuple(_json_value(v, kind, field) for v in value)
-
-
-def _json_rows(value, field: str) -> tuple:
-    """A list of integer lists, such as a matrix."""
-    return tuple(_json_list(row, int, field) for row in _json_list(value, list, field))
-
-
-def _require(obj, fields, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} must be a JSON object, got {obj!r}")
-    for field in fields:
-        if field not in obj:
-            raise ValidationError(f"{what} needs field {field!r}")
-
-
 # -- four-manifolds ---------------------------------------------------------
 
 
@@ -180,20 +141,6 @@ def manifold_to_obj(n: FourManifold) -> dict:
         "c1_tangent": None if n.c1_tangent is None else list(n.c1_tangent),
         "simply_connected": n.simply_connected,
     }
-
-
-def manifold_from_obj(obj: dict) -> FourManifold:
-    _require(obj, ("matrix", "w2"), "explicit manifold")
-    matrix = _json_rows(obj["matrix"], "matrix")
-    if len(matrix) > MAX_FORM_RANK:
-        raise ValidationError(f"matrix has {len(matrix)} rows, above the limit of {MAX_FORM_RANK}")
-    return FourManifold(
-        _json_value(obj.get("label", "custom"), str, "label"),
-        IntersectionForm(matrix),
-        _json_list(obj["w2"], int, "w2"),
-        None if obj.get("c1_tangent") is None else _json_list(obj["c1_tangent"], int, "c1_tangent"),
-        _json_value(obj.get("simply_connected", True), bool, "simply_connected"),
-    )
 
 
 def parse_sum_expression(text: str) -> FourManifold:
@@ -228,35 +175,11 @@ def parse_sum_expression(text: str) -> FourManifold:
     return connected_sum(*(n for n, count in terms for _ in range(count)))
 
 
-def manifold_from_descriptor(desc) -> FourManifold:
-    """Catalog name, connected-sum expression, or explicit object."""
-    if isinstance(desc, str):
-        return parse_sum_expression(desc)
-    if isinstance(desc, dict):
-        return manifold_from_obj(desc)
-    raise ValidationError(f"manifold must be a string or object, got {desc!r}")
-
-
-def _base_from(inner: dict) -> FourManifold:
-    """The manifold of a bundle descriptor's ``base`` field; an error names ``base``."""
-    try:
-        return manifold_from_descriptor(inner["base"])
-    except ValidationError as exc:
-        raise ValidationError(f"base: {exc}") from exc
-
-
 # -- bundles ----------------------------------------------------------------
 
 
 def bundle_to_obj(e: RankTwoBundle) -> dict:
     return {"c1": list(e.c1), "c2": e.c2}
-
-
-def bundle_from_obj(base: FourManifold, obj: dict) -> RankTwoBundle:
-    if not isinstance(obj, dict):
-        raise ValidationError("bundle descriptor must be an object")
-    c1 = _json_list(obj.get("c1", [0] * base.rank), int, "c1")
-    return RankTwoBundle(base, c1, _json_value(obj.get("c2", 0), int, "c2"))
 
 
 def placed_bundle_to_obj(e: RankTwoBundle) -> dict:
@@ -279,33 +202,6 @@ def system_to_obj(s: InvariantSystem) -> dict:
     }
 
 
-def system_from_obj(obj: dict) -> InvariantSystem:
-    _require(obj, ("rank", "mu", "p1", "w2", "b3"), "invariant system")
-    rank = _json_value(obj["rank"], int, "rank")
-    if rank < 0:
-        raise ValidationError(f"system rank {rank} is negative")
-    if rank > MAX_FORM_RANK + 2:
-        raise ValidationError(f"system rank {rank} is above the limit of {MAX_FORM_RANK + 2}")
-    if not isinstance(obj["mu"], (list, tuple)):
-        raise ValidationError("mu must be a list of [i, j, k, value] entries")
-    entries = []
-    for item in obj["mu"]:
-        if not (isinstance(item, (list, tuple)) and len(item) == 4):
-            raise ValidationError(f"mu entries must be [i, j, k, value] integers, got {item!r}")
-        entries.append((item[:3], _json_value(item[3], int, "mu")))
-    labels = obj.get("basis_labels")
-    return InvariantSystem(
-        rank,
-        entries,
-        _json_list(obj["p1"], int, "p1"),
-        _json_list(obj["w2"], int, "w2"),
-        _json_value(obj["b3"], int, "b3"),
-        None if obj.get("c1_class") is None else _json_list(obj["c1_class"], int, "c1_class"),
-        () if labels is None else _json_list(labels, str, "basis_labels"),
-        _json_value(obj.get("classifiable", True), bool, "classifiable"),
-    )
-
-
 def blown_up_projectivization(
     base: FourManifold, e: RankTwoBundle, blowups: int
 ) -> InvariantSystem:
@@ -321,48 +217,6 @@ def blown_up_projectivization(
     return s
 
 
-def system_from_descriptor(doc: dict) -> InvariantSystem:
-    """Build a system from any of the accepted descriptor shapes.
-
-    ``{"system": {...}}``                       explicit invariant data
-    ``{"projectivize": {"base":..., "c1":..., "c2":...}, "blowups": n}``
-    ``{"local_model": 1}``                      frozen transition model
-    ``{"transition": {"base":..., "c1":..., "c2":...}, "side": "z1"|"z2"}``
-    """
-    if not isinstance(doc, dict):
-        raise ValidationError("system descriptor must be a JSON object")
-    if "system" in doc:
-        return system_from_obj(doc["system"])
-    if "projectivize" in doc:
-        inner = doc["projectivize"]
-        _require(inner, ("base",), "projectivize")
-        base = _base_from(inner)
-        e = bundle_from_obj(base, inner)
-        return blown_up_projectivization(
-            base, e, _json_value(doc.get("blowups", 0), int, "blowups")
-        )
-    if "local_model" in doc:
-        from .transitions import local_model_system
-
-        return local_model_system(_json_value(doc["local_model"], int, "local_model"))
-    if "transition" in doc:
-        from .transitions import conifold_transition
-
-        inner = doc["transition"]
-        _require(inner, ("base",), "transition")
-        base = _base_from(inner)
-        e = bundle_from_obj(base, inner)
-        swap = _json_value(inner.get("swap", False), bool, "swap")
-        result = conifold_transition(base, e, swap=swap)
-        side = doc.get("side", "z1")
-        if side not in ("z1", "z2"):
-            raise ValidationError("transition side must be 'z1' or 'z2'")
-        return result.z1 if side == "z1" else result.z2
-    raise ValidationError(
-        "system descriptor needs one of 'system', 'projectivize', 'local_model', 'transition'"
-    )
-
-
 # -- witnesses and certificates ---------------------------------------------
 
 
@@ -373,14 +227,6 @@ def witness_to_obj(w: IsomorphismWitness) -> dict:
     }
 
 
-def witness_from_obj(obj: dict) -> IsomorphismWitness:
-    from .equiv import IsomorphismWitness
-
-    _require(obj, ("matrix", "preserves_c1"), "witness")
-    matrix = _json_rows(obj["matrix"], "matrix")
-    return IsomorphismWitness(matrix, _json_value(obj["preserves_c1"], bool, "preserves_c1"))
-
-
 def certificate_to_obj(c: DistinctnessCertificate) -> dict:
     if c.kind == "fingerprint":
         detail = [[list(t) for t in side] for side in c.detail]
@@ -389,19 +235,31 @@ def certificate_to_obj(c: DistinctnessCertificate) -> dict:
     return {"kind": c.kind, "prime": c.prime, "detail": detail}
 
 
-def certificate_from_obj(obj: dict) -> DistinctnessCertificate:
-    from .equiv import DistinctnessCertificate
+# the readers' public names, each resolved from conitop.descriptors on first
+# access (PEP 562), so that a command that reads no descriptor file compiles
+# neither the readers nor the json decoder
+_READERS = (
+    "bundle_from_obj",
+    "certificate_from_obj",
+    "loads",
+    "manifold_from_descriptor",
+    "manifold_from_document",
+    "manifold_from_obj",
+    "system_from_descriptor",
+    "system_from_obj",
+    "witness_from_obj",
+)
 
-    _require(obj, ("kind", "detail"), "certificate")
-    kind = _json_value(obj["kind"], str, "kind")
-    if kind == "fingerprint":
-        sides = _json_list(obj["detail"], list, "detail")
-        detail = tuple(_json_rows(side, "detail") for side in sides)
-    elif kind in ("rank", "b3"):
-        detail = _json_list(obj["detail"], int, "detail")
-    else:
-        raise ValidationError(f"unknown certificate kind {kind!r}")
-    prime = obj.get("prime")
-    if prime is not None:
-        prime = _json_value(prime, int, "prime")
-    return DistinctnessCertificate(kind, prime, detail)
+
+def __getattr__(name):
+    if name not in _READERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import descriptors
+
+    value = getattr(descriptors, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_READERS))

@@ -62,6 +62,8 @@ BLOWUP_CAP = MAX_FORM_RANK - 1
 BUDGET = "CONITOP_STEP_BUDGET"
 GOOD = {"local_model": 1}
 RANK_7_SIDES = [over("CP2 # 5 CP2bar", c1=[0] * 6, c2=c2) for c2 in (0, 1)]
+Z2 = {"transition": {"base": "CP2", "c1": [1], "c2": 0}, "side": "z2"}
+TWICE = b'{"schema": "conitop/1", "projectivize": {"base": "CP2", "c1": [1], "c2": 0, "c2": 5}}'
 
 # (command line, pattern[, environment]); an object in the command line is a
 # descriptor file, bytes a file of those bytes, None a path never written
@@ -195,6 +197,40 @@ CLI_ROWS = [
     (compare(over(dict(CP2_OBJ, c1_tangent=[3.0]))), "c1_tangent"),
     (compare(over(dict(CP2_OBJ, simply_connected=0))), "simply_connected"),
     (compare(over(dict(CP2_OBJ, label=5))), "label"),
+    # a key given twice, or a constant that is not JSON, is invalid JSON in any file
+    (compare(TWICE), "^input error: --left: invalid JSON: key 'c2' given twice"),
+    (compare(GOOD, TWICE), "^input error: --right: invalid JSON: key 'c2' given twice"),
+    (
+        ("invariants", "--base", b'{"manifold": "CP2", "manifold": "S4"}'),
+        "^input error: --base: invalid JSON: key 'manifold' given twice",
+    ),
+    (compare({"local_model": 1, "note": float("nan")}), "^input error: --left: invalid JSON: NaN "),
+    (compare(GOOD, b'{"local_model": 1, "x": [Infinity]}'), "^input error: --right: invalid JSON: Infinity "),
+    (
+        ("invariants", "--base", b'{"manifold": "CP2", "x": -Infinity}'),
+        "^input error: --base: invalid JSON: -Infinity ",
+    ),
+    # every key is read: one a reader does not take is refused, never dropped
+    (
+        compare({**Z2, "blowups": 3}, Z2),
+        "^input error: --left: transition descriptor takes no field 'blowups'",
+    ),
+    (compare(over("CP2", c1=[1], c2=0, blowups=1)), "^input error: --left: projectivize takes no field 'blowups'"),
+    (
+        compare(GOOD, {"local_model": 1, "projectivize": {"base": "CP2", "c1": [1], "c2": 0}}),
+        "^input error: --right: system descriptor takes only one of .* got 'projectivize' and 'local_model'",
+    ),
+    (compare({"transition": {"base": "S4"}, "swap": True}), "transition descriptor takes no field 'swap'"),
+    (compare({"local_model": 1, "side": "z1"}), "local_model descriptor takes no field 'side'"),
+    (compare({**system(), "blowups": 0}), "system descriptor takes no field 'blowups'"),
+    (compare(system(rank_2=2)), "invariant system takes no field 'rank_2'"),
+    (compare({"transition": {"base": "S4", "side": "z2"}}), "transition takes no field 'side'"),
+    (compare(over(dict(CP2_OBJ, c1=[1]))), "^input error: --left: base: explicit manifold takes no field 'c1'"),
+    (("invariants", "--base", {"manifold": "CP2", "c1": [1]}), "manifold document takes no field 'c1'"),
+    (
+        ("invariants", "--base", {"matrix": [[1]], "w2": [1], "blowups": 2}),
+        "^input error: --base: explicit manifold takes no field 'blowups'",
+    ),
 ]
 
 
@@ -438,6 +474,14 @@ LIBRARY_ROWS = [
     ("serialize.system_from_descriptor('just a string')", "object"),
     ("serialize.loads('[1, 2]')", "object"),
     ("serialize.loads('{\"schema\": \"other/9\"}')", "schema"),
+    ("serialize.loads('{\"a\": {\"b\": 1, \"b\": 1}}')", "invalid JSON: key 'b' given twice"),
+    ("serialize.loads('{\"a\": NaN}')", "invalid JSON: NaN is not a JSON number"),
+    ("serialize.loads('{\"a\": [1, -Infinity]}')", "invalid JSON: -Infinity is not a JSON number"),
+    ("serialize.system_from_obj(dict(serialize.system_to_obj(ONE), schema='conitop/1'))", "schema"),
+    ("serialize.manifold_from_obj(dict(serialize.manifold_to_obj(CP2), rank=1))", "rank"),
+    ("serialize.witness_from_obj({'matrix': [[1]], 'preserves_c1': True, 'prime': 2})", "prime"),
+    ("serialize.certificate_from_obj({'kind': 'rank', 'detail': [1, 2], 'matrix': []})", "matrix"),
+    ("serialize.system_from_descriptor({'local_model': 1, 'system': {}})", "only one of"),
     *(
         (f"serialize.witness_from_obj({obj!r})", field)
         for field, obj in (
@@ -553,9 +597,10 @@ def test_random_descriptors_exit_0_to_3_and_meet_the_exit_1_contract(tmp_path, c
         path.write_text(json.dumps(doc))
         code = main(["compare", "--left", str(path), "--right", str(path)])
         if code == EXIT_INPUT:
-            # the field at fault is a descriptor key
+            # the field at fault is a descriptor key, or the constant that
+            # is not JSON (the junk floats take the values +-Infinity)
             line = input_error(capsys, code)
-            assert re.search("|".join(DESCRIPTOR_KEYS), line), line
+            assert re.search("|".join(DESCRIPTOR_KEYS + ("Infinity",)), line), line
         else:
             assert code in (0, 2, 3)
             capsys.readouterr()

@@ -443,10 +443,10 @@ def test_verify_paper_passes(capsys):
 
 
 def test_verify_paper_failure_exit_code(monkeypatch, capsys):
-    import conitop.cli as cli
+    import conitop.paper as paper
 
     monkeypatch.setattr(
-        cli,
+        paper,
         "verification_suite",
         lambda step_budget=None: [
             {"name": "doomed", "passed": False, "detail": {}}
@@ -584,7 +584,7 @@ def test_classifiable_flag_round_trips_and_propagates():
 
 
 def test_verification_suite_detail_is_json_ready():
-    from conitop.cli import verification_suite
+    from conitop.paper import verification_suite
 
     checks = verification_suite()
     json.dumps(checks)

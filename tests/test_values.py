@@ -195,12 +195,12 @@ def _imported_modules(code: str) -> set[str]:
     return set(out.split())
 
 
-def test_cli_start_up_loads_no_heavy_standard_modules():
+def test_cli_start_up_loads_no_heavy_standard_modules(tmp_path):
     # dataclasses brings inspect, ast, dis and tokenize, and fractions brings
     # decimal: together about 25 ms of every command's start-up
     loaded = _imported_modules("import conitop.cli") - _imported_modules("pass")
     assert "conitop.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json"}
     # and each command compiles only the package modules it runs
     assert not _imported_modules("import conitop") & {"conitop.equiv", "conitop.transitions"}
     compare = ["compare", "--left", str(INPUTS / "s4_z1.json"), "--right", str(INPUTS / "s4_z2.json")]
@@ -210,11 +210,23 @@ def test_cli_start_up_loads_no_heavy_standard_modules():
         "--left", str(INPUTS / "cp2_4cp2bar_c2_0.json"),
         "--right", str(INPUTS / "cp2_4cp2bar_c2_6.json"),
     ]
+    base_file = tmp_path / "base.json"
+    base_file.write_text('{"schema": "conitop/1", "manifold": "CP2"}')
+    equiv, transitions, cones = "conitop.equiv", "conitop.transitions", "conitop.cones"
+    paper, descriptors = "conitop.paper", "conitop.descriptors"
     for argv, loads, skips in (
-        (["invariants", "--base", "CP2", "--c1", "1"], set(), {"equiv", "transitions", "cones"}),
-        (["transition", "--base", "CP2"], {"transitions"}, {"equiv", "cones"}),
-        (compare, {"equiv", "transitions"}, set()),
-        (bundles, {"equiv"}, {"transitions"}),
+        (
+            ["invariants", "--base", "CP2", "--c1", "1"],
+            set(),
+            {equiv, transitions, cones, paper, descriptors, "json"},
+        ),
+        (["transition", "--base", "CP2"], {transitions}, {equiv, cones, paper, descriptors, "json"}),
+        (["verify-paper"], {paper, equiv, transitions}, {descriptors, "json"}),
+        # JSON output loads json's encoder, but no reader
+        (["invariants", "--base", "CP2", "--format", "json"], {"json"}, {paper, descriptors}),
+        (compare, {equiv, transitions, descriptors, "json"}, {paper}),
+        (bundles, {equiv, descriptors}, {transitions, paper}),
+        (["invariants", "--base", str(base_file)], {descriptors, "json"}, {equiv, paper}),
     ):
         loaded = _imported_modules(
             "import contextlib, io\n"
@@ -222,8 +234,42 @@ def test_cli_start_up_loads_no_heavy_standard_modules():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0"
         )
-        assert {f"conitop.{m}" for m in loads} <= loaded, argv
-        assert not {f"conitop.{m}" for m in skips} & loaded, argv
+        assert loads <= loaded, argv
+        assert not skips & loaded, argv
+
+
+def test_serialize_reader_names_resolve_on_first_use_to_the_readers_module():
+    # in a fresh interpreter, so that no reader is bound before it is read
+    _imported_modules(
+        """
+import sys
+from conitop import serialize
+names = {
+    "loads", "manifold_from_obj", "manifold_from_descriptor", "manifold_from_document",
+    "bundle_from_obj", "system_from_obj", "system_from_descriptor", "witness_from_obj",
+    "certificate_from_obj",
+}
+assert names <= set(dir(serialize))
+assert "conitop.descriptors" not in sys.modules
+for name in sorted(names):
+    value = getattr(serialize, name)
+    assert value is getattr(sys.modules["conitop.descriptors"], name), name
+from conitop import descriptors
+public = {
+    name
+    for name, value in vars(descriptors).items()
+    if callable(value) and getattr(value, "__module__", None) == descriptors.__name__
+    and not name.startswith("_")
+}
+assert public == names, public ^ names
+try:
+    serialize.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("serialize.no_such_name resolved")
+"""
+    )
 
 
 def test_package_names_resolve_on_first_use_to_their_defining_modules():
