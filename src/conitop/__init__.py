@@ -15,6 +15,7 @@ compile those modules.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _Module
 
 from .bundle import RankTwoBundle, c1_squared, trivial_bundle, twist
 from .errors import SearchBudgetError, ValidationError
@@ -59,42 +60,11 @@ _LAZY = {
     ),
 }
 
-__all__ = [
-    "DistinctnessCertificate",
-    "FourManifold",
-    "IntersectionForm",
-    "InvariantSystem",
-    "IsomorphismWitness",
-    "RankTwoBundle",
-    "SearchBudgetError",
-    "TransitionResult",
-    "ValidationError",
-    "blowup_point",
-    "c1_squared",
-    "certificate_is_valid",
-    "certify_distinct",
-    "conifold_transition",
-    "connected_sum",
-    "cp3bar_system",
-    "direct_sum",
-    "euler_characteristic",
-    "find_isomorphism",
-    "fingerprint",
-    "has_even_w2_cubic",
-    "is_characteristic",
-    "is_unimodular",
-    "local_model_system",
-    "make_system",
-    "p1_number",
-    "projectivize",
-    "signature",
-    "standard",
-    "transport_system",
-    "trivial_bundle",
-    "twist",
-    "twist_witness",
-    "verify_witness",
-]
+# the public names: every name imported above, and every name of _LAZY
+__all__ = sorted(
+    [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _Module)]
+    + list(_LAZY)
+)
 
 
 def __getattr__(name):

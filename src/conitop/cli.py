@@ -9,7 +9,8 @@ Commands
 
 Exit codes are a stable contract: 0 success (including a decided compare),
 1 parse/validation failure, 2 inconclusive compare, 3 step budget exceeded,
-4 verification-suite failure.
+4 verification-suite failure.  ``CONITOP_STEP_BUDGET`` sets the step budget
+of ``compare``'s witness search; no other command reads it.
 
 ``compare --stats`` writes the witness search's counters (see
 :class:`conitop.equiv.SearchStats`) to stderr as one JSON line, after the
@@ -68,19 +69,16 @@ def _run_invariants(
     return report, EXIT_OK
 
 
-def _run_transition(
-    base: FourManifold, bundle: RankTwoBundle, swap: bool
-) -> tuple[dict, int]:
+def _run_transition(base: FourManifold, bundle: RankTwoBundle) -> tuple[dict, int]:
     from .transitions import conifold_transition
 
-    result = conifold_transition(base, bundle, swap=swap)
+    result = conifold_transition(base, bundle)
     report = {
         "schema": serialize.REPORT_SCHEMA,
         "command": "transition",
         "inputs": {
             "base": serialize.manifold_to_obj(base),
             "bundle": serialize.bundle_to_obj(bundle),
-            "swap": result.swapped,
         },
         "result": {
             "e1": serialize.placed_bundle_to_obj(result.e1),
@@ -305,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--base", required=True)
     p_tr.add_argument("--c1")
     p_tr.add_argument("--c2", default="0")
-    p_tr.add_argument("--swap", action="store_true")
     add_format(p_tr)
 
     p_cmp = sub.add_parser("compare", help="decide equivalence of two systems")
@@ -330,7 +327,7 @@ def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
     if args.command == "invariants":
         return _run_invariants(*_base_and_bundle(args), serialize.read_int(args.blowups, "--blowups"))
     if args.command == "transition":
-        return _run_transition(*_base_and_bundle(args), args.swap)
+        return _run_transition(*_base_and_bundle(args))
     if args.command == "compare":
         from .equiv import DEFAULT_BOUND, DEFAULT_PRIMES
 
@@ -343,10 +340,9 @@ def _run_command(args, stats: SearchStats | None) -> tuple[dict, int]:
         left = _read_descriptor(args.left, "--left", system_from_descriptor)
         right = _read_descriptor(args.right, "--right", system_from_descriptor)
         return _run_compare(left, right, bound, primes, args.check_c1, _env_step_budget(), stats)
-    step_budget = _env_step_budget()
     from .paper import verify_report
 
-    report = verify_report(step_budget)
+    report = verify_report()
     return report, (EXIT_OK if report["result"]["all_passed"] else EXIT_VERIFY)
 
 

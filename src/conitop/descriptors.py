@@ -213,7 +213,7 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
     ``{"system": {...}}``                       explicit invariant data
     ``{"projectivize": {"base":..., "c1":..., "c2":...}, "blowups": n}``
     ``{"local_model": 1}``                      frozen transition model
-    ``{"transition": {"base":..., "c1":..., "c2":..., "swap":...}, "side": "z1"|"z2"}``
+    ``{"transition": {"base":..., "c1":..., "c2":...}, "side": "z1"|"z2"}``
 
     The document holds exactly one shape and, besides it, ``schema`` and
     that shape's own document field.
@@ -247,11 +247,9 @@ def system_from_descriptor(doc: dict) -> InvariantSystem:
     from .transitions import conifold_transition
 
     inner = doc["transition"]
-    _require(inner, ("base",), "transition", ("c1", "c2", "swap"))
+    _require(inner, ("base",), "transition", ("c1", "c2"))
     base = _base_from(inner)
-    e = bundle_from_obj(base, inner)
-    swap = _json_value(inner.get("swap", False), bool, "swap")
-    result = conifold_transition(base, e, swap=swap)
+    result = conifold_transition(base, bundle_from_obj(base, inner))
     side = doc.get("side", "z1")
     if side not in ("z1", "z2"):
         raise ValidationError("transition side must be 'z1' or 'z2'")

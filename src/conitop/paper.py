@@ -1,11 +1,13 @@
 """The paper's checks: the built-in suite of reference computations behind ``verify-paper``.
 
-The suite recomputes spot values of a sphere bundle over CP2 and of the two
-frozen local models, matches each local model with its bundle or blowup
-side by search and by a named witness, certifies the two sides of a
-conifold transition distinct, and finds the isomorphism a twist by a line
-bundle predicts.  Only the ``verify-paper`` command imports this module, so
-no other command compiles it.
+The suite recomputes spot values of a sphere bundle over CP2, matches each
+frozen local model with its bundle or blowup side by search and by a named
+witness checked with c1 (which pins every frozen value of the model),
+certifies the two sides of a conifold transition distinct, and finds the
+isomorphism a twist by a line bundle predicts.  Its searches are fixed
+rank-2 searches of at most 7^4 candidates, run under the default step
+budget.  Only the ``verify-paper`` command imports this module, so no other
+command compiles it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ def _check(name: str, passed: bool, detail: dict) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def verification_suite(step_budget: int | None = None) -> list[dict]:
-    """The fixed suite of reference computations behind ``verify-paper``."""
+def verification_suite() -> list[dict]:
+    """The fixed suite of reference computations behind ``verify-paper``: six named checks."""
     checks = []
 
     # 1. Sphere-bundle invariants over the complex projective plane.
@@ -39,46 +41,25 @@ def verification_suite(step_budget: int | None = None) -> list[dict]:
     passed = all(got[key] == expected[key] for key in expected)
     checks.append(_check("projective bundle spot values", passed, {"system": got}))
 
-    # 2. Frozen local-model systems.
-    m1 = local_model_system(1)
-    m2 = local_model_system(2)
-    passed = (
-        m1.mu == (((0, 0, 1), 1), ((0, 1, 1), -1))
-        and m2.mu == (((0, 0, 1), 1), ((0, 1, 1), -1), ((1, 1, 1), 1))
-        and m1.p1 == (0, 0)
-        and m2.p1 == (0, 4)
-        and m1.w2 == m2.w2 == (0, 0)
-        and m1.b3 == m2.b3 == 0
-    )
-    checks.append(
-        _check(
-            "local model values",
-            passed,
-            {
-                "model_1": serialize.system_to_obj(m1),
-                "model_2": serialize.system_to_obj(m2),
-            },
-        )
-    )
-
-    # 3./4. Local model 1 matches the bundle side over CP2bar, and local
-    # model 2 the blowup side over S4, by search and by a named witness.
+    # 2./3. Local model 1 matches the bundle side over CP2bar, and local
+    # model 2 the blowup side over S4, by search and by a named witness.  The
+    # named witness, checked with c1, pins every frozen value of the model.
     bar, s4 = standard("CP2bar"), standard("S4")
     for name, model, side, named in (
         (
             "local model 1 matches bundle side",
-            m1,
+            local_model_system(1),
             projectivize(bar, RankTwoBundle(bar, (-1,), -1)),
             ((1, 0), (0, -1)),  # x -> a, z -> -y
         ),
         (
             "local model 2 matches blowup side",
-            m2,
+            local_model_system(2),
             blowup_point(projectivize(s4, RankTwoBundle(s4, (), -1))),
             ((1, 0), (1, -1)),  # x -> a + z', z -> -z'
         ),
     ):
-        found = find_isomorphism(model, side, bound=3, step_budget=step_budget)
+        found = find_isomorphism(model, side, bound=3)
         passed = found is not None and verify_witness(model, side, named, check_c1=True)
         detail = {
             "found": None if found is None else serialize.witness_to_obj(found),
@@ -86,7 +67,7 @@ def verification_suite(step_budget: int | None = None) -> list[dict]:
         }
         checks.append(_check(name, passed, detail))
 
-    # 5./6. The two transition sides are distinct (trivial bundle over S4, CP2).
+    # 4./5. The two transition sides are distinct (trivial bundle over S4, CP2).
     for base in (s4, cp2):
         t = conifold_transition(base, trivial_bundle(base))
         cert = certify_distinct(t.z1, t.z2)
@@ -103,13 +84,13 @@ def verification_suite(step_budget: int | None = None) -> list[dict]:
             )
         )
 
-    # 7. Twist invariance sample.
+    # 6. Twist invariance sample.
     e = trivial_bundle(cp2)
     l = (1,)
     s_plain = projectivize(cp2, e)
     s_twist = projectivize(cp2, twist(e, l))
     w = twist_witness(cp2, e, l)
-    found = find_isomorphism(s_plain, s_twist, bound=2, step_budget=step_budget)
+    found = find_isomorphism(s_plain, s_twist, bound=2)
     passed = verify_witness(s_plain, s_twist, w, check_c1=True) and found is not None
     checks.append(
         _check(
@@ -121,9 +102,9 @@ def verification_suite(step_budget: int | None = None) -> list[dict]:
     return checks
 
 
-def verify_report(step_budget: int | None) -> dict:
+def verify_report() -> dict:
     """The ``verify-paper`` report: every check of the suite, and whether all passed."""
-    checks = verification_suite(step_budget=step_budget)
+    checks = verification_suite()
     return {
         "schema": serialize.REPORT_SCHEMA,
         "command": "verify-paper",

@@ -10,6 +10,9 @@ level both are again built from bundle data over a modified base:
   side 2:  a one-point blowup of the sphere bundle of a rank-two bundle over
            the unchanged base, with the same c1 and c2 dropped by 1.
 
+:func:`conifold_transition` returns side 1 as ``z1`` and side 2 as ``z2``,
+always in this order.
+
 :func:`local_model_system` provides the frozen invariant systems of the two
 closed-up local models of the surgery (transition of the trivial bundle over
 the 4-ball, capped off with the same trivial piece); they serve as built-in
@@ -28,31 +31,18 @@ class TransitionResult(Value):
     """Both sides of a transition, with the transferred Chern data.
 
     ``z1``/``z2`` are the invariant systems of the two diffeomorphism types,
-    ``e1``/``e2`` the bundles they are built from, and ``base``/``bundle``
-    echo the input.  With ``swapped`` the two sides trade places (reversing
-    the orientation of the collapsed sphere swaps the types).
+    and ``e1``/``e2`` the bundles they are built from.
     """
 
-    fields = ("z1", "z2", "e1", "e2", "base", "bundle", "swapped")
+    fields = ("z1", "z2", "e1", "e2")
 
     def __init__(
-        self,
-        z1: InvariantSystem,
-        z2: InvariantSystem,
-        e1: RankTwoBundle,
-        e2: RankTwoBundle,
-        base: FourManifold,
-        bundle: RankTwoBundle,
-        swapped: bool = False,
+        self, z1: InvariantSystem, z2: InvariantSystem, e1: RankTwoBundle, e2: RankTwoBundle
     ):
-        if type(swapped) is not bool:
-            raise ValidationError(f"swapped must be a bool, got {swapped!r}")
-        vars(self).update(zip(self.fields, (z1, z2, e1, e2, base, bundle, swapped)))
+        vars(self).update(zip(self.fields, (z1, z2, e1, e2)))
 
 
-def conifold_transition(
-    base: FourManifold, e: RankTwoBundle, swap: bool = False
-) -> TransitionResult:
+def conifold_transition(base: FourManifold, e: RankTwoBundle) -> TransitionResult:
     """Compute both transitions of the sphere bundle of ``e`` over ``base``."""
     if e.base != base:
         raise ValidationError("bundle base does not match the given manifold")
@@ -61,10 +51,7 @@ def conifold_transition(
     z1 = projectivize(base1, e1)
     e2 = RankTwoBundle(base, e.c1, e.c2 - 1)
     z2 = blowup_point(projectivize(base, e2))
-    if swap:
-        z1, z2 = z2, z1
-        e1, e2 = e2, e1
-    return TransitionResult(z1, z2, e1, e2, base, e, swap)
+    return TransitionResult(z1, z2, e1, e2)
 
 
 def local_model_system(k: int) -> InvariantSystem:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -91,6 +94,14 @@ def test_main_rejects_removed_workers_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-paper", "--help"])
     assert exc.value.code == EXIT_OK
+
+
+def test_main_rejects_removed_swap_flag(capsys):
+    # a transition prints both sides, so there is nothing to swap
+    with pytest.raises(SystemExit) as exc:
+        main(["transition", "--base", "S4", "--swap"])
+    assert exc.value.code != EXIT_OK
+    assert "unrecognized arguments: --swap" in capsys.readouterr().err
 
 
 # -- reports -------------------------------------------------------------------
@@ -357,11 +368,15 @@ def test_step_budget_env_override(tmp_path, capsys, monkeypatch):
     right = write_system_file(tmp_path, "r.json", doc)
     monkeypatch.setenv("CONITOP_STEP_BUDGET", "10")
     assert main(["compare", "--left", left, "--right", right]) == EXIT_BUDGET
-    capsys.readouterr()
-    # 0 is a valid budget: the first search of the suite is refused
-    monkeypatch.setenv("CONITOP_STEP_BUDGET", "0")
-    assert main(["verify-paper"]) == EXIT_BUDGET
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_verify_paper_runs_under_the_default_budget_whatever_the_environment(capsys, monkeypatch):
+    # a budget of 0 would refuse every search; the suite's searches never read it
+    monkeypatch.setenv("CONITOP_STEP_BUDGET", "0")
+    assert main(["verify-paper"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.endswith("all checks passed\n") and captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["invariants", "transition"])
@@ -396,6 +411,50 @@ def test_compare_stats_pin_the_s2xs2_sides_search(tmp_path, capsys, monkeypatch)
     assert main(["compare", "--left", left, "--right", right, "--stats"]) == EXIT_OK
     stats = json.loads(capsys.readouterr().err)["search"]
     assert stats["nodes"] == stats["column_tests"] == 0
+
+
+# searches too long to run in-process, each in a child process held to 30 s,
+# whose --stats line must repeat these counters exactly: (step budget, the
+# compare arguments, the stderr line)
+STATS_PINS = {
+    # P(trivial bundle over S2xS2 # S2xS2) against itself at bound 1, with the
+    # raw-space gate lifted: a rank-5 search, about 5 s
+    "rank-5 self-compare": (
+        10**12,
+        ["--bound", "1", "--format", "json", "--stats",
+         "--left", "s2xs2_sum_trivial.json", "--right", "s2xs2_sum_trivial.json"],
+        '{"search": {"column_tests": 4961214, "nodes": 20422, '
+        '"pruned": {"mod2": 1032761, "table": 1959936, "triple": 1948096}}}',
+    ),
+    # P(E) over CP2 # 6 CP2bar, c1 = (1,...,1), c2 = 0, against its twist by
+    # l = (1,0,1,0,0,0,1): a rank-8 search with c1 transport, the raw-space
+    # gate lifted (7^64 is about 1.2e54), that must find a witness
+    "rank-8 twist with --check-c1": (
+        10**60,
+        ["--bound", "3", "--format", "json", "--check-c1", "--stats",
+         "--left", "cp2_6cp2bar_c1_ones.json", "--right", "cp2_6cp2bar_twist.json"],
+        '{"search": {"column_tests": 1080859, "nodes": 9, '
+        '"pruned": {"mod2": 15, "table": 1080836, "triple": 0}}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STATS_PINS))
+def test_compare_stats_pins_in_a_child_process_within_30_s(case):
+    budget, argv, stats = STATS_PINS[case]
+    argv = [str(GOLDEN_INPUTS / a) if a.endswith(".json") else a for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        CONITOP_STEP_BUDGET=str(budget),
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "conitop.cli", "compare", *argv],
+        env=env, capture_output=True, timeout=30,
+    )
+    assert (run.returncode, run.stderr.decode()) == (EXIT_OK, stats + "\n")
+    assert json.loads(run.stdout)["result"]["verdict"] == "isomorphic"
 
 
 def test_compare_stats_of_a_c1_miss_caught_up_front(tmp_path, capsys):
@@ -448,9 +507,7 @@ def test_verify_paper_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         paper,
         "verification_suite",
-        lambda step_budget=None: [
-            {"name": "doomed", "passed": False, "detail": {}}
-        ],
+        lambda: [{"name": "doomed", "passed": False, "detail": {}}],
     )
     code = main(["verify-paper"])
     out = capsys.readouterr().out
@@ -514,16 +571,6 @@ def test_transition_without_c1_data_omits_reference_class(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["result"]["z1"]["c1_class"] is None
     assert report["result"]["z2"]["c1_class"] is None
-
-
-def test_main_transition_swap_flag(capsys):
-    assert main(["transition", "--base", "S4", "--format", "json"]) == EXIT_OK
-    plain = json.loads(capsys.readouterr().out)
-    assert main(["transition", "--base", "S4", "--swap", "--format", "json"]) == EXIT_OK
-    swapped = json.loads(capsys.readouterr().out)
-    assert swapped["inputs"]["swap"] is True
-    assert swapped["result"]["z1"] == plain["result"]["z2"]
-    assert swapped["result"]["z2"] == plain["result"]["z1"]
 
 
 def test_explicit_manifold_file_input(tmp_path, capsys):
@@ -590,7 +637,6 @@ def test_verification_suite_detail_is_json_ready():
     json.dumps(checks)
     assert [c["name"] for c in checks] == [
         "projective bundle spot values",
-        "local model values",
         "local model 1 matches bundle side",
         "local model 2 matches blowup side",
         "transition sides distinct over S4",

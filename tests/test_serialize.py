@@ -111,12 +111,11 @@ def test_system_descriptor_shapes():
     assert p.rank == 2 and p.basis_labels == ("a", "z'")
 
 
-def test_swapped_transition_descriptor():
+def test_transition_descriptor_refuses_swap():
+    # both sides are read with "side"; a transition has no order to swap
     doc = {"transition": {"base": "S4", "swap": True}, "side": "z1"}
-    s4 = standard("S4")
-    plain = conifold_transition(s4, trivial_bundle(s4))
-    assert serialize.system_from_descriptor(doc) == plain.z2
-
+    with pytest.raises(ValidationError, match="^transition takes no field 'swap'$"):
+        serialize.system_from_descriptor(doc)
 
 
 def _json_documents(st):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conitop import (
     RankTwoBundle,
     blowup_point,
@@ -66,13 +68,13 @@ def test_transition_rank_bookkeeping():
         assert t.e2.base == base
 
 
-def test_transition_swap_exchanges_sides():
+def test_transition_result_is_its_two_sides():
     s4 = standard("S4")
-    plain = conifold_transition(s4, trivial_bundle(s4))
-    swapped = conifold_transition(s4, trivial_bundle(s4), swap=True)
-    assert swapped.swapped
-    assert swapped.z1 == plain.z2 and swapped.z2 == plain.z1
-    assert swapped.e1 == plain.e2 and swapped.e2 == plain.e1
+    t = conifold_transition(s4, trivial_bundle(s4))
+    assert t.fields == ("z1", "z2", "e1", "e2")
+    assert not hasattr(t, "base") and not hasattr(t, "bundle")
+    with pytest.raises(TypeError):
+        conifold_transition(s4, trivial_bundle(s4), swap=True)
 
 
 def test_local_model_1_matches_bundle_side():
@@ -133,7 +135,7 @@ def test_sum_forms_build_their_dense_matrix_only_for_a_report():
     base = parse_sum_expression("CP2 # 5 CP2bar # 125 S2xS2")
     c1 = tuple(range(-128, 128))
     t = conifold_transition(base, RankTwoBundle(base, c1, 3))
-    sides = (t.base, t.e1.base)  # the base and base # CP2bar
+    sides = (base, t.e1.base)  # the base and base # CP2bar
     assert [n.rank for n in sides] == [256, 257]
     for n in sides:
         # the dense matrix, cell by cell: CP2, five CP2bar, 125 hyperbolic planes
